@@ -2,23 +2,31 @@
 
 These are the hot loops of the whole package: Hermite and Smith normal
 forms, fraction-free determinants, and triangular back-substitution,
-all over arbitrary-precision Python integers.  A compiled twin with the
-same contract lives in ``_kernels_cy.pyx``; ``bftorus.kernels`` picks
+all over arbitrary-precision Python integers.  A compiled twin of
+``hnf_cols``, ``snf_rows``, ``det_bareiss``, ``solve_upper_cols`` and
+``mat_mul_rows`` lives in ``_kernels_cy.pyx``; ``bftorus.kernels`` picks
 one at import time.  Both backends must be bit-for-bit identical — the
-test suite enforces this on randomized inputs.
+test suite enforces this on randomized inputs.  ``snf_diag`` has no
+twin: ``bftorus.kernels`` always exports this pure version.
 
 Conventions
 -----------
 * Matrices passed to ``hnf_cols`` / ``solve_upper_cols`` are lists of
-  *columns*; matrices passed to ``snf_rows`` / ``det_bareiss`` /
-  ``mat_mul_rows`` are lists of *rows*.  All entries are ints.
+  *columns*; matrices passed to ``snf_rows`` / ``snf_diag`` /
+  ``det_bareiss`` / ``mat_mul_rows`` are lists of *rows*.  All entries
+  are ints.
 * Column Hermite form: zero columns leftmost, then an echelon block
   whose pivots walk down and to the right, pivots positive, and every
   entry to the right of a pivot reduced into ``[0, pivot)``.  For a
   nonsingular square input this is exactly the upper-triangular
   positive-diagonal normal form.
 * Smith form: non-negative diagonal ``d1 | d2 | ... | dr, 0, ..., 0``.
+  ``snf_rows`` also returns the unimodular transforms, whose entries
+  can grow far beyond those of the input; ``snf_diag`` returns the
+  diagonal alone and is what the Bowen-Franks groups are computed with.
 """
+
+import math
 
 BACKEND = "python"
 
@@ -36,6 +44,20 @@ def _xgcd(a, b):
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _bezout(a, b):
+    """(g, s, t) with g = s*a + t*b = gcd(a, b) > 0, for nonzero a, b.
+
+    Uses the C-level gcd and modular inverse in place of the Python
+    loop of ``_xgcd``.  ``snf_rows`` keeps ``_xgcd``: its particular
+    coefficients fix the transforms it returns.
+    """
+    g = math.gcd(a, b)
+    x = a // g
+    y = b // g
+    s = pow(x, -1, y)
+    return g, s, (1 - s * x) // y
 
 
 def mat_mul_rows(a, b):
@@ -308,3 +330,114 @@ def snf_rows(rows):
                 d[i], d[j] = g, lcm
                 changed = True
     return d, u, v
+
+
+def snf_diag(rows):
+    """Smith diagonal of a square integer matrix (list of rows).
+
+    Returns exactly ``snf_rows(rows)[0]``, the non-negative divisor
+    chain with zeros last, but tracks neither transform.  At step t the
+    smallest nonzero entry of the trailing block becomes the pivot;
+    row t and column t are then cleared by an exact quotient where the
+    pivot divides the entry, and otherwise by the unimodular 2x2 step
+    ``[[s, u], [-b/g, a/g]]`` with ``g = s*a + u*b = gcd(a, b)``, which
+    makes g the new pivot.  The diagonal left behind is folded into a
+    divisor chain by gcd/lcm.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    diag = []
+    for t in range(n):
+        # smallest nonzero entry of the trailing submatrix -> (t, t)
+        pi = -1
+        pj = -1
+        best = 0
+        for i in range(t, n):
+            ai = a[i]
+            for j in range(t, n):
+                e = ai[j]
+                if e:
+                    e = -e if e < 0 else e
+                    if pi < 0 or e < best:
+                        best = e
+                        pi, pj = i, j
+        if pi < 0:
+            break
+        if pi != t:
+            a[pi], a[t] = a[t], a[pi]
+        if pj != t:
+            # rows above t are zero outside the diagonal
+            for i in range(t, n):
+                row = a[i]
+                row[pj], row[t] = row[t], row[pj]
+        at = a[t]
+        while True:
+            # Column t: row operations.  An exact step leaves row t alone.
+            for i in range(t + 1, n):
+                ai = a[i]
+                b = ai[t]
+                if not b:
+                    continue
+                p = at[t]
+                q, r = divmod(b, p)
+                if r:
+                    g, s, u = _bezout(p, b)
+                    x = b // g
+                    y = p // g
+                    for j in range(t, n):
+                        e = at[j]
+                        f = ai[j]
+                        at[j] = s * e + u * f
+                        ai[j] = y * f - x * e
+                else:
+                    for j in range(t + 1, n):
+                        e = at[j]
+                        if e:
+                            ai[j] -= q * e
+                    ai[t] = 0
+            # Row t: column operations.  While column t is zero below
+            # the pivot an exact step only zeroes at[j]; a gcd step
+            # refills column t, and the sweep starts again.
+            refilled = False
+            for j in range(t + 1, n):
+                b = at[j]
+                if not b:
+                    continue
+                p = at[t]
+                q, r = divmod(b, p)
+                if not r and not refilled:
+                    at[j] = 0
+                elif not r:
+                    for i in range(t, n):
+                        ai = a[i]
+                        e = ai[t]
+                        if e:
+                            ai[j] -= q * e
+                else:
+                    g, s, u = _bezout(p, b)
+                    x = b // g
+                    y = p // g
+                    for i in range(t, n):
+                        ai = a[i]
+                        e = ai[t]
+                        f = ai[j]
+                        ai[t] = s * e + u * f
+                        ai[j] = y * f - x * e
+                    refilled = True
+            if not refilled:
+                break
+        p = at[t]
+        diag.append(-p if p < 0 else p)
+
+    # Fold into a divisor chain; gcd/lcm swaps keep every prime's
+    # multiset of valuations, so the chain is the Smith diagonal.
+    k = len(diag)
+    for i in range(k):
+        for j in range(i + 1, k):
+            di = diag[i]
+            dj = diag[j]
+            if dj % di:
+                g = math.gcd(di, dj)
+                diag[i] = g
+                diag[j] = di // g * dj
+    return diag + [0] * (n - k)

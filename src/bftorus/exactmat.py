@@ -66,8 +66,9 @@ def mat_pow(a, k) -> IntMatrix:
     while k:
         if k & 1:
             out = mat_mul_rows(out, base)
-        base = mat_mul_rows(base, base)
         k >>= 1
+        if k:
+            base = mat_mul_rows(base, base)
     return out
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import ratlin
 from .config import debug_asserts_enabled
 from .errors import NotASublattice, NotFullRank
-from .kernels import det_bareiss, hnf_cols, snf_rows, solve_upper_cols
+from .kernels import det_bareiss, hnf_cols, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField
 from .polyring import parse_int_poly
 
@@ -492,5 +492,4 @@ def quotient_group(big, small) -> AbelianGroup:
             raise NotASublattice("quotient_group requires small ⊆ big")
         xcols.append(x)
     rows = [[xcols[j][i] for j in range(nn)] for i in range(nn)]
-    diag, _, _ = snf_rows(rows)
-    return AbelianGroup.from_diagonal(diag)
+    return AbelianGroup.from_diagonal(snf_diag(rows))

@@ -54,7 +54,7 @@ from .ideals import (
     is_invertible,
     zbeta,
 )
-from .kernels import snf_rows
+from .kernels import snf_diag, snf_rows
 from .numberfield import NumberField, multiplication_matrix
 from .polyring import (
     IntPoly,
@@ -88,6 +88,16 @@ def _require_same_char_poly(a, b):
 # ---------------------------------------------------------------------
 # BF groups and periodic points
 
+def _cokernel(m) -> AbelianGroup:
+    """Z^n/mZ^n from the Smith diagonal of m alone."""
+    diag = snf_diag(m)
+    if debug_asserts_enabled():
+        d = det(m)
+        assert math.prod(diag) == abs(d), "Smith diagonal product != |det|"
+        assert (d == 0) == (0 in diag), "zero det without a zero in the diagonal"
+    return AbelianGroup.from_diagonal(diag)
+
+
 def bf_group(a, g) -> AbelianGroup:
     """BF_g(A) = Z^n/g(A)Z^n in canonical invariant-factor form.
 
@@ -96,17 +106,19 @@ def bf_group(a, g) -> AbelianGroup:
     Raises NonIntegralResult when g(A) has a denominator; that failure
     is itself conjugacy-invariant information (see bf_refute).
     """
-    m = eval_poly_at_matrix(_as_rat_poly(g), a)
-    diag, _, _ = snf_rows(m)
-    return AbelianGroup.from_diagonal(diag)
+    return _cokernel(eval_poly_at_matrix(_as_rat_poly(g), a))
 
 
 def bf_k(a, k) -> AbelianGroup:
-    """BF_k(A) = Z^n/(A^k - I)Z^n, the group of k-periodic points."""
+    """BF_k(A) = Z^n/(A^k - I)Z^n, the group of k-periodic points,
+    with A^k formed by repeated squaring."""
     k = int(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return bf_group(a, IntPoly.cyclic(k))
+    m = mat_pow(a, k)
+    for i in range(len(m)):
+        m[i][i] -= 1
+    return _cokernel(m)
 
 
 class BFProfile:
@@ -656,8 +668,7 @@ class Pi1Presentation(NamedTuple):
             [(1 if i == j else 0) - self.matrix[j][i] for j in range(n)]
             for i in range(n)
         ]
-        diag, _, _ = snf_rows(rows)
-        g = AbelianGroup.from_diagonal(diag)
+        g = _cokernel(rows)
         return AbelianGroup(g.free_rank + 1, g.torsion)
 
     def __str__(self):

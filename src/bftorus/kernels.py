@@ -4,6 +4,8 @@ The compiled extension (``bftorus._kernels_cy``) is used when present;
 otherwise the pure-Python reference implementation takes over.  Set
 ``BFTORUS_PURE=1`` to force the pure backend even when the extension is
 installed (useful for benchmarking and for the bit-exactness tests).
+``snf_diag`` has no compiled twin and is the pure version on either
+backend.
 """
 
 import importlib
@@ -35,4 +37,4 @@ snf_rows = _impl.snf_rows
 det_bareiss = _impl.det_bareiss
 solve_upper_cols = _impl.solve_upper_cols
 mat_mul_rows = _impl.mat_mul_rows
-xgcd = _impl._xgcd
+snf_diag = _kernels_py.snf_diag

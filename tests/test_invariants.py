@@ -1,9 +1,13 @@
 """End-to-end invariants: BF groups, the dictionary, verdicts, the flow."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bftorus.config import debug_asserts_enabled, set_debug_asserts
 from bftorus.errors import (
     CharPolyMismatch,
     DegeneratePeriod,
@@ -53,11 +57,14 @@ from util import (
     R7_DENOM,
     enumerate_periodic_points,
     mat_mul,
+    mat_pow,
     oracle_abelianization,
     oracle_char_poly,
+    oracle_det,
     oracle_irreducible,
     random_admissible_poly,
     random_similar_pair,
+    random_unimodular_pair,
     random_unit_irreducible_matrix,
     subgroup_from_generators,
 )
@@ -111,6 +118,35 @@ class TestBFGroups:
             a, b = random_similar_pair(rng)
             g = IntPoly(random_admissible_poly(rng, len(a)))
             assert bf_group(a, g) == bf_group(b, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 60))
+    def test_bf_k_matches_bf_group_of_cyclic(self, seed, irreducible, k):
+        # Products of elementary matrices often have a root of unity as
+        # eigenvalue, so A^k - I is singular and the group has free rank.
+        rng = random.Random(seed)
+        if irreducible:
+            a, _ = random_unit_irreducible_matrix(rng)
+        else:
+            a, _ = random_unimodular_pair(rng, rng.choice((2, 3, 4)))
+        assert bf_k(a, k) == bf_group(a, IntPoly.cyclic(k))
+
+    def test_bf_k_large_power_order(self):
+        m = mat_pow(EX2_M, 400)
+        for i in range(4):
+            m[i][i] -= 1
+        assert bf_k(EX2_M, 400).order() == abs(oracle_det(m))
+
+    def test_debug_check_on_diagonal(self):
+        saved = debug_asserts_enabled()
+        set_debug_asserts(True)
+        try:
+            assert bf_k(EX2_M, 48).torsion == BF48_TORSION
+            assert bf_group(EX1_A, "x^2").free_rank == 0
+            assert bf_group([[1, 0], [0, 2]], "x-1").free_rank == 1
+            assert bf_k([[1, 1], [0, 1]], 3).free_rank == 1
+        finally:
+            set_debug_asserts(saved)
 
 
 class TestBFProfile:

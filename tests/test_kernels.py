@@ -6,19 +6,22 @@ rest of the library never needs to know which one is loaded.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bftorus._kernels_py import _bezout, _xgcd
 from bftorus.kernels import (
     BACKEND,
     det_bareiss,
     hnf_cols,
     load_backend,
     mat_mul_rows,
+    snf_diag,
     snf_rows,
     solve_upper_cols,
-    xgcd,
 )
 
-from util import oracle_det
+from util import mat_mul, oracle_det
 
 
 def random_matrix(rng, n, m=None, span=20):
@@ -41,11 +44,14 @@ def test_xgcd_bezout(rng):
     for _ in range(200):
         a = rng.randint(-10**9, 10**9)
         b = rng.randint(-10**9, 10**9)
-        g, s, t = xgcd(a, b)
+        g, s, t = _xgcd(a, b)
         assert g == s * a + t * b
         assert g >= 0
         if a or b:
             assert a % g == 0 and b % g == 0
+        if a and b:
+            h, s, t = _bezout(a, b)
+            assert h == g == s * a + t * b
 
 
 def test_snf_properties_randomized(rng):
@@ -83,6 +89,65 @@ def test_snf_repeated_fold_on_same_row():
     uav = mat_mul_rows(mat_mul_rows(u, a), v)
     assert uav == [[1, 0, 0], [0, 1, 0], [0, 0, 2554]]
     assert is_unimodular(u) and is_unimodular(v)
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    """Square matrices up to max_n, among them zero matrices, singular
+    ones with a repeated row, and entries up to 10^90 of either sign."""
+    n = draw(st.integers(0, max_n))
+    bound = draw(st.sampled_from([0, 1, 9, 10**6, 10**90]))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    return rows
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """Products of elementary row operations and sign flips."""
+    if n < 2:
+        return [[draw(st.sampled_from([-1, 1]))] for _ in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    )
+    for (i, j), c in draw(st.lists(ops, max_size=12)):
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    flip = draw(st.integers(0, n - 1))
+    u[flip] = [-x for x in u[flip]]
+    return u
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_snf_diag_is_the_snf_rows_diagonal(a):
+    assert snf_diag(a) == snf_rows(a)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_snf_diag_unimodular_invariance(data):
+    a = data.draw(square_matrices(max_n=6))
+    n = len(a)
+    u = data.draw(unimodular_matrices(n))
+    v = data.draw(unimodular_matrices(n))
+    d = snf_diag(a)
+    if n:
+        assert snf_diag(mat_mul(u, a)) == d
+        assert snf_diag(mat_mul(a, v)) == d
+        assert snf_diag(mat_mul(mat_mul(u, a), v)) == d
+
+
+def test_snf_diag_repeated_fold_on_same_row():
+    a = [[15, -4, -9], [-18, -2, 10], [-13, -20, -20]]
+    assert snf_diag(a) == [1, 1, 2554]
+    assert snf_diag([[0, 0], [0, 0]]) == [0, 0]
+    assert snf_diag([[2, 0, 0], [0, 3, 0], [0, 0, 0]]) == [1, 6, 0]
+    assert snf_diag([]) == []
 
 
 def test_hnf_properties_randomized(rng):
