@@ -8,6 +8,7 @@ diagonal data.
 """
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, NamedTuple
 
@@ -81,19 +82,23 @@ def rational_inverse(a):
     return ratlin.inverse(copy_matrix(a))
 
 
-def char_poly(a) -> IntPoly:
-    """det(xI - A) by the Faddeev-LeVerrier recurrence, all integer.
+def char_poly_adjugate(a):
+    """(p, [B_0, ..., B_{n-1}]) with p = det(xI - A) and
+    adj(xI - A) = sum_k x^k B_k, by the Faddeev-LeVerrier recurrence.
 
-    The trace divisions are exact; with debug assertions enabled the
-    Cayley-Hamilton identity p(A) = 0 is verified on every call.
+    B_{n-1} = I and B_{k-1} = A.B_k + c_k.I, where c_k is the x^k
+    coefficient of p; everything is integer and the trace divisions are
+    exact.  With debug assertions enabled the Cayley-Hamilton identity
+    p(A) = 0 is verified on every call.
     """
     a = copy_matrix(a)
     n = len(a)
     if n == 0:
-        return IntPoly([1])
+        return IntPoly([1]), []
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = identity_matrix(n)
+    adj = [m]
     for k in range(1, n + 1):
         am = mat_mul_rows(a, m)
         tr = sum(am[i][i] for i in range(n))
@@ -104,11 +109,18 @@ def char_poly(a) -> IntPoly:
         for i in range(n):
             am[i][i] += c
         m = am
+        adj.append(m)
     p = IntPoly(coeffs)
     if debug_asserts_enabled():
         z = eval_poly_at_matrix(p, a)
         assert all(all(e == 0 for e in row) for row in z), "p(A) != 0"
-    return p
+    # adj holds B_{n-1}, ..., B_0 and then A.B_0 + c_0.I = p(A) = 0.
+    return p, adj[n - 1::-1]
+
+
+def char_poly(a) -> IntPoly:
+    """det(xI - A), all integer (see ``char_poly_adjugate``)."""
+    return char_poly_adjugate(a)[0]
 
 
 def eval_poly_at_matrix(g, a) -> IntMatrix:
@@ -140,6 +152,41 @@ def eval_poly_at_matrix(g, a) -> IntMatrix:
     if any(e.denominator != 1 for row in out for e in row):
         raise NonIntegralResult(f"{g} evaluated at the matrix is not integral")
     return [[int(e) for e in row] for row in out]
+
+
+def power_table(a):
+    """Entry (i, j) holds the tuple (A^0[i][j], ..., A^(n-1)[i][j]).
+
+    By Cayley-Hamilton every g(A) is a polynomial in A of degree < n,
+    so with the powers formed once, each g(A) is an integer linear
+    combination of them (see ``eval_at_power_table``).
+    """
+    a = copy_matrix(a)
+    n = len(a)
+    powers = [identity_matrix(n), a][:n]
+    while len(powers) < n:
+        powers.append(mat_mul_rows(powers[-1], a))
+    return [[tuple(pk[i][j] for pk in powers) for j in range(n)] for i in range(n)]
+
+
+def eval_at_power_table(table, d, r) -> IntMatrix:
+    """g(A) = (sum_k r_k A^k)/d from ``table = power_table(A)``.
+
+    ``d`` is a positive integer and ``r`` an integer vector of length n;
+    NonIntegralResult when some entry is not divisible by d.
+    """
+    if d == 1:
+        return [[sum(map(operator.mul, r, e)) for e in row] for row in table]
+    out = []
+    for row in table:
+        vals = []
+        for e in row:
+            q, rem = divmod(sum(map(operator.mul, r, e)), d)
+            if rem:
+                raise NonIntegralResult("g(A) is not integral")
+            vals.append(q)
+        out.append(vals)
+    return out
 
 
 def smith_normal_form(a) -> SmithDecomposition:

@@ -40,10 +40,13 @@ from .errors import (
 from .exactmat import (
     IntMatrix,
     char_poly,
+    char_poly_adjugate,
     copy_matrix,
     det,
+    eval_at_power_table,
     eval_poly_at_matrix,
     mat_pow,
+    power_table,
 )
 from .ideals import (
     AbelianGroup,
@@ -121,18 +124,30 @@ def bf_k(a, k) -> AbelianGroup:
     return _cokernel(m)
 
 
+def _scaled_coords(coeffs, n):
+    """(d, r) with d the least positive integer making d.g integral and
+    r = d.g as n integer coordinates; g given by its Fraction
+    coefficients, of degree < n."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    r = [c.numerator * (d // c.denominator) for c in coeffs]
+    return d, tuple(r + [0] * (n - len(r)))
+
+
 class BFProfile:
     """A cache of BF_g(A) values keyed by g reduced mod the char poly.
 
     Cayley-Hamilton makes g(A) depend only on g mod p, so the reduced
-    polynomial is the canonical key.  Only g with g(A) integral are
-    ever stored; a non-integral g raises through ``group``.
+    polynomial is the canonical key, and g(A) is formed as a linear
+    combination of A^0..A^(n-1), computed once per profile.  Only g
+    with g(A) integral are ever stored; a non-integral g raises through
+    ``group``.
     """
 
     def __init__(self, a):
         self.matrix = copy_matrix(a)
         self.p = char_poly(a)
         self._p_rat = self.p.to_rat()
+        self._powers = power_table(self.matrix)
         self.entries: Dict[RatPoly, AbelianGroup] = {}
 
     def reduce(self, g) -> RatPoly:
@@ -142,7 +157,8 @@ class BFProfile:
         key = self.reduce(g)
         got = self.entries.get(key)
         if got is None:
-            got = bf_group(self.matrix, key)
+            d, r = _scaled_coords(key.coeffs, self.p.degree)
+            got = _cokernel(eval_at_power_table(self._powers, d, r))
             self.entries[key] = got
         return got
 
@@ -196,42 +212,19 @@ def periodic_structure(a, k) -> PeriodicStructure:
 # ---------------------------------------------------------------------
 # the matrix <-> ideal dictionary
 
-def _row_eigenvector(field, a):
-    """A nonzero v (entries in K) with v.A = beta.v.
+def _row_eigenvector(field, a, adj):
+    """Row 0 of adj(beta.I - A): a nonzero v (entries in K) with v.A = beta.v.
 
-    Gaussian elimination over K on A^t - beta.I, whose kernel is a line
-    when p is irreducible.
+    ``adj`` is [B_0, ..., B_{n-1}] with adj(xI - A) = sum_k x^k B_k (see
+    ``exactmat.char_poly_adjugate``).  Since adj(beta.I - A)(beta.I - A)
+    = p(beta).I = 0, each row is a row eigenvector; entry j of row 0
+    has the integer power-basis coordinates (B_k[0][j])_k, and entry 0
+    has beta^(n-1)-coordinate 1 because B_{n-1} = I, so v != 0.
     """
     n = field.n
-    beta = field.beta()
-    one = field.one()
-    zero = field.zero()
-    rows = [
-        [a[j][i] * one - (beta if i == j else zero) for j in range(n)]
-        for i in range(n)
-    ]
-    pivots = []
-    rank = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(rank, n) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for i in range(n):
-            if i != rank and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(n)]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    assert len(free) == 1, "eigenvector kernel should be one-dimensional"
-    v = [zero] * n
-    v[free[0]] = one
-    for idx, c in enumerate(pivots):
-        v[c] = -rows[idx][free[0]]
+    v = [field.element([adj[k][0][j] for k in range(n)]) for j in range(n)]
     if debug_asserts_enabled():
+        beta = field.beta()
         for i in range(n):
             lhs = field.zero()
             for j in range(n):
@@ -254,13 +247,13 @@ def matrix_to_ideal(a) -> FractionalIdeal:
     this normalization in general.
     """
     a = copy_matrix(a)
-    p = char_poly(a)
+    p, adj = char_poly_adjugate(a)
     if p.degree < 2:
         raise ReduciblePolynomial("the eigenvector dictionary needs degree >= 2")
     if not is_irreducible(p):
         raise ReduciblePolynomial(f"characteristic polynomial {p} is reducible over Q")
     field = NumberField(p)
-    vec = _row_eigenvector(field, a)
+    vec = _row_eigenvector(field, a, adj)
     # Every entry is nonzero (a zero entry would cap the span at rank
     # n-1), so dividing by the first one picks a canonical point on the
     # K-line of eigenvectors.
@@ -398,39 +391,62 @@ def l_equivalent(a, b) -> EquivalenceVerdict:
     )
 
 
+def _cyclic_remainders(p, bound):
+    """x^k - 1 mod p for k = 1..bound as integer coordinate tuples.
+
+    p is monic, so the division is exact over Z: each step multiplies
+    the previous x^(k-1) mod p by x and clears the x^n term with p.
+    """
+    n = p.degree
+    c = p.coeffs
+    cur = [1] + [0] * (n - 1)
+    for _ in range(bound):
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            cur = [e - lead * ci for e, ci in zip(cur, c)]
+        r = list(cur)
+        r[0] -= 1
+        yield tuple(r)
+
+
 def _refutation_candidates(p, a, b, bound):
     """The documented candidate list, deduplicated mod p.
+
+    Yields (d, r, coeffs): the candidate g has coefficients ``coeffs``
+    (constant first, for the witness text) and reduces mod p to
+    (sum_k r_k x^k)/d, with d the least positive integer that makes
+    d.(g mod p) integral and r an integer vector of length deg p.  A
+    candidate is dropped when (d, r) or (d, -r) came earlier.
 
     Deterministic graded order: x^k - 1 for k = 1..bound first (the
     periodic-point invariants), then the basis denominators of both
     coefficient rings (a g that is integral on one side only refutes
     through integrality alone), then every g(beta) with power-basis
     coordinates in max-norm shells 1..bound, first nonzero coordinate
-    positive, constants skipped (they never distinguish).
+    positive, constants skipped (they never distinguish).  Only the
+    cyclic candidates need reducing; the other two kinds already have
+    degree < deg p.
     """
-    p_rat = p.to_rat()
     seen = set()
 
-    def fresh(g):
-        key = poly_mod(g, p_rat).coeffs
-        neg = tuple(-c for c in key)
-        if key in seen or neg in seen:
+    def fresh(d, r):
+        if (d, r) in seen or (d, tuple(-e for e in r)) in seen:
             return False
-        seen.add(key)
+        seen.add((d, r))
         return True
 
-    for k in range(1, bound + 1):
-        g = IntPoly.cyclic(k).to_rat()
-        if fresh(g):
-            yield g
+    for k, r in enumerate(_cyclic_remainders(p, bound), start=1):
+        if fresh(1, r):
+            yield 1, r, IntPoly.cyclic(k).coeffs
     n = p.degree
     if n >= 2 and is_irreducible(p):
         for mat in (a, b):
             ring = coefficient_ring(matrix_to_ideal(mat))
             for z in ring.basis_elements():
-                g = RatPoly(z.coords)
-                if any(c.denominator != 1 for c in g.coeffs) and fresh(g):
-                    yield g
+                d, r = _scaled_coords(z.coords, n)
+                if d != 1 and fresh(d, r):
+                    yield d, r, z.coords
     for radius in range(1, bound + 1):
         for tup in itertools.product(range(-radius, radius + 1), repeat=n):
             if max(abs(c) for c in tup) != radius:
@@ -440,9 +456,8 @@ def _refutation_candidates(p, a, b, bound):
             first = next(c for c in tup if c)
             if first < 0:
                 continue  # g and -g define the same subgroup
-            g = RatPoly(tup)
-            if fresh(g):
-                yield g
+            if fresh(1, tup):
+                yield 1, tup, tup
 
 
 def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
@@ -450,21 +465,23 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
 
     A witness is a proof that A and B are not BF-equivalent (for
     integrality mismatches: not even L-equivalent).  Exhausting the
-    bound proves nothing - the verdict says so.
+    bound proves nothing - the verdict says so.  Each candidate is
+    reduced mod p once, and g(A), g(B) are linear combinations of
+    powers formed once per matrix.
     """
     p = _require_same_char_poly(a, b)
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    prof_a = BFProfile(a)
-    prof_b = BFProfile(b)
-    for g in _refutation_candidates(p, a, b, bound):
+    table_a = power_table(a)
+    table_b = power_table(b)
+    for d, r, coeffs in _refutation_candidates(p, a, b, bound):
         try:
-            group_a = prof_a.group(g)
+            group_a = _cokernel(eval_at_power_table(table_a, d, r))
         except NonIntegralResult:
             group_a = None
         try:
-            group_b = prof_b.group(g)
+            group_b = _cokernel(eval_at_power_table(table_b, d, r))
         except NonIntegralResult:
             group_b = None
         if group_a is None and group_b is None:
@@ -472,7 +489,7 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
         if group_a != group_b:
             return EquivalenceVerdict(
                 "BF-distinguished",
-                witness=format_poly(g.coeffs),
+                witness=format_poly(coeffs),
                 groups={
                     "A": str(group_a) if group_a is not None else "non-integral",
                     "B": str(group_b) if group_b is not None else "non-integral",

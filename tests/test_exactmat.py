@@ -5,13 +5,16 @@ import pytest
 from bftorus.errors import NonIntegralResult, SingularMatrix
 from bftorus.exactmat import (
     char_poly,
+    char_poly_adjugate,
     det,
+    eval_at_power_table,
     eval_poly_at_matrix,
     hermite_normal_form,
     identity_matrix,
     kernel_mod_m,
     mat_pow,
     mat_vec,
+    power_table,
     rational_inverse,
     smith_normal_form,
     transpose,
@@ -22,6 +25,7 @@ from util import (
     EX1_A,
     P_CUBIC,
     mat_mul,
+    oracle_adjugate,
     oracle_char_poly,
     oracle_det,
     random_unimodular_pair,
@@ -104,6 +108,42 @@ def test_cayley_hamilton(rng):
         a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         z = eval_poly_at_matrix(char_poly(a), a)
         assert z == [[0] * n for _ in range(n)]
+
+
+def test_char_poly_adjugate_against_cofactors(rng):
+    # adj(xI - A) = sum_k x^k B_k; at x = 0 that is adj(-A) = (-1)^(n-1) adj(A).
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        p, adj = char_poly_adjugate(a)
+        assert list(p.coeffs) == oracle_char_poly(a)
+        assert len(adj) == n and adj[n - 1] == identity_matrix(n)
+        sign = (-1) ** (n - 1)
+        assert adj[0] == [[sign * e for e in row] for row in oracle_adjugate(a)]
+        for k in range(1, n):
+            step = mat_mul(a, adj[k])
+            for i in range(n):
+                step[i][i] += p.coeffs[k]
+            assert step == adj[k - 1]
+
+
+def test_power_table_matches_horner(rng):
+    from fractions import Fraction
+
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        table = power_table(a)
+        d = rng.choice((1, 1, 2, 3, 4))
+        r = tuple(rng.randint(-9, 9) * rng.choice((1, d)) for _ in range(n))
+        g = RatPoly([Fraction(c, d) for c in r])
+        try:
+            want = eval_poly_at_matrix(g, a)
+        except NonIntegralResult:
+            with pytest.raises(NonIntegralResult):
+                eval_at_power_table(table, d, r)
+            continue
+        assert eval_at_power_table(table, d, r) == want
 
 
 def test_eval_poly_rational_coefficients():

@@ -14,18 +14,20 @@ from bftorus.errors import (
     NonIntegralResult,
     ReduciblePolynomial,
 )
-from bftorus.exactmat import det, eval_poly_at_matrix
+from bftorus.exactmat import char_poly, char_poly_adjugate, det, eval_poly_at_matrix
 from bftorus.ideals import (
     AbelianGroup,
     FractionalIdeal,
     ZLattice,
     coefficient_ring,
+    fractional_ideal,
     quotient_group,
     zbeta,
 )
 from bftorus.invariants import (
     BFProfile,
     EquivalenceVerdict,
+    _row_eigenvector,
     bf_certify,
     bf_group,
     bf_k,
@@ -41,7 +43,7 @@ from bftorus.invariants import (
     suspension_h1,
 )
 from bftorus.numberfield import NumberField, norm
-from bftorus.polyring import IntPoly, parse_rat_poly
+from bftorus.polyring import IntPoly, is_irreducible, parse_rat_poly
 
 from util import (
     EX1_A,
@@ -55,6 +57,7 @@ from util import (
     P_CUBIC,
     R7_COLS,
     R7_DENOM,
+    companion,
     enumerate_periodic_points,
     mat_mul,
     mat_pow,
@@ -62,12 +65,23 @@ from util import (
     oracle_char_poly,
     oracle_det,
     oracle_irreducible,
+    oracle_row_eigenvector,
     random_admissible_poly,
     random_similar_pair,
     random_unimodular_pair,
     random_unit_irreducible_matrix,
     subgroup_from_generators,
 )
+
+
+def random_irreducible_matrix(rng, n, span=4):
+    """Random n x n integer A with irreducible char poly.  The library's
+    irreducibility test only filters inputs here: the oracle in util
+    stops at degree 4."""
+    while True:
+        a = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+        if is_irreducible(char_poly(a)):
+            return a
 
 
 class TestBFGroups:
@@ -225,6 +239,43 @@ class TestDictionary:
         assert matrix_to_ideal(ideal_to_matrix(I)) == I.scaled(Fraction(1, 8))
         assert matrix_to_ideal(ideal_to_matrix(J)) == J.scaled(Fraction(1, 2))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    def test_adjugate_row_matches_elimination(self, seed, n):
+        a = random_irreducible_matrix(random.Random(seed), n)
+        p, adj = char_poly_adjugate(a)
+        field = NumberField(p)
+        v = _row_eigenvector(field, a, adj)
+        w = oracle_row_eigenvector(field, a)
+        # one K-line of row eigenvectors
+        assert all(v[j] * w[0] == w[j] * v[0] for j in range(n))
+        # so the ideal normalized from the oracle's vector is the same
+        inv = w[0].inverse()
+        raw = fractional_ideal(field, [z * inv for z in w])
+        first = Fraction(raw.cols[0][0], raw.denom)
+        assert matrix_to_ideal(a) == (raw if first == 1 else raw.scaled(1 / first))
+
+    def test_debug_check_on_eigenvector(self):
+        saved = debug_asserts_enabled()
+        set_debug_asserts(True)
+        try:
+            assert [str(e) for e in matrix_to_ideal(EX1_C).basis_elements()] == [
+                "1",
+                "b",
+                "(1/8)b^2+(7/8)",
+            ]
+            assert l_equivalent(EX1_A, EX1_B).kind == "not-L-equivalent"
+            assert l_equivalent(EX2_M, EX2_MP).kind == "not-L-equivalent"
+            assert bf_refute(EX1_B, EX1_C).witness == "x^2-1"
+            assert bf_refute(EX2_M, EX2_MP).groups == {"A": "non-integral", "B": "Z4"}
+            # the check is live: EX1_B shares EX1_A's char poly, but its
+            # adjugate row is not an eigenvector of EX1_A
+            _, adj_b = char_poly_adjugate(EX1_B)
+            with pytest.raises(AssertionError, match="v.A != beta.v"):
+                _row_eigenvector(NumberField(IntPoly(P_CUBIC)), EX1_A, adj_b)
+        finally:
+            set_debug_asserts(saved)
+
     def test_unstable_lattice_rejected(self):
         K = NumberField(IntPoly(P_CUBIC))
         with pytest.raises(NonIntegralResult):
@@ -315,6 +366,36 @@ class TestVerdicts:
         assert v.kind == "BF-distinguished"
         assert v.witness == "(1/8)x^3+(1/2)x^2+(1/2)x+(5/8)"
         assert v.groups == {"A": "non-integral", "B": "Z4"}
+
+    def test_refute_reducible_char_poly(self):
+        # p = (x-1)^2: no coefficient-ring candidates, x - 1 already splits
+        v = bf_refute([[1, 0], [0, 1]], [[1, 1], [0, 1]], bound=2)
+        assert v.kind == "BF-distinguished"
+        assert v.witness == "x-1"
+        assert v.groups == {"A": "Z^2", "B": "Z"}
+
+    def test_distinguished_verdicts_rederive_through_horner(self, rng):
+        # Every witness, parsed back, gives the recorded groups through
+        # the public Horner path, and the two sides differ.
+        distinguished = 0
+        for _ in range(40):
+            n = rng.choice((2, 3, 4))
+            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            b = companion(oracle_char_poly(a))
+            v = bf_refute(a, b, bound=2)
+            if v.kind == "inconclusive":
+                continue
+            assert v.kind == "BF-distinguished"
+            distinguished += 1
+            groups = {}
+            for side, m in (("A", a), ("B", b)):
+                try:
+                    groups[side] = str(bf_group(m, v.witness))
+                except NonIntegralResult:
+                    groups[side] = "non-integral"
+            assert groups == v.groups
+            assert groups["A"] != groups["B"]
+        assert distinguished >= 5
 
     def test_refute_is_deterministic(self):
         assert bf_refute(EX1_B, EX1_C) == bf_refute(EX1_B, EX1_C)

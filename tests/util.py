@@ -236,6 +236,64 @@ def oracle_irreducible(coeffs):
     raise ValueError("oracle only handles degree <= 4")
 
 
+def oracle_adjugate(rows):
+    """adj(A) from cofactors: adj(A)[i][j] = (-1)^(i+j) det(A minus row j, col i)."""
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j)
+            * oracle_det([r[:i] + r[i + 1 :] for t, r in enumerate(rows) if t != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the row eigenvector over K, by elimination
+# ---------------------------------------------------------------------------
+
+
+def oracle_row_eigenvector(field, a):
+    """A nonzero v (entries in the NumberField ``field``) with v.A = beta.v.
+
+    Gaussian elimination over K on A^t - beta.I, whose kernel is a line
+    when p is irreducible.
+    """
+    n = field.n
+    beta = field.beta()
+    one = field.one()
+    zero = field.zero()
+    rows = [
+        [a[j][i] * one - (beta if i == j else zero) for j in range(n)]
+        for i in range(n)
+    ]
+    pivots = []
+    rank = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(rank, n) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = rows[rank][c].inverse()
+        rows[rank] = [e * inv for e in rows[rank]]
+        for i in range(n):
+            if i != rank and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(n)]
+        pivots.append(c)
+        rank += 1
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1, "eigenvector kernel should be one-dimensional"
+    v = [zero] * n
+    v[free[0]] = one
+    for idx, c in enumerate(pivots):
+        v[c] = -rows[idx][free[0]]
+    return v
+
+
 # ---------------------------------------------------------------------------
 # periodic-point brute force
 # ---------------------------------------------------------------------------
