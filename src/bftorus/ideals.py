@@ -19,7 +19,7 @@ from . import ratlin
 from .config import debug_asserts_enabled
 from .errors import NotASublattice, NotFullRank
 from .kernels import det_bareiss, hnf_cols, snf_diag, solve_upper_cols
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import parse_int_poly
 
 
@@ -27,21 +27,53 @@ def _lcm(a, b):
     return a // math.gcd(a, b) * b
 
 
-def _mult_matrix_int(field, coords):
-    """Multiplication matrix (as columns) of an integer-coordinate
-    element, on the power basis.  All integer, via the power table."""
-    n = field.n
-    powers = field._powers
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        for i, c in enumerate(coords):
-            if c:
-                pw = powers[i + j]
-                for r in range(n):
-                    col[r] += c * pw[r]
-        cols.append(col)
-    return cols
+def _beta_columns(field):
+    """Columns of multiplication by b on the power basis (all integer)."""
+    return _mult_columns(field, [int(c) for c in field.beta().coords])
+
+
+def _beta_action(cols, mult_b):
+    """The integer matrix X (as columns) with Mult(b)·B = B·X, where B is
+    the HNF column list ``cols`` and ``mult_b`` is from ``_beta_columns``.
+
+    A lattice (1/d)·B is a Z[b]-module exactly when X is integral; the
+    denominator d cancels.  Returns None when some column is not.
+    """
+    n = len(cols)
+    cols = [list(c) for c in cols]  # the compiled kernels take lists
+    out = []
+    for col in cols:
+        image = [sum(mult_b[j][i] * col[j] for j in range(n)) for i in range(n)]
+        x = solve_upper_cols(cols, image)
+        if x is None:
+            return None
+        out.append(x)
+    return out
+
+
+def _escaping_product(field, cols, d):
+    """The first basis pair (a, b), a <= b, whose product leaves the
+    lattice (1/d)·(Z-span of the HNF columns), or None when the lattice
+    is closed under multiplication.
+
+    The product of c_a/d and c_b/d is (1/d)·(c_a·c_b/d), so c_a·c_b must
+    be divisible by d and then lie in the column span.
+    """
+    n = len(cols)
+    cols = [list(c) for c in cols]  # the compiled kernels take lists
+    for a in range(n):
+        mult_a = _mult_columns(field, cols[a])
+        for b in range(a, n):
+            cb = cols[b]
+            scaled = []
+            for r in range(n):
+                q, rem = divmod(sum(mult_a[j][r] * cb[j] for j in range(n)), d)
+                if rem:
+                    return a, b
+                scaled.append(q)
+            if solve_upper_cols(cols, scaled) is None:
+                return a, b
+    return None
 
 
 class AbelianGroup:
@@ -245,13 +277,8 @@ class FractionalIdeal(ZLattice):
     __slots__ = ()
 
     def _validate(self):
-        beta_coords = [int(c) for c in self.field.beta().coords]
-        mult_b = _mult_matrix_int(self.field, beta_coords)
-        bcols = [list(c) for c in self.cols]
-        for col in self.cols:
-            image = [sum(mult_b[j][i] * col[j] for j in range(self.n)) for i in range(self.n)]
-            if solve_upper_cols(bcols, image) is None:
-                raise NotASublattice("lattice is not stable under multiplication by b")
+        if _beta_action(self.cols, _beta_columns(self.field)) is None:
+            raise NotASublattice("lattice is not stable under multiplication by b")
 
 
 class Order(FractionalIdeal):
@@ -263,13 +290,10 @@ class Order(FractionalIdeal):
         super()._validate()
         if not self.contains_element(self.field.one()):
             raise NotASublattice("an order must contain 1")
-        basis = self.basis_elements()
-        for i, u in enumerate(basis):
-            for v in basis[i:]:
-                if not self.contains_element(u * v):
-                    raise NotASublattice(
-                        f"not closed under multiplication: {u} * {v} escapes"
-                    )
+        escape = _escaping_product(self.field, self.cols, self.denom)
+        if escape is not None:
+            u, v = (self.basis_elements()[k] for k in escape)
+            raise NotASublattice(f"not closed under multiplication: {u} * {v} escapes")
 
 
 def zbeta(field) -> Order:
@@ -322,32 +346,39 @@ def fractional_ideal(field, gens, module_closure=False) -> FractionalIdeal:
 # colon quotients and everything derived from them
 
 def colon(m, n_lat):
-    """The colon module (M : N) = {z in K : z·N ⊆ M}.
+    """The colon module (M : N) = {z in K : z·N ⊆ M}, in integers only.
 
-    Each basis vector nu of N imposes the linear condition
-    d_M·B_M⁻¹·Mult(nu)·y ∈ Zⁿ on the coordinate vector y of z.  Writing
-    the n conditions with a common denominator s and D = |det S₁| for
-    the first cleared condition matrix, every admissible y lies in
-    (s/D)·Zⁿ, and the solutions are exactly (s/D)·{k : S_j k ≡ 0 (D)}.
-    That kernel is read off the HNF transform of [stack(S_j) | D·I].
+    Each basis vector nu_j of N imposes the condition
+    d_M·B_M⁻¹·Mult(nu_j)·y/d_N ∈ Zⁿ on the coordinate vector y of z.
+    B_M is upper-triangular with positive pivots, so with δ the product
+    of its diagonal δ·B_M⁻¹ = adj(B_M) is integral, and the back
+    substitution X_j = B_M⁻¹·(δ·Mult(nu_j)) stays in the integers.  With
+    g = gcd(d_N·δ, entries of every d_M·X_j), the conditions read
+    S_j·y ∈ s·Zⁿ for s = d_N·δ/g and S_j = d_M·X_j/g, the least common
+    denominator cleared.  Writing D = |det S₁|, every admissible y lies
+    in (s/D)·Zⁿ, and the solutions are exactly
+    (s/D)·{k : S_j k ≡ 0 (D)}.  That kernel is read off the HNF
+    transform of [stack(S_j) | D·I].
     """
     m._require_same_field(n_lat)
     field = m.field
     nn = field.n
-    b_inv = ratlin.inverse([[m.cols[j][i] for j in range(nn)] for i in range(nn)])
-    t_mats = []
+    bcols = [list(c) for c in m.cols]
+    delta = math.prod(bcols[i][i] for i in range(nn))
+    x_mats = []
+    g = n_lat.denom * delta
     for col in n_lat.cols:
-        mult = _mult_matrix_int(field, list(col))
-        mult_rows = [[Fraction(mult[j][i], n_lat.denom) for j in range(nn)] for i in range(nn)]
-        t = ratlin.mat_mul(b_inv, mult_rows)
-        t_mats.append([[e * m.denom for e in row] for row in t])
-    s = 1
-    for t in t_mats:
-        for row in t:
-            for e in row:
-                s = _lcm(s, e.denominator)
-    s_mats = [[[int(e * s) for e in row] for row in t] for t in t_mats]
-    d_det = abs(det_bareiss([list(r) for r in s_mats[0]]))
+        x = []
+        for mult_col in _mult_columns(field, col):
+            xc = solve_upper_cols(bcols, [delta * e for e in mult_col])
+            xc = [m.denom * e for e in xc]
+            g = math.gcd(g, *xc)
+            x.append(xc)
+        x_mats.append(x)
+    s = n_lat.denom * delta // g
+    # S_j as rows: S_j[i][k] = d_M·X_j[column k][i]/g
+    s_mats = [[[x[k][i] // g for k in range(nn)] for i in range(nn)] for x in x_mats]
+    d_det = abs(det_bareiss(s_mats[0]))
     if d_det == 0:
         raise AssertionError("colon condition matrix must be nonsingular")
     # Stack all conditions S_j k ≡ 0 (mod D); entries only matter mod D.
@@ -379,7 +410,7 @@ def product(i, j):
     nn = field.n
     cols = []
     for a in i.cols:
-        mult = _mult_matrix_int(field, list(a))
+        mult = _mult_columns(field, a)
         for b in j.cols:
             cols.append([sum(mult[r][t] * b[r] for r in range(nn)) for t in range(nn)])
     cls = (

@@ -51,6 +51,8 @@ from .exactmat import (
 from .ideals import (
     AbelianGroup,
     FractionalIdeal,
+    _beta_action,
+    _beta_columns,
     coefficient_ring,
     colon,
     fractional_ideal,
@@ -58,7 +60,7 @@ from .ideals import (
     zbeta,
 )
 from .kernels import snf_diag, snf_rows
-from .numberfield import NumberField, multiplication_matrix
+from .numberfield import NumberField
 from .polyring import (
     IntPoly,
     RatPoly,
@@ -250,9 +252,12 @@ def matrix_to_ideal(a) -> FractionalIdeal:
     p, adj = char_poly_adjugate(a)
     if p.degree < 2:
         raise ReduciblePolynomial("the eigenvector dictionary needs degree >= 2")
-    if not is_irreducible(p):
-        raise ReduciblePolynomial(f"characteristic polynomial {p} is reducible over Q")
-    field = NumberField(p)
+    try:
+        field = NumberField(p)
+    except ReduciblePolynomial:
+        raise ReduciblePolynomial(
+            f"characteristic polynomial {p} is reducible over Q"
+        ) from None
     vec = _row_eigenvector(field, a, adj)
     # Every entry is nonzero (a zero entry would cap the span at rank
     # n-1), so dividing by the first one picks a canonical point on the
@@ -272,17 +277,11 @@ def ideal_to_matrix(ideal) -> IntMatrix:
     is exactly integrality of the result.
     """
     field = ideal.field
-    m = multiplication_matrix(field.beta(), basis=ideal.basis_elements())
-    out = []
-    for row in m:
-        vals = []
-        for e in row:
-            if e.denominator != 1:
-                raise NonIntegralResult(
-                    "multiplication by beta does not preserve this lattice"
-                )
-            vals.append(int(e))
-        out.append(vals)
+    x = _beta_action(ideal.cols, _beta_columns(field))
+    if x is None:
+        raise NonIntegralResult("multiplication by beta does not preserve this lattice")
+    n = field.n
+    out = [[x[j][i] for j in range(n)] for i in range(n)]
     if debug_asserts_enabled():
         assert char_poly(out) == field.p, "dictionary broke the char poly"
     return out
@@ -440,13 +439,15 @@ def _refutation_candidates(p, a, b, bound):
         if fresh(1, r):
             yield 1, r, IntPoly.cyclic(k).coeffs
     n = p.degree
-    if n >= 2 and is_irreducible(p):
-        for mat in (a, b):
+    for mat in (a, b):
+        try:
             ring = coefficient_ring(matrix_to_ideal(mat))
-            for z in ring.basis_elements():
-                d, r = _scaled_coords(z.coords, n)
-                if d != 1 and fresh(d, r):
-                    yield d, r, z.coords
+        except ReduciblePolynomial:
+            break  # no ideals: degree < 2 or p reducible
+        for z in ring.basis_elements():
+            d, r = _scaled_coords(z.coords, n)
+            if d != 1 and fresh(d, r):
+                yield d, r, z.coords
     for radius in range(1, bound + 1):
         for tup in itertools.product(range(-radius, radius + 1), repeat=n):
             if max(abs(c) for c in tup) != radius:

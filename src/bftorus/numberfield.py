@@ -8,10 +8,12 @@ silent coercion between fields would quietly corrupt every lattice
 computation built on top of this module.
 """
 
+import math
 from fractions import Fraction
 
 from . import ratlin
-from .errors import DependentBasis, ReduciblePolynomial, ZeroInverse
+from .errors import ReduciblePolynomial, ZeroInverse
+from .kernels import det_bareiss
 from .polyring import (
     IntPoly,
     RatPoly,
@@ -249,7 +251,11 @@ class FieldElement:
         return sum((c * s[i] for i, c in enumerate(self.coords)), Fraction(0))
 
     def norm(self):
-        return ratlin.det(multiplication_matrix(self))
+        """det of multiplication by self, as det(M(d·self))/d^n with d
+        the least common denominator of the coordinates."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        scaled = [c.numerator * (d // c.denominator) for c in self.coords]
+        return Fraction(det_bareiss(_mult_columns(self.field, scaled)), d**self.field.n)
 
     def minimal_polynomial(self):
         """Monic minimal polynomial over Q; IntPoly when integral."""
@@ -282,66 +288,31 @@ class FieldElement:
         return format_poly(self.coords, "b")
 
 
-# ---------------------------------------------------------------------
-# module-level surface (thin wrappers; the methods do the work)
-
-def mul(a, b):
-    return a * b
-
-
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def inverse(a):
-    return a.inverse()
-
-
-def trace(a):
-    return a.trace()
-
-
-def norm(a):
-    return a.norm()
-
-
-def is_integral(a):
-    return a.is_integral()
-
-
-def is_unit(a):
-    return a.is_unit()
-
-
-def minimal_polynomial(a):
-    return a.minimal_polynomial()
-
-
-def multiplication_matrix(a, basis=None):
-    """Matrix of multiplication by ``a`` on the given basis of K/Q.
-
-    Column convention: a·basis_j = sum_i M[i][j]·basis_i.  With the
-    power basis (the default) and a = b this is the companion matrix of
-    p with 1s on the subdiagonal and -coefficients in the last column.
-    """
-    field = a.field
+def _mult_columns(field, coords):
+    """Columns of multiplication by the element with these power-basis
+    coordinates: column j holds the coordinates of z·b^j.  Integer
+    coordinates give an integer matrix (the power table is integral)."""
     n = field.n
-    if basis is None:
-        cols = [list((a * field.element(pw)).coords) for pw in field._powers[:n]]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-    if len(basis) != n:
-        raise DependentBasis(f"need exactly {n} basis elements, got {len(basis)}")
-    for v in basis:
-        _same_field(a, v)
-    bmat = [[basis[j].coords[i] for j in range(n)] for i in range(n)]
-    if not ratlin.det(bmat):
-        raise DependentBasis("basis elements are linearly dependent over Q")
-    out_cols = []
-    for v in basis:
-        w = a * v
-        out_cols.append(ratlin.solve(bmat, list(w.coords)))
-    return [[out_cols[j][i] for j in range(n)] for i in range(n)]
+    powers = field._powers
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        for i, c in enumerate(coords):
+            if c:
+                pw = powers[i + j]
+                for r in range(n):
+                    col[r] += c * pw[r]
+        cols.append(col)
+    return cols
+
+
+def multiplication_matrix(a):
+    """Matrix of multiplication by ``a`` on the power basis of K/Q.
+
+    Column convention: a·b^j = sum_i M[i][j]·b^i.  For a = b this is
+    the companion matrix of p with 1s on the subdiagonal and
+    -coefficients in the last column.
+    """
+    cols = _mult_columns(a.field, a.coords)
+    n = a.field.n
+    return [[cols[j][i] for j in range(n)] for i in range(n)]

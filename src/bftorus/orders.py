@@ -12,8 +12,15 @@ truth; no external table is consulted.
 
 from typing import List, NamedTuple, Tuple
 
-from . import ratlin
-from .ideals import FractionalIdeal, Order, _mult_matrix_int, colon, zbeta
+from .ideals import (
+    FractionalIdeal,
+    Order,
+    _beta_action,
+    _beta_columns,
+    _escaping_product,
+    colon,
+    zbeta,
+)
 from .kernels import solve_upper_cols
 from .numberfield import NumberField
 from .polyring import discriminant, factorint, square_part
@@ -78,12 +85,6 @@ def _candidate_columns(diag):
     yield from rec(0, base)
 
 
-def _power_products(field):
-    """Integer coordinates of b^i * b^j for i, j < n (from the power table)."""
-    n = field.n
-    return [[list(field._powers[i + j]) for j in range(n)] for i in range(n)]
-
-
 def enumerate_order_lattice(field) -> OrderLattice:
     """All orders between Z[b] and the maximal order, with Hasse edges.
 
@@ -98,9 +99,7 @@ def enumerate_order_lattice(field) -> OrderLattice:
     big_f, _delta = square_part(disc)
     f_fac = factorint(big_f)
 
-    beta_coords = [int(c) for c in field.beta().coords]
-    mult_b = _mult_matrix_int(field, beta_coords)
-    prods = _power_products(field)
+    mult_b = _beta_columns(field)
 
     found = [zb]
     for d in _divisors_from_factorization(f_fac):
@@ -111,9 +110,9 @@ def enumerate_order_lattice(field) -> OrderLattice:
             for cols in _candidate_columns(diag):
                 if not _contains_d_zn(cols, d, n):
                     continue
-                if not _beta_stable(cols, mult_b, n):
+                if _beta_action(cols, mult_b) is None:
                     continue
-                if not _ring_closed(cols, d, n, prods):
+                if _escaping_product(field, cols, d) is not None:
                     continue
                 found.append(Order(field, d, cols))
 
@@ -145,38 +144,6 @@ def _contains_d_zn(cols, d, n):
     return True
 
 
-def _beta_stable(cols, mult_b, n):
-    for col in list(cols):
-        image = [sum(mult_b[j][i] * col[j] for j in range(n)) for i in range(n)]
-        if solve_upper_cols(cols, image) is None:
-            return False
-    return True
-
-
-def _ring_closed(cols, d, n, prods):
-    for a in range(n):
-        ca = cols[a]
-        for b in range(a, n):
-            cb = cols[b]
-            prod = [0] * n
-            for i in range(n):
-                if ca[i]:
-                    for j in range(n):
-                        if cb[j]:
-                            pw = prods[i][j]
-                            for r in range(n):
-                                prod[r] += ca[i] * cb[j] * pw[r]
-            scaled = []
-            for e in prod:
-                q, rem = divmod(e, d)
-                if rem:
-                    return False
-                scaled.append(q)
-            if solve_upper_cols(cols, scaled) is None:
-                return False
-    return True
-
-
 def maximal_order(field) -> Order:
     """The top node of the order lattice (the ring of integers Z_K)."""
     lat = enumerate_order_lattice(field)
@@ -191,11 +158,9 @@ def conductor(ring) -> FractionalIdeal:
 
 
 def order_discriminant(ring) -> int:
-    """Discriminant of an order: det of the trace Gram of its basis."""
-    basis = ring.basis_elements()
-    n = ring.field.n
-    gram = [[(basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)]
-    d = ratlin.det(gram)
+    """Discriminant of an order: disc(p)·covolume², since the trace Gram
+    of a basis B is Bᵀ·G·B with det G = disc(p) on the power basis."""
+    d = discriminant(ring.field.p) * ring.covolume() ** 2
     assert d.denominator == 1
     return d.numerator
 

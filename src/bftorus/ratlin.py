@@ -2,8 +2,11 @@
 
 Everything here is row-major: a matrix is a list of rows whose entries
 are ``fractions.Fraction`` (plain ints are accepted and upgraded).
-These routines back the field arithmetic and the rational stages of the
-lattice machinery; the integer normal forms live in ``kernels``.
+They serve the genuinely rational inputs: ``rref``, ``inverse``
+(rational matrix inverses and the trace-dual Gram), ``express``
+(minimal polynomials) and ``mat_mul`` (g(A) for rational g).  Lattice
+linear algebra - colon, orders, the dictionary, norms and
+discriminants - runs on the integer kernels in ``kernels``.
 """
 
 from fractions import Fraction
@@ -65,32 +68,6 @@ def rref(rows):
     return a, pivots
 
 
-def det(rows):
-    """Exact determinant of a square Fraction matrix."""
-    a = [[Fraction(e) for e in row] for row in rows]
-    n = len(a)
-    out = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                ac = a[c]
-                a[i] = [e - f * g for e, g in zip(a[i], ac)]
-    return out
-
-
 def inverse(rows):
     """Inverse of a square Fraction matrix; raises SingularMatrix."""
     n = len(rows)
@@ -99,16 +76,6 @@ def inverse(rows):
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular over Q")
     return [row[n:] for row in red]
-
-
-def solve(rows, rhs):
-    """Solve the square system A·x = rhs; raises SingularMatrix."""
-    n = len(rows)
-    aug = [[Fraction(e) for e in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrix("matrix is singular over Q")
-    return [red[i][n] for i in range(n)]
 
 
 def express(cols, target):

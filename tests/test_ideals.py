@@ -30,9 +30,10 @@ from bftorus.ideals import (
     trace_dual,
     zbeta,
 )
-from bftorus.numberfield import NumberField, norm
+from bftorus.numberfield import NumberField
+from bftorus.polyring import IntPoly
 
-from util import I7_COLS, J7_COLS, R7_COLS, R7_DENOM
+from util import I7_COLS, J7_COLS, P_QUAD, R7_COLS, R7_DENOM
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,33 @@ class TestLatticeConstruction:
 
     def test_order_must_contain_one_and_close(self, K):
         with pytest.raises(NotASublattice):
-            Order(K, 1, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])  # misses 1
+            Order(K, 1, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])  # misses 1, not b-stable
+
+    def test_ideal_must_be_beta_stable(self, K):
+        with pytest.raises(NotASublattice, match="not stable under multiplication by b"):
+            FractionalIdeal(K, 1, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+
+    def test_order_must_contain_one(self, K):
+        # 2·Z[b] is b-stable and closed under multiplication, but misses 1
+        with pytest.raises(NotASublattice, match="must contain 1"):
+            Order(K, 1, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+
+    @pytest.mark.parametrize(
+        "coeffs, denom, cols",
+        [
+            # Z + Z·w, w = (b - 17)/24 in Q[x]/(x^2 - 34x + 1): w^2 = 1/2
+            (P_QUAD, 24, [[24, 0], [-17, 1]]),
+            # Z + Z·w, w = (b + 2)/7 in Q[x]/(x^2 + 3): 7·w^2 is not
+            # integral, so the product already fails the divisibility test
+            ([3, 0, 1], 7, [[7, 0], [2, 1]]),
+        ],
+    )
+    def test_order_must_be_closed(self, coeffs, denom, cols):
+        # each lattice is a Z[b]-module containing 1, but w^2 escapes it
+        field = NumberField(IntPoly(coeffs))
+        FractionalIdeal(field, denom, cols)
+        with pytest.raises(NotASublattice, match="not closed under multiplication"):
+            Order(field, denom, cols)
 
     def test_index_in(self, K, zb, R):
         assert zb.index_in(R) == 2
@@ -297,7 +324,7 @@ class TestQuotientGroup:
                 continue
             alpha = K.element(coords)
             q = quotient_group(I, I.scaled(alpha))
-            assert q.order() == abs(norm(alpha))
+            assert q.order() == abs(alpha.norm())
 
     def test_unit_scaling_gives_trivial_quotient(self, K, I):
         # beta is a unit (p(0) = -1), so I/(b I) has order |N(b)| = 1

@@ -42,7 +42,7 @@ from bftorus.invariants import (
     strong_bf_refute,
     suspension_h1,
 )
-from bftorus.numberfield import NumberField, norm
+from bftorus.numberfield import NumberField
 from bftorus.polyring import IntPoly, is_irreducible, parse_rat_poly
 
 from util import (
@@ -295,7 +295,7 @@ class TestDictionary:
             g = IntPoly(random_admissible_poly(rng, len(a)))
             gb = K.from_poly(g)
             assert bf_group(a, g) == quotient_group(ideal, ideal.scaled(gb))
-            assert abs(norm(gb)) == bf_group(a, g).order()
+            assert abs(gb.norm()) == bf_group(a, g).order()
 
 
 class TestPeriodicPoints:

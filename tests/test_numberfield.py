@@ -6,16 +6,12 @@ import pytest
 
 from bftorus.errors import ReduciblePolynomial, ZeroInverse
 from bftorus.exactmat import char_poly
-from bftorus.numberfield import (
-    NumberField,
-    minimal_polynomial,
-    multiplication_matrix,
-    norm,
-    trace,
-)
+from bftorus.ideals import FractionalIdeal
+from bftorus.invariants import ideal_to_matrix
+from bftorus.numberfield import NumberField, multiplication_matrix
 from bftorus.polyring import IntPoly, parse_int_poly, resultant
 
-from util import P_CUBIC, random_admissible_poly
+from util import I7_COLS, P_CUBIC, random_admissible_poly
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +87,11 @@ class TestMultiplicationMatrix:
         ]
 
     def test_integral_basis_golden(self, K):
-        # mult-by-beta on the ideal basis (8, b+7, b^2+7): integral entries,
-        # char poly p — the dictionary's matrix side, reproduced by hand
-        basis = [K.element([8, 0, 0]), K.element([7, 1, 0]), K.element([7, 0, 1])]
-        m = multiplication_matrix(K.beta(), basis=basis)
-        assert all(x.denominator == 1 for row in m for x in row)
-        rows = [[int(x) for x in row] for row in m]
+        # mult-by-beta on the ideal basis (8, b+7, b^2+7) through
+        # ideal_to_matrix: char poly p — the dictionary's matrix side,
+        # reproduced by hand
+        ideal = FractionalIdeal(K, 1, I7_COLS)
+        rows = ideal_to_matrix(ideal)
         assert rows == [[-7, -7, -20], [8, 7, 0], [0, 1, 23]]
         assert char_poly(rows) == IntPoly(P_CUBIC)
 
@@ -109,22 +104,22 @@ class TestMultiplicationMatrix:
 class TestTraceAndNorm:
     def test_goldens(self, K):
         b = K.beta()
-        assert trace(b) == 23
-        assert norm(b) == 1
-        assert norm(b + 1) == 32  # = -p(-1)
-        assert trace(K.one()) == K.n
+        assert b.trace() == 23
+        assert b.norm() == 1
+        assert (b + 1).norm() == 32  # = -p(-1)
+        assert K.one().trace() == K.n
 
     def test_norm_multiplicative(self, K, rng):
         for _ in range(25):
             x = K.element([Fraction(rng.randint(-9, 9)) for _ in range(3)])
             y = K.element([Fraction(rng.randint(-9, 9)) for _ in range(3)])
-            assert norm(x * y) == norm(x) * norm(y)
+            assert (x * y).norm() == x.norm() * y.norm()
 
     def test_trace_additive(self, K, rng):
         for _ in range(25):
             x = K.element([Fraction(rng.randint(-9, 9)) for _ in range(3)])
             y = K.element([Fraction(rng.randint(-9, 9)) for _ in range(3)])
-            assert trace(x + y) == trace(x) + trace(y)
+            assert (x + y).trace() == x.trace() + y.trace()
 
     def test_norm_of_poly_value_is_resultant(self, K, rng):
         # N(g(b)) = Res(p, g) for monic p — the bridge between group
@@ -133,7 +128,7 @@ class TestTraceAndNorm:
         for _ in range(20):
             gi = IntPoly(random_admissible_poly(rng, 3))
             val = K.from_poly(gi)
-            assert norm(val) == Fraction(resultant(p, gi))
+            assert val.norm() == Fraction(resultant(p, gi))
 
 
 class TestIntegrality:
@@ -152,17 +147,17 @@ class TestIntegrality:
         assert not two.is_unit()
 
     def test_minimal_polynomial_of_beta(self, K):
-        assert minimal_polynomial(K.beta()) == IntPoly(P_CUBIC)
+        assert K.beta().minimal_polynomial() == IntPoly(P_CUBIC)
 
     def test_minimal_polynomial_of_rational(self, K):
-        mp = minimal_polynomial(K.element([5, 0, 0]))
+        mp = K.element([5, 0, 0]).minimal_polynomial()
         assert mp == IntPoly([-5, 1])
 
     def test_minpoly_integrality_agreement(self, Q2):
         # in a quadratic field every irrational element has min poly of
         # degree 2, and integrality matches integer coefficients
         e = Q2.element([Fraction(1, 2), Fraction(3, 2)])
-        mp = minimal_polynomial(e)
+        mp = e.minimal_polynomial()
         assert mp.degree == 2
         integral_coeffs = all(Fraction(c).denominator == 1 for c in mp.coeffs)
         assert e.is_integral() == integral_coeffs

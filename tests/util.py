@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from bftorus.ideals import AbelianGroup
+from bftorus.ideals import AbelianGroup, lattice_from_generators
 
 # ---------------------------------------------------------------------------
 # worked examples
@@ -74,15 +74,15 @@ def mat_pow(a, k):
     return out
 
 
-def oracle_det(rows):
-    """Determinant via fraction Gaussian elimination."""
+def oracle_rational_det(rows):
+    """Determinant via fraction Gaussian elimination, as a Fraction."""
     n = len(rows)
     a = [[Fraction(e) for e in r] for r in rows]
     det = Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c]), None)
         if piv is None:
-            return 0
+            return Fraction(0)
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
             det = -det
@@ -93,8 +93,31 @@ def oracle_det(rows):
             if f:
                 for j in range(c, n):
                     a[r][j] -= f * a[c][j]
+    return det
+
+
+def oracle_det(rows):
+    """Determinant of an integer matrix via fraction Gaussian elimination."""
+    det = oracle_rational_det(rows)
     assert det.denominator == 1
     return det.numerator
+
+
+def oracle_inverse(rows):
+    """Inverse of a nonsingular square matrix by Fraction Gauss-Jordan."""
+    n = len(rows)
+    a = [[Fraction(e) for e in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [e * inv for e in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [e - f * g for e, g in zip(a[r], a[c])]
+    return [r[n:] for r in a]
 
 
 def _poly_mul(a, b):
@@ -292,6 +315,94 @@ def oracle_row_eigenvector(field, a):
     for idx, c in enumerate(pivots):
         v[c] = -rows[idx][free[0]]
     return v
+
+
+# ---------------------------------------------------------------------------
+# lattice-layer oracles in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _transpose(rows):
+    return [list(r) for r in zip(*rows)]
+
+
+def oracle_mult_rows(z):
+    """Matrix of multiplication by the field element z on the power
+    basis, column k being the coordinates of z·b^k (field products)."""
+    field = z.field
+    n = field.n
+    unit = [[int(i == k) for i in range(n)] for k in range(n)]
+    return _transpose([(z * field.element(e)).coords for e in unit])
+
+
+def oracle_norm(z):
+    """N(z) as the Fraction determinant of multiplication by z."""
+    return oracle_rational_det(oracle_mult_rows(z))
+
+
+def _basis_rows(lattice):
+    """The lattice basis as a Fraction matrix, basis vectors as columns."""
+    return _transpose([[Fraction(e, lattice.denom) for e in c] for c in lattice.cols])
+
+
+def oracle_ideal_to_matrix(lattice):
+    """Multiplication by beta on the lattice basis by a Fraction solve,
+    B·M = Mult(beta)·B; None when M is not integral."""
+    basis = _basis_rows(lattice)
+    image = mat_mul(oracle_mult_rows(lattice.field.beta()), basis)
+    m = mat_mul(oracle_inverse(basis), image)
+    if any(e.denominator != 1 for row in m for e in row):
+        return None
+    return [[int(e) for e in row] for row in m]
+
+
+def oracle_trace_gram_det(lattice):
+    """det of the trace Gram matrix Tr(v_i·v_j) of the lattice basis."""
+    basis = lattice.basis_elements()
+    return oracle_rational_det([[(u * v).trace() for v in basis] for u in basis])
+
+
+def _row_basis(vectors, n):
+    """n integer rows spanning the same Z-module as the given integer
+    rows (of rank n), by Euclid's algorithm down each column in turn."""
+    rows = [list(v) for v in vectors if any(v)]
+    basis = []
+    for c in range(n):
+        while True:
+            live = [r for r in rows if r[c]]
+            if len(live) <= 1:
+                break
+            piv = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not piv:
+                    q = r[c] // piv[c]
+                    r[:] = [x - q * y for x, y in zip(r, piv)]
+            rows = [r for r in rows if any(r)]
+        (piv,) = [r for r in rows if r[c]]
+        basis.append(piv)
+        rows = [r for r in rows if r is not piv]
+    return basis
+
+
+def oracle_colon(m, n_lat):
+    """(M : N) = {z : z·N ⊆ M} as a dual lattice, in Fraction arithmetic.
+
+    z·nu lies in M exactly when B_M⁻¹·Mult(nu)·y is integral (y the
+    coordinates of z).  The rows of all these conditions, scaled by a
+    common denominator den, span a row lattice W; then (M : N) is
+    {y : W·y ∈ den·Zⁿ} = den·W⁻¹·Zⁿ.
+    """
+    field = m.field
+    n = field.n
+    b_inv = oracle_inverse(_basis_rows(m))
+    conditions = []
+    for nu in n_lat.basis_elements():
+        conditions.extend(mat_mul(b_inv, oracle_mult_rows(nu)))
+    den = math.lcm(*(e.denominator for row in conditions for e in row))
+    w = _row_basis([[int(e * den) for e in row] for row in conditions], n)
+    w_inv = oracle_inverse(w)
+    gens = [field.element([den * w_inv[i][j] for i in range(n)]) for j in range(n)]
+    return lattice_from_generators(field, gens)
 
 
 # ---------------------------------------------------------------------------
