@@ -71,6 +71,14 @@ def _read_text(path):
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def _is_square(rows, n):
+    """n lists of length n.  Entries are checked with ``type(e) is int``:
+    JSON true is a bool, and bool is a subclass of int."""
+    return isinstance(rows, list) and len(rows) == n and all(
+        isinstance(r, list) and len(r) == n for r in rows
+    )
+
+
 def read_matrix_file(path):
     """Parse a matrix file (text or JSON form) into a row-list."""
     text = _read_text(path)
@@ -90,16 +98,17 @@ def read_matrix_file(path):
             rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
         except ValueError as exc:
             raise _InputError(f"{path}: bad matrix entry: {exc}")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise _InputError(f"{path}: dimension must be a positive integer")
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if not _is_square(rows, n):
         raise _InputError(f"{path}: expected {n} rows of {n} integers")
-    if any(not isinstance(e, int) for r in rows for e in r):
+    if any(type(e) is not int for r in rows for e in r):
         raise _InputError(f"{path}: matrix entries must be integers")
     return [list(r) for r in rows]
 
 
 def read_ideal_file(path):
+    """Parse {"field": str, "denom": int >= 1, "basis_columns": n x n ints}."""
     text = _read_text(path)
     try:
         data = json.loads(text)
@@ -108,7 +117,15 @@ def read_ideal_file(path):
     if isinstance(data, dict) and isinstance(data.get("ideal"), dict):
         data = data["ideal"]  # accept our own report wrapper
     try:
-        return FractionalIdeal.from_json_dict(data)
+        field, denom, cols = data["field"], data["denom"], data["basis_columns"]
+        if not isinstance(field, str):
+            raise TypeError("field must be a polynomial string")
+        if type(denom) is not int or denom < 1:
+            raise ValueError("denom must be a positive integer")
+        field = NumberField(parse_int_poly(field))
+        if not _is_square(cols, field.n) or any(type(e) is not int for c in cols for e in c):
+            raise ValueError(f"basis_columns must be {field.n} lists of {field.n} integers")
+        return FractionalIdeal(field, denom, cols)
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path}: bad ideal JSON: {exc}")
 

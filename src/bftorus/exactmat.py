@@ -1,10 +1,11 @@
-"""Exact integer/rational matrix layer.
+"""Exact integer matrix layer.
 
 Matrices are plain lists of rows with ``int`` entries (arbitrary
 precision; nothing here ever overflows or rounds).  They act on column
 vectors from the left.  The two normal-form results carry their
 unimodular transforms so callers can recover generators, not just
-diagonal data.
+diagonal data.  A rational result (an inverse, g(A) for rational g) is
+formed as an integer matrix over one denominator.
 """
 
 import math
@@ -12,9 +13,8 @@ import operator
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from . import ratlin
 from .config import debug_asserts_enabled
-from .errors import NonIntegralResult
+from .errors import NonIntegralResult, SingularMatrix
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_rows
 from .polyring import IntPoly, RatPoly
 
@@ -77,11 +77,6 @@ def det(a) -> int:
     return det_bareiss(copy_matrix(a))
 
 
-def rational_inverse(a):
-    """Exact inverse as a Fraction matrix; SingularMatrix on det = 0."""
-    return ratlin.inverse(copy_matrix(a))
-
-
 def char_poly_adjugate(a):
     """(p, [B_0, ..., B_{n-1}]) with p = det(xI - A) and
     adj(xI - A) = sum_k x^k B_k, by the Faddeev-LeVerrier recurrence.
@@ -123,35 +118,55 @@ def char_poly(a) -> IntPoly:
     return char_poly_adjugate(a)[0]
 
 
+def _integer_inverse(a):
+    """(M, D) with A⁻¹ = M/D, M integral: with p and B_0 = adj(-A) from
+    ``char_poly_adjugate``, (-A)·B_0 = p(0)·I, so M = B_0 and D = -p(0).
+    SingularMatrix when det A = 0."""
+    p, adj = char_poly_adjugate(a)
+    if not p.coeffs[0]:
+        raise SingularMatrix("matrix is singular over Q")
+    return (adj[0] if adj else []), -p.coeffs[0]
+
+
+def rational_inverse(a):
+    """Exact inverse as a Fraction matrix; SingularMatrix on det = 0."""
+    m, d = _integer_inverse(a)
+    return [[Fraction(e, d) for e in row] for row in m]
+
+
+def _divided(m, d):
+    """m/d entrywise for a positive integer d, or None on a remainder."""
+    if d == 1:
+        return m
+    if any(e % d for row in m for e in row):
+        return None
+    return [[e // d for e in row] for row in m]
+
+
 def eval_poly_at_matrix(g, a) -> IntMatrix:
     """g(A) for g over Q, exact; NonIntegralResult unless g(A) is integral.
 
-    Integrality of g(A) depends only on the conjugacy class of A, so a
-    failure here is meaningful: g lies outside the ring of polynomials
-    that are integral on this class.
+    With d the least common denominator of g, Horner forms (d·g)(A) in
+    integers and every entry must then be divisible by d.  Integrality
+    of g(A) depends only on the conjugacy class of A, so a failure here
+    is meaningful: g lies outside the ring of polynomials that are
+    integral on this class.
     """
     a = copy_matrix(a)
     n = len(a)
-    if isinstance(g, IntPoly):
-        g = g.to_rat()
-    elif not isinstance(g, RatPoly):
-        g = RatPoly(g)
-    if g.is_integral():
-        out = [[0] * n for _ in range(n)]
-        for c in reversed(g.coeffs):
-            out = mat_mul_rows(out, a)
-            ci = int(c)
-            for i in range(n):
-                out[i][i] += ci
-        return out
-    out = [[Fraction(0)] * n for _ in range(n)]
+    if not isinstance(g, RatPoly):
+        g = g.to_rat() if isinstance(g, IntPoly) else RatPoly(g)
+    d = math.lcm(*(c.denominator for c in g.coeffs))
+    out = [[0] * n for _ in range(n)]
     for c in reversed(g.coeffs):
-        out = ratlin.mat_mul(out, a)
+        out = mat_mul_rows(out, a)
+        ci = c.numerator * (d // c.denominator)
         for i in range(n):
-            out[i][i] += c
-    if any(e.denominator != 1 for row in out for e in row):
+            out[i][i] += ci
+    out = _divided(out, d)
+    if out is None:
         raise NonIntegralResult(f"{g} evaluated at the matrix is not integral")
-    return [[int(e) for e in row] for row in out]
+    return out
 
 
 def power_table(a):
@@ -175,17 +190,9 @@ def eval_at_power_table(table, d, r) -> IntMatrix:
     ``d`` is a positive integer and ``r`` an integer vector of length n;
     NonIntegralResult when some entry is not divisible by d.
     """
-    if d == 1:
-        return [[sum(map(operator.mul, r, e)) for e in row] for row in table]
-    out = []
-    for row in table:
-        vals = []
-        for e in row:
-            q, rem = divmod(sum(map(operator.mul, r, e)), d)
-            if rem:
-                raise NonIntegralResult("g(A) is not integral")
-            vals.append(q)
-        out.append(vals)
+    out = _divided([[sum(map(operator.mul, r, e)) for e in row] for row in table], d)
+    if out is None:
+        raise NonIntegralResult("g(A) is not integral")
     return out
 
 

@@ -13,12 +13,13 @@ module is a ring", "I·I⁻¹ = R" — reduces to that exactness.
 
 import json
 import math
+import operator
 from fractions import Fraction
 
-from . import ratlin
 from .config import debug_asserts_enabled
 from .errors import NotASublattice, NotFullRank
-from .kernels import det_bareiss, hnf_cols, snf_diag, solve_upper_cols
+from .exactmat import _integer_inverse
+from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import parse_int_poly
 
@@ -459,20 +460,24 @@ def intersect(i, j):
 
 
 def _trace_dual_lattice(lattice):
-    basis = lattice.basis_elements()
-    nn = lattice.field.n
-    gram = [[(basis[i] * basis[j]).trace() for j in range(nn)] for i in range(nn)]
-    winv = ratlin.inverse(gram)
-    vecs = []
-    for j in range(nn):
-        coords = [Fraction(0)] * nn
-        for k in range(nn):
-            w = winv[k][j]
-            if w:
-                for r in range(nn):
-                    coords[r] += w * basis[k].coords[r]
-        vecs.append(coords)
-    return _from_rational_columns(lattice.field, vecs)
+    """The trace dual of (1/d)·C, in integers.
+
+    G = Tr(c_i·c_j) is an integer matrix and the Gram matrix of the
+    basis c_j/d is G/d².  The dual basis is w_j = d·Σ_k (G⁻¹)_kj·c_k,
+    so with G⁻¹ = M/D the dual is (1/|D|)·span(d·C·M).
+    """
+    field = lattice.field
+    sums = field._power_sums
+    cols = [list(c) for c in lattice.cols]  # the compiled kernels take lists
+    gram = []
+    for ci in cols:
+        # Tr(c_i·b^k): column k of Mult(c_i) against the power sums
+        traces = [sum(map(operator.mul, sums, col)) for col in _mult_columns(field, ci)]
+        gram.append([sum(map(operator.mul, traces, cj)) for cj in cols])
+    m, den = _integer_inverse(gram)
+    # G and M are symmetric, so row j of M·C^t is column j of C·M.
+    vecs = mat_mul_rows(m, cols)
+    return ZLattice(field, abs(den), [[lattice.denom * e for e in v] for v in vecs])
 
 
 def trace_dual(ideal) -> "FractionalIdeal":

@@ -11,8 +11,8 @@ computation built on top of this module.
 import math
 from fractions import Fraction
 
-from . import ratlin
 from .errors import ReduciblePolynomial, ZeroInverse
+from .exactmat import char_poly
 from .kernels import det_bareiss
 from .polyring import (
     IntPoly,
@@ -21,6 +21,7 @@ from .polyring import (
     is_irreducible,
     parse_int_poly,
     parse_poly,
+    poly_gcd,
     poly_xgcd,
 )
 
@@ -250,28 +251,26 @@ class FieldElement:
         s = self.field._power_sums
         return sum((c * s[i] for i, c in enumerate(self.coords)), Fraction(0))
 
-    def norm(self):
-        """det of multiplication by self, as det(M(d·self))/d^n with d
-        the least common denominator of the coordinates."""
+    def _cleared(self):
+        """(d, d·coords), d the least common denominator of the coordinates."""
         d = math.lcm(*(c.denominator for c in self.coords))
-        scaled = [c.numerator * (d // c.denominator) for c in self.coords]
+        return d, [c.numerator * (d // c.denominator) for c in self.coords]
+
+    def norm(self):
+        """det of multiplication by self, as det(M(d·self))/d^n."""
+        d, scaled = self._cleared()
         return Fraction(det_bareiss(_mult_columns(self.field, scaled)), d**self.field.n)
 
     def minimal_polynomial(self):
-        """Monic minimal polynomial over Q; IntPoly when integral."""
-        n = self.field.n
-        powers = [self.field.one().coords]
-        cur = self.field.one()
-        for k in range(1, n + 1):
-            cur = cur * self
-            combo = ratlin.express([list(pw) for pw in powers], list(cur.coords))
-            if combo is not None:
-                m = RatPoly([-c for c in combo] + [Fraction(1)])
-                if m.is_integral():
-                    return m.to_int_poly()
-                return m
-            powers.append(cur.coords)
-        raise AssertionError("element generated more than n independent powers")
+        """Monic minimal polynomial over Q; IntPoly when integral.
+
+        chi = det(d·x·I - M(d·self))/d^n, the char poly of self, is m^k
+        for the minimal polynomial m, so m = chi/gcd(chi, chi')."""
+        d, scaled = self._cleared()
+        chi_d = char_poly(_mult_columns(self.field, scaled)).coeffs
+        chi = RatPoly([Fraction(c, d ** (self.field.n - k)) for k, c in enumerate(chi_d)])
+        m = divmod(chi, poly_gcd(chi, chi.derivative()))[0]
+        return m.to_int_poly() if m.is_integral() else m
 
     def is_integral(self):
         m = self.minimal_polynomial()

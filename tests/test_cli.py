@@ -406,3 +406,68 @@ class TestErrors:
             "bf", "--debug-assert", "--matrix", mats["A"], "--poly", "x-1"
         )
         assert code == 0 and "Z16" in out
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": True, "rows": [[3]]},
+            {"n": 2, "rows": [[1, 0], [0, True]]},
+            {"n": 2, "rows": [[1, 0], [0, 1.5]]},
+            {"n": 2, "rows": [[1, 0], [0, "1"]]},
+            {"n": 2, "rows": 5},
+            {"n": 2, "rows": [1, 2]},
+        ],
+        ids=["n-true", "entry-true", "entry-float", "entry-string", "rows-int", "rows-flat"],
+    )
+    def test_bad_json_matrix_is_exit_1(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli("bf", "--matrix", str(path), "--poly", "x-1")
+        assert code == 1 and out == ""
+        assert str(path) in err
+
+
+def _ideal(**changes):
+    data = {"field": "x^3-23*x^2+7*x-1", "denom": 1, "basis_columns": I7_COLS}
+    data.update(changes)
+    return data
+
+
+class TestIdealFileValidation:
+    def test_good_file_is_accepted(self, tmp_path):
+        path = tmp_path / "I.json"
+        path.write_text(json.dumps(_ideal()))
+        code, out, _ = run_cli("coeffring", "--ideal", str(path))
+        assert code == 0 and out.startswith("C(I) for ")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _ideal(field=5),
+            _ideal(field=None),
+            _ideal(denom="2"),
+            _ideal(denom=2.0),
+            _ideal(denom=True),
+            _ideal(denom=0),
+            _ideal(basis_columns=[[1.9, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            _ideal(basis_columns=[[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            _ideal(basis_columns=[["8", 0, 0], [7, 1, 0], [7, 0, 1]]),
+            _ideal(basis_columns=[[8, 0], [7, 1], [7, 0]]),
+            _ideal(basis_columns=I7_COLS[:2]),
+            _ideal(basis_columns=I7_COLS + [[1, 0, 0]]),
+            _ideal(basis_columns="I7"),
+            {"denom": 1, "basis_columns": I7_COLS},
+            [1, 2, 3],
+        ],
+        ids=[
+            "field-int", "field-null", "denom-string", "denom-float", "denom-true",
+            "denom-zero", "entry-float", "entry-true", "entry-string", "short-columns",
+            "too-few-columns", "too-many-columns", "columns-string", "no-field", "not-object",
+        ],
+    )
+    def test_bad_ideal_json_is_exit_1(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli("coeffring", "--ideal", str(path))
+        assert code == 1 and out == ""
+        assert "bad ideal JSON" in err

@@ -17,6 +17,10 @@ The batteries:
   and of seeded cubics with small index bound: nodes (denominator and
   basis), edges, discriminants and conductors.
 
+Each section runs twice, with debug assertions off and on
+(``bftorus.config.set_debug_asserts``), so the internal cross-checks
+run over the whole battery in every test run.
+
 To re-record after an intended change of output, run this file as a
 script from the repository root and paste what it prints:
 
@@ -28,6 +32,7 @@ import random
 
 import pytest
 
+from bftorus.config import debug_asserts_enabled, set_debug_asserts
 from bftorus.exactmat import char_poly
 from bftorus.ideals import (
     coefficient_ring,
@@ -177,9 +182,21 @@ def digest(section):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("section", sorted(SECTIONS))
-def test_golden_digest(section):
-    assert digest(section) == GOLDEN[section]
+@pytest.mark.parametrize(
+    "section, debug",
+    [pytest.param(s, False, id=s) for s in sorted(SECTIONS)]
+    + [pytest.param(s, True, id=f"{s}-debug") for s in sorted(SECTIONS)],
+)
+def test_golden_digest(section, debug):
+    # With debug assertions on, every internal cross-check (Cayley-Hamilton,
+    # v.A = beta.v, the dictionary char poly, the colon kernel rank, the
+    # trace-dual involution, ...) also runs across the whole battery.
+    saved = debug_asserts_enabled()
+    set_debug_asserts(debug)
+    try:
+        assert digest(section) == GOLDEN[section]
+    finally:
+        set_debug_asserts(saved)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """The integer lattice path against Fraction-arithmetic oracles.
 
-``colon``, ``coefficient_ring``, ``ideal_to_matrix``,
+``colon``, ``coefficient_ring``, ``ideal_to_matrix``, ``trace_dual``,
 ``order_discriminant`` and ``FieldElement.norm`` run on the integer
 kernels; the oracles in util redo each in Fraction arithmetic by a
 different route (a dual row lattice for the colon, a basis solve for
-the beta action, the trace Gram determinant, the determinant of the
+the beta action, the Gauss-Jordan inverse of the trace Gram matrix of
+field products, the trace Gram determinant, the determinant of the
 rational multiplication matrix).  Inputs are seeded: ideals of random
 irreducible matrices, random lattices with denominators, and every
 node of the order lattices of random fields, n = 2..4.
@@ -21,8 +22,10 @@ from bftorus.errors import NonIntegralResult
 from bftorus.ideals import (
     Order,
     ZLattice,
+    _trace_dual_lattice,
     coefficient_ring,
     colon,
+    trace_dual,
     zbeta,
 )
 from bftorus.invariants import ideal_to_matrix, matrix_to_ideal
@@ -38,6 +41,7 @@ from util import (
     oracle_ideal_to_matrix,
     oracle_irreducible,
     oracle_norm,
+    oracle_trace_dual,
     oracle_trace_gram_det,
 )
 
@@ -110,6 +114,7 @@ def test_matrix_ideals_against_oracles(seed, n):
     _check_colons([(zb, ideal), (ring, ideal), (ideal, ring), (ideal, zb)])
     for lattice in (ideal, ring):
         _check_dictionary(lattice)
+        assert trace_dual(lattice) == oracle_trace_dual(lattice)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,6 +127,8 @@ def test_random_lattices_against_oracles(seed, n):
     first, second = _random_lattice(rng, field), _random_lattice(rng, field)
     _check_colons([(first, second), (second, first), (first, first)])
     _check_dictionary(first)
+    # trace_dual itself requires an ideal; the lattice step does not.
+    assert _trace_dual_lattice(first) == oracle_trace_dual(first)
 
 
 def _check_order_lattice(field, lattice):

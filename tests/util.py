@@ -318,7 +318,7 @@ def oracle_row_eigenvector(field, a):
 
 
 # ---------------------------------------------------------------------------
-# lattice-layer oracles in Fraction arithmetic
+# Fraction-arithmetic oracles: the lattice layer, g(A), minimal polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -403,6 +403,70 @@ def oracle_colon(m, n_lat):
     w_inv = oracle_inverse(w)
     gens = [field.element([den * w_inv[i][j] for i in range(n)]) for j in range(n)]
     return lattice_from_generators(field, gens)
+
+
+def oracle_trace_dual(lattice):
+    """The trace dual from field products: w_j = Σ_k (G⁻¹)_kj v_k with G
+    the Gram matrix Tr(v_i·v_j) of the basis v, inverted by Fraction
+    Gauss-Jordan."""
+    basis = lattice.basis_elements()
+    g_inv = oracle_inverse([[(u * v).trace() for v in basis] for u in basis])
+    n = len(basis)
+    field = lattice.field
+    dual = []
+    for j in range(n):
+        w = field.zero()
+        for k in range(n):
+            w = w + basis[k] * g_inv[k][j]
+        dual.append(w)
+    return lattice_from_generators(field, dual)
+
+
+def _express(vectors, target):
+    """Fractions x with Σ x_j·vectors[j] = target for linearly independent
+    vectors, or None when target lies outside their span (Gauss-Jordan on
+    the augmented matrix)."""
+    k = len(vectors)
+    rows = [[Fraction(v[i]) for v in vectors] + [Fraction(t)] for i, t in enumerate(target)]
+    r = 0
+    for c in range(k + 1):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if c == k:
+            return None
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [e - f * g for e, g in zip(rows[i], rows[r])]
+        r += 1
+    return [rows[j][k] for j in range(k)]
+
+
+def oracle_minimal_polynomial(z):
+    """Monic minimal polynomial of z, constant first, as Fractions: the
+    first power z^k that is a rational combination of 1, z, ..., z^(k-1)."""
+    powers = [z.field.one()]
+    while True:
+        cur = powers[-1] * z
+        combo = _express([w.coords for w in powers], cur.coords)
+        if combo is not None:
+            return [-c for c in combo] + [Fraction(1)]
+        powers.append(cur)
+
+
+def oracle_eval_poly(coeffs, a):
+    """g(A) as a Fraction matrix by Horner, g given by its coefficients
+    (constant first)."""
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = mat_mul(out, a) if n else out
+        for i in range(n):
+            out[i][i] += Fraction(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
