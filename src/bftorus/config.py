@@ -5,10 +5,11 @@ in ``char_poly_adjugate``; U·A·V = D and A·T = H with unimodular
 transforms; the Smith diagonal against |det| for BF groups; k-periodicity
 of the periodic-point generators; v·A = b·v for the dictionary
 eigenvector; the char poly of ``ideal_to_matrix``; the colon kernel rank;
-the trace-dual involution; and the two characterizations of
-invertibility.  They are controlled by the environment variable
-``BFTORUS_DEBUG_ASSERT=1`` or programmatically via
-:func:`set_debug_asserts`.
+the trace-dual involution; the two characterizations of invertibility;
+and the coefficient rings ``bf_refute`` forms from the powers of A
+against ``coefficient_ring(matrix_to_ideal(A))``.  They are controlled
+by the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or
+programmatically via :func:`set_debug_asserts`.
 """
 
 import os

@@ -37,8 +37,9 @@ class HermiteBasis(NamedTuple):
 
 
 def copy_matrix(a) -> IntMatrix:
-    """Validated copy: square, integer entries."""
-    rows = [[int(e) for e in row] for row in a]
+    """Validated copy: square, integer entries (``operator.index``, so a
+    float, string or Fraction entry raises TypeError, never truncates)."""
+    rows = [[operator.index(e) for e in row] for row in a]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")

@@ -145,11 +145,11 @@ class ZLattice:
     __slots__ = ("field", "denom", "cols")
 
     def __init__(self, field, denom, cols):
-        denom = int(denom)
+        denom = operator.index(denom)
         if denom <= 0:
             raise ValueError("denominator must be positive")
         n = field.n
-        cols = [[int(e) for e in c] for c in cols]
+        cols = [[operator.index(e) for e in c] for c in cols]
         if any(len(c) != n for c in cols):
             raise ValueError("basis columns must have length n")
         h, _ = hnf_cols(cols)

@@ -34,11 +34,13 @@ from .config import debug_asserts_enabled
 from .errors import (
     CharPolyMismatch,
     DegeneratePeriod,
+    FactorizationIncomplete,
     NonIntegralResult,
     ReduciblePolynomial,
 )
 from .exactmat import (
     IntMatrix,
+    _integer_inverse,
     char_poly,
     char_poly_adjugate,
     copy_matrix,
@@ -47,10 +49,12 @@ from .exactmat import (
     eval_poly_at_matrix,
     mat_pow,
     power_table,
+    transpose,
 )
 from .ideals import (
     AbelianGroup,
     FractionalIdeal,
+    ZLattice,
     _beta_action,
     _beta_columns,
     coefficient_ring,
@@ -59,7 +63,7 @@ from .ideals import (
     is_invertible,
     zbeta,
 )
-from .kernels import snf_diag, snf_rows
+from .kernels import det_bareiss, hnf_cols, snf_diag, snf_rows
 from .numberfield import NumberField
 from .polyring import (
     IntPoly,
@@ -270,6 +274,28 @@ def matrix_to_ideal(a) -> FractionalIdeal:
     return raw.scaled(1 / first_rational)
 
 
+def _matrix_ring(field, table) -> ZLattice:
+    """coefficient_ring(matrix_to_ideal(A)) from ``table = power_table(A)``,
+    ``field`` being the number field of the char poly of A (degree >= 2).
+
+    The entries of a row eigenvector v are a basis of the ideal I (up to
+    the scalar ``matrix_to_ideal`` normalizes by, which leaves C(I)
+    alone), and g(beta).v = v.g(A), so g(beta).I lies in I exactly when
+    g(A) is integral.  g(A) = sum_k c_k A^k is integral exactly when c pairs
+    integrally with every vector (A^0[i][j], ..., A^(n-1)[i][j]), so the
+    ring is the dual of the lattice those vectors span: with H a basis
+    of that lattice, the columns of (H^t)^-1.
+    """
+    h, _ = hnf_cols([list(e) for row in table for e in row])
+    m, d = _integer_inverse([c for c in h if any(c)])
+    ring = ZLattice(field, abs(d), transpose(m))
+    if debug_asserts_enabled():
+        a = [[e[1] for e in row] for row in table]
+        got = coefficient_ring(matrix_to_ideal(a))
+        assert (got.denom, got.cols) == (ring.denom, ring.cols), "ring of g(A) != C(I)"
+    return ring
+
+
 def ideal_to_matrix(ideal) -> IntMatrix:
     """The matrix of multiplication by beta on the canonical basis.
 
@@ -409,7 +435,7 @@ def _cyclic_remainders(p, bound):
         yield tuple(r)
 
 
-def _refutation_candidates(p, a, b, bound):
+def _refutation_candidates(p, field, tables, bound):
     """The documented candidate list, deduplicated mod p.
 
     Yields (d, r, coeffs): the candidate g has coefficients ``coeffs``
@@ -425,7 +451,9 @@ def _refutation_candidates(p, a, b, bound):
     coordinates in max-norm shells 1..bound, first nonzero coordinate
     positive, constants skipped (they never distinguish).  Only the
     cyclic candidates need reducing; the other two kinds already have
-    degree < deg p.
+    degree < deg p.  ``tables`` holds the power tables of both
+    matrices; ``field`` is the number field of p, or None when p is
+    reducible or of degree < 2, and then there are no rings.
     """
     seen = set()
 
@@ -439,15 +467,12 @@ def _refutation_candidates(p, a, b, bound):
         if fresh(1, r):
             yield 1, r, IntPoly.cyclic(k).coeffs
     n = p.degree
-    for mat in (a, b):
-        try:
-            ring = coefficient_ring(matrix_to_ideal(mat))
-        except ReduciblePolynomial:
-            break  # no ideals: degree < 2 or p reducible
-        for z in ring.basis_elements():
-            d, r = _scaled_coords(z.coords, n)
-            if d != 1 and fresh(d, r):
-                yield d, r, z.coords
+    if field is not None:
+        for table in tables:
+            for z in _matrix_ring(field, table).basis_elements():
+                d, r = _scaled_coords(z.coords, n)
+                if d != 1 and fresh(d, r):
+                    yield d, r, z.coords
     for radius in range(1, bound + 1):
         for tup in itertools.product(range(-radius, radius + 1), repeat=n):
             if max(abs(c) for c in tup) != radius:
@@ -461,6 +486,24 @@ def _refutation_candidates(p, a, b, bound):
                 yield 1, tup, tup
 
 
+def _index_multiple(p):
+    """A positive integer divisible by every prime dividing the index
+    [Z_K : Z[beta]] of irreducible p: F from disc(p) = F^2 * Delta with
+    Delta square-free, or |disc(p)| when factoring disc(p) fails."""
+    disc = discriminant(p)
+    try:
+        return square_part(disc)[0]
+    except FactorizationIncomplete:
+        return abs(disc)
+
+
+def _group_or_none(table, d, r):
+    try:
+        return _cokernel(eval_at_power_table(table, d, r))
+    except NonIntegralResult:
+        return None
+
+
 def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     """Search for a g with BF_g(A) != BF_g(B).
 
@@ -468,23 +511,53 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     integrality mismatches: not even L-equivalent).  Exhausting the
     bound proves nothing - the verdict says so.  Each candidate is
     reduced mod p once, and g(A), g(B) are linear combinations of
-    powers formed once per matrix.
+    powers formed once per matrix; the coefficient rings come from the
+    same powers (``_matrix_ring``).
+
+    Candidates that provably cannot distinguish are skipped.  Let p be
+    irreducible of degree >= 2 and disc(p) = F^2 * Delta with Delta
+    square-free.  The index [Z_K : Z[beta]] squared divides disc(p),
+    so every prime l of the index divides F.  For l not dividing F the
+    local ring Z[beta]_l is maximal, hence a PID, so the ideal I of a
+    matrix has I_l isomorphic to Z[beta]_l, and the l-part of
+    BF_g(A) = I/g(beta)I is that of Z[beta]/g(beta)Z[beta] for every
+    matrix with char poly p.  Both groups have order |det g(A)| (when
+    det g(A) = 0, g(beta) = 0 and g(A) = g(B) = 0), so an integral g
+    with gcd(det g(A), F) = 1 gives isomorphic groups and is skipped
+    without a Smith form.  When F = 1 every integral g is
+    skipped and Z[beta] = Z_K is the coefficient ring of both sides,
+    so no candidate has a denominator: the verdict is inconclusive at
+    once.  If factoring disc(p) fails, |disc(p)| stands in for F; the
+    primes of the index divide it too, so the skip stays sound.
+    Candidates with denominators, and every candidate of a reducible
+    p, are always evaluated.  A skipped candidate never distinguishes,
+    so the witness and its groups are those of the unpruned search.
     """
     p = _require_same_char_poly(a, b)
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    field = f = None
+    if p.degree >= 2:
+        try:
+            field = NumberField(p)
+        except ReduciblePolynomial:
+            pass
+        else:
+            f = _index_multiple(p)
+            if f == 1:
+                return EquivalenceVerdict("inconclusive", bound=bound)
     table_a = power_table(a)
     table_b = power_table(b)
-    for d, r, coeffs in _refutation_candidates(p, a, b, bound):
-        try:
-            group_a = _cokernel(eval_at_power_table(table_a, d, r))
-        except NonIntegralResult:
-            group_a = None
-        try:
-            group_b = _cokernel(eval_at_power_table(table_b, d, r))
-        except NonIntegralResult:
-            group_b = None
+    for d, r, coeffs in _refutation_candidates(p, field, (table_a, table_b), bound):
+        if d == 1 and f is not None:
+            mat_a = eval_at_power_table(table_a, 1, r)
+            if math.gcd(det_bareiss(mat_a), f) == 1:
+                continue  # |det g(B)| = |det g(A)|, prime to the index
+            group_a = _cokernel(mat_a)
+        else:
+            group_a = _group_or_none(table_a, d, r)
+        group_b = _group_or_none(table_b, d, r)
         if group_a is None and group_b is None:
             continue
         if group_a != group_b:

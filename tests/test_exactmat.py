@@ -1,5 +1,7 @@
 """Exact integer matrix operations: SNF/HNF wrappers, char poly, dets."""
 
+from fractions import Fraction
+
 import pytest
 
 from bftorus.errors import NonIntegralResult, SingularMatrix
@@ -189,3 +191,15 @@ def test_mat_pow_and_transpose():
     assert mat_pow(a, 5) == [[1, 5], [0, 1]]
     assert mat_pow(a, 0) == [[1, 0], [0, 1]]
     assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+
+
+@pytest.mark.parametrize("entry", [1.9, 2.0, "2", Fraction(2), Fraction(3, 2)])
+def test_non_integer_entries_rejected(entry):
+    # never truncated: det([[1.9, 0], [0, 2.7]]) must not be 2
+    m = [[entry, 0], [0, 1]]
+    with pytest.raises(TypeError):
+        det(m)
+    with pytest.raises(TypeError):
+        power_table(m)
+    with pytest.raises(TypeError):
+        eval_poly_at_matrix(RatPoly([0, 1]), m)

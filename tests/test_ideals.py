@@ -125,6 +125,14 @@ class TestLatticeConstruction:
         with pytest.raises(NotFullRank):
             lattice_from_generators(K, [K.one(), K.element([3, 0, 0])])
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, "2", Fraction(2), Fraction(1, 2)])
+    def test_non_integer_denominator_or_entry_rejected(self, K, bad):
+        # never truncated: ZLattice(K, "2", [[1.9, 0, 0], ...]) is no lattice
+        with pytest.raises(TypeError):
+            ZLattice(K, bad, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(TypeError):
+            ZLattice(K, 1, [[bad, 0, 0], [0, 1, 0], [0, 0, 1]])
+
     def test_order_must_contain_one_and_close(self, K):
         with pytest.raises(NotASublattice):
             Order(K, 1, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])  # misses 1, not b-stable

@@ -1,0 +1,172 @@
+"""bf_refute's pruned search against the unpruned oracle.
+
+bf_refute skips the integral candidates g with gcd(det g(A), F) = 1,
+F the square part of disc(p), answers at once when F = 1, and reads
+the coefficient rings off the powers of A.  These tests check that the
+verdict, witness, groups and bound are those of
+``util.oracle_bf_refute``, which evaluates every candidate and takes
+the rings from the ideals, and that the skipped work really is skipped.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bftorus.invariants as inv
+from bftorus.errors import FactorizationIncomplete
+from bftorus.invariants import bf_refute, strong_bf_refute
+
+from util import (
+    EX1_A,
+    EX1_B,
+    EX1_C,
+    EX2_M,
+    EX2_MP,
+    companion,
+    mat_mul,
+    oracle_bf_refute,
+    oracle_char_poly,
+    random_unimodular_pair,
+)
+
+# (p, k) with p | x^k - 1, constant first: x^k - 1 is a candidate at
+# bound k, and there g(A) = 0 on both sides.
+CYCLOTOMIC = (
+    ([1, 0, 1], 4),  # x^2+1, F = 2
+    ([1, 1, 1], 3),  # x^2+x+1, F = 1
+    ([1, -1, 1], 6),  # x^2-x+1, F = 1
+    ([-1, 0, 0, 1], 3),  # x^3-1, reducible
+    ([1, 1, 1, 1], 4),  # (x+1)(x^2+1), reducible
+    ([-1, 0, 0, 0, 1], 4),  # x^4-1, reducible
+)
+
+# x^2-10x+34, disc = -36 = 6^2 * (-1): F = 6.  det(A - I) = 25 is prime
+# to F, so x-1 is skipped; x^2-1 distinguishes.
+F6_A = [[5, -3], [3, 5]]
+F6_B = [[0, 1], [-34, 10]]
+
+# x^2-x-1, disc = 5: F = 1.
+F1_A = [[0, 1], [1, 1]]
+F1_B = [[1, 1], [1, 0]]
+
+
+def _transpose(a):
+    return [list(c) for c in zip(*a)]
+
+
+def _conjugate(rng, a):
+    p, q = random_unimodular_pair(rng, len(a))
+    return mat_mul(mat_mul(p, a), q)
+
+
+def _pair(rng, kind, n):
+    """(A, B, bound) with a common char poly, of the named kind."""
+    if kind == "cyclotomic":
+        p, k = rng.choice(CYCLOTOMIC)
+        a = _conjugate(rng, companion(p))
+        return a, rng.choice((companion(p), _transpose(a))), k
+    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    bound = rng.randint(1, 2)
+    if kind == "reducible":
+        a[n - 1][: n - 1] = [0] * (n - 1)  # block triangular: p has a linear factor
+    if kind in ("companion", "reducible"):
+        return a, companion(oracle_char_poly(a)), bound
+    if kind == "transpose":
+        return a, _transpose(a), bound
+    return a, _conjugate(rng, a), bound
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("companion", "transpose", "conjugate", "reducible", "cyclotomic")),
+    st.integers(2, 4),
+)
+def test_matches_unpruned_search(seed, kind, n):
+    a, b, bound = _pair(random.Random(seed), kind, n)
+    assert bf_refute(a, b, bound) == oracle_bf_refute(a, b, bound)
+
+
+def test_worked_examples_match_unpruned_search():
+    for a, b in ((EX1_A, EX1_B), (EX1_B, EX1_C), (EX1_A, EX1_C), (EX2_M, EX2_MP)):
+        assert bf_refute(a, b, 2) == oracle_bf_refute(a, b, 2)
+
+
+def test_factorization_fallback_keeps_verdicts(monkeypatch):
+    rng = random.Random(0xBF7)
+    pairs = [(F6_A, F6_B), (F1_A, F1_B), (EX1_B, EX1_C), (EX2_M, EX2_MP)]
+    pairs += [_pair(rng, kind, 3)[:2] for kind in ("companion", "transpose") * 6]
+    before = [bf_refute(a, b, 2) for a, b in pairs]
+
+    def refuse(d):
+        raise FactorizationIncomplete(f"cannot factor {d}")
+
+    failing = _Counter(refuse)
+    monkeypatch.setattr(inv, "square_part", failing)
+    assert [bf_refute(a, b, 2) for a, b in pairs] == before
+    assert failing.calls >= 4  # every irreducible pair took the |disc| path
+    assert bf_refute(F1_A, F1_B, 2) == oracle_bf_refute(F1_A, F1_B, 2)
+
+
+def test_square_free_discriminant_answers_at_once(monkeypatch):
+    counters = {}
+    for name in ("coefficient_ring", "matrix_to_ideal", "_matrix_ring", "snf_diag"):
+        counters[name] = _Counter(getattr(inv, name))
+        monkeypatch.setattr(inv, name, counters[name])
+    rng = random.Random(0xBF1)
+    for b in (F1_B, _transpose(F1_A), _conjugate(rng, F1_A)):
+        v = bf_refute(F1_A, b, 3)
+        assert v.kind == "inconclusive" and v.bound == 3
+        assert strong_bf_refute(F1_A, b, 3).kind == "inconclusive"
+    assert {name: c.calls for name, c in counters.items()} == dict.fromkeys(counters, 0)
+
+
+def test_witness_after_a_skipped_candidate(monkeypatch):
+    expected = oracle_bf_refute(F6_A, F6_B, 4)
+    smith = _Counter(inv.snf_diag)
+    monkeypatch.setattr(inv, "snf_diag", smith)
+    v = bf_refute(F6_A, F6_B)
+    assert v == expected
+    assert v.witness == "x^2-1"
+    assert v.groups == {"A": "Z15+Z75", "B": "Z5+Z225"}
+    # second on the list, after x-1; only the witness took Smith forms
+    p = inv.char_poly(F6_A)
+    tables = [inv.power_table(m) for m in (F6_A, F6_B)]
+    listed = inv._refutation_candidates(p, inv.NumberField(p), tables, 4)
+    assert [inv.format_poly(c) for _, _, c in listed][:2] == ["x-1", "x^2-1"]
+    assert smith.calls == 2
+
+
+@pytest.mark.parametrize("a", [F6_A, EX1_B])
+def test_strong_refute_follows_the_pruned_search(a):
+    b = companion(oracle_char_poly(a))
+    first = oracle_bf_refute(a, b, 2)
+    assert first.kind == "BF-distinguished"
+    v = strong_bf_refute(a, b, 2)
+    assert (v.kind, v.witness, v.groups) == ("strong-BF-refuted", first.witness, first.groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_ring_from_powers_is_the_coefficient_ring(seed, n):
+    rng = random.Random(seed)
+    while True:
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        p = inv.char_poly(a)
+        if inv.is_irreducible(p):
+            break
+    ring = inv._matrix_ring(inv.NumberField(p), inv.power_table(a))
+    expected = inv.coefficient_ring(inv.matrix_to_ideal(a))
+    assert (ring.denom, ring.cols) == (expected.denom, expected.cols)

@@ -14,7 +14,10 @@ import math
 import random
 from fractions import Fraction
 
-from bftorus.ideals import AbelianGroup, lattice_from_generators
+from bftorus.errors import NonIntegralResult, ReduciblePolynomial
+from bftorus.ideals import AbelianGroup, coefficient_ring, lattice_from_generators
+from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
+from bftorus.polyring import RatPoly, format_poly
 
 # ---------------------------------------------------------------------------
 # worked examples
@@ -467,6 +470,55 @@ def oracle_eval_poly(coeffs, a):
         for i in range(n):
             out[i][i] += Fraction(c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the unpruned refutation search
+# ---------------------------------------------------------------------------
+
+
+def _oracle_refutation_candidates(a, b, bound):
+    """bf_refute's documented candidate list as coefficient lists
+    (constant first), in order, with no deduplication mod p."""
+    n = len(a)
+    for k in range(1, bound + 1):
+        yield [-1] + [0] * (k - 1) + [1]
+    for mat in (a, b):
+        try:
+            ring = coefficient_ring(matrix_to_ideal(mat))
+        except ReduciblePolynomial:
+            break
+        for z in ring.basis_elements():
+            if any(c.denominator != 1 for c in z.coords):
+                yield list(z.coords)
+    for radius in range(1, bound + 1):
+        for tup in itertools.product(range(-radius, radius + 1), repeat=n):
+            if max(abs(c) for c in tup) != radius or not any(tup[1:]):
+                continue
+            if next(c for c in tup if c) > 0:
+                yield list(tup)
+
+
+def oracle_bf_refute(a, b, bound):
+    """bf_refute without pruning: every candidate evaluated on both
+    sides by Horner (``bf_group``), in list order, with the rings taken
+    through the ideals.  A candidate that bf_refute drops as a
+    duplicate mod p, up to sign, has the groups of its first
+    occurrence, so the first witness is the same.  The groups come from
+    the library's Smith kernel, which other tests check against minor
+    gcds; what this oracle stands in for is the pruning."""
+    for coeffs in _oracle_refutation_candidates(a, b, bound):
+        groups = {}
+        for side, m in (("A", a), ("B", b)):
+            try:
+                groups[side] = str(bf_group(m, RatPoly(coeffs)))
+            except NonIntegralResult:
+                groups[side] = "non-integral"
+        if groups["A"] != groups["B"]:
+            return EquivalenceVerdict(
+                "BF-distinguished", witness=format_poly(coeffs), groups=groups
+            )
+    return EquivalenceVerdict("inconclusive", bound=bound)
 
 
 # ---------------------------------------------------------------------------
