@@ -6,9 +6,10 @@ transforms; the Smith diagonal against |det| for BF groups; k-periodicity
 of the periodic-point generators; v·A = b·v for the dictionary
 eigenvector; the char poly of ``ideal_to_matrix``; the colon kernel rank;
 the trace-dual involution; the two characterizations of invertibility;
-and the coefficient rings ``bf_refute`` forms from the powers of A
-against ``coefficient_ring(matrix_to_ideal(A))``.  They are controlled
-by the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or
+the coefficient rings formed from the powers of A against
+``coefficient_ring(matrix_to_ideal(A))``; and every enumerated order
+through the b-action and ring-closure checks of ``Order``.  They are
+controlled by the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or
 programmatically via :func:`set_debug_asserts`.
 """
 

@@ -235,7 +235,7 @@ def kernel_mod_m(a, m):
     mod m are dropped; the empty list means the kernel is trivial.
     """
     a = copy_matrix(a)
-    m = int(m)
+    m = operator.index(m)
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:

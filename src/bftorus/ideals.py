@@ -41,7 +41,6 @@ def _beta_action(cols, mult_b):
     denominator d cancels.  Returns None when some column is not.
     """
     n = len(cols)
-    cols = [list(c) for c in cols]  # the compiled kernels take lists
     out = []
     for col in cols:
         image = [sum(mult_b[j][i] * col[j] for j in range(n)) for i in range(n)]
@@ -61,7 +60,6 @@ def _escaping_product(field, cols, d):
     be divisible by d and then lie in the column span.
     """
     n = len(cols)
-    cols = [list(c) for c in cols]  # the compiled kernels take lists
     for a in range(n):
         mult_a = _mult_columns(field, cols[a])
         for b in range(a, n):
@@ -171,6 +169,15 @@ class ZLattice:
     def __setattr__(self, *a):
         raise AttributeError("lattice values are immutable")
 
+    @classmethod
+    def _proven(cls, lattice):
+        """``lattice`` as a ``cls`` without re-running its checks, for
+        callers that have proven the defining property."""
+        out = object.__new__(cls)
+        for name in ZLattice.__slots__:
+            object.__setattr__(out, name, getattr(lattice, name))
+        return out
+
     def _validate(self):
         pass
 
@@ -202,11 +209,11 @@ class ZLattice:
             if s.denominator != 1:
                 return False
             rhs.append(s.numerator)
-        return solve_upper_cols(list(map(list, self.cols)), rhs) is not None
+        return solve_upper_cols(self.cols, rhs) is not None
 
     def contains_lattice(self, other):
         self._require_same_field(other)
-        return all(self.contains_element(v) for v in other.basis_elements())
+        return _coordinates(self, other) is not None
 
     def index_in(self, other):
         """[other : self] for self ⊆ other; NotASublattice otherwise."""
@@ -300,7 +307,26 @@ class Order(FractionalIdeal):
 def zbeta(field) -> Order:
     """The monogenic order Z[b] (identity basis)."""
     n = field.n
-    return Order(field, 1, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
+    identity = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    return Order._proven(ZLattice(field, 1, identity))
+
+
+def _coordinates(big, small):
+    """The integer coordinates of the basis of ``small`` in the basis of
+    ``big``, as columns, or None when small ⊄ big."""
+    xcols = []
+    for col in small.cols:
+        rhs = []
+        for e in col:
+            q, r = divmod(e * big.denom, small.denom)
+            if r:
+                return None
+            rhs.append(q)
+        x = solve_upper_cols(big.cols, rhs)
+        if x is None:
+            return None
+        xcols.append(x)
+    return xcols
 
 
 def _from_rational_columns(field, vecs, cls=ZLattice):
@@ -364,7 +390,7 @@ def colon(m, n_lat):
     m._require_same_field(n_lat)
     field = m.field
     nn = field.n
-    bcols = [list(c) for c in m.cols]
+    bcols = m.cols
     delta = math.prod(bcols[i][i] for i in range(nn))
     x_mats = []
     g = n_lat.denom * delta
@@ -468,7 +494,7 @@ def _trace_dual_lattice(lattice):
     """
     field = lattice.field
     sums = field._power_sums
-    cols = [list(c) for c in lattice.cols]  # the compiled kernels take lists
+    cols = lattice.cols
     gram = []
     for ci in cols:
         # Tr(c_i·b^k): column k of Mult(c_i) against the power sums
@@ -511,21 +537,8 @@ def quotient_group(big, small) -> AbelianGroup:
     The basis-change matrix X with B_small·(scales) = B_big·X is put in
     Smith form; its diagonal is the invariant-factor list."""
     big._require_same_field(small)
-    nn = big.field.n
-    bcols = [list(c) for c in big.cols]
-    xcols = []
-    for col in small.cols:
-        rhs = []
-        ok = True
-        for e in col:
-            q, r = divmod(e * big.denom, small.denom)
-            if r:
-                ok = False
-                break
-            rhs.append(q)
-        x = solve_upper_cols(bcols, rhs) if ok else None
-        if x is None:
-            raise NotASublattice("quotient_group requires small ⊆ big")
-        xcols.append(x)
-    rows = [[xcols[j][i] for j in range(nn)] for i in range(nn)]
+    xcols = _coordinates(big, small)
+    if xcols is None:
+        raise NotASublattice("quotient_group requires small ⊆ big")
+    rows = [list(row) for row in zip(*xcols)]
     return AbelianGroup.from_diagonal(snf_diag(rows))

@@ -27,6 +27,7 @@ bound, never a guess.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -70,7 +71,6 @@ from .polyring import (
     RatPoly,
     discriminant,
     format_poly,
-    is_irreducible,
     parse_rat_poly,
     poly_mod,
     square_part,
@@ -121,7 +121,7 @@ def bf_group(a, g) -> AbelianGroup:
 def bf_k(a, k) -> AbelianGroup:
     """BF_k(A) = Z^n/(A^k - I)Z^n, the group of k-periodic points,
     with A^k formed by repeated squaring."""
-    k = int(k)
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
     m = mat_pow(a, k)
@@ -194,7 +194,7 @@ def periodic_structure(a, k) -> PeriodicStructure:
     T_{d_1} <= Per_k(A) <= T_{d_n} hold.
     """
     a = copy_matrix(a)
-    k = int(k)
+    k = operator.index(k)
     if k < 1:
         raise ValueError("period k must be positive")
     n = len(a)
@@ -254,14 +254,25 @@ def matrix_to_ideal(a) -> FractionalIdeal:
     """
     a = copy_matrix(a)
     p, adj = char_poly_adjugate(a)
+    return _ideal_in(_dictionary_field(p), a, adj)
+
+
+def _dictionary_field(p):
+    """The number field of the char poly p, or ReduciblePolynomial when
+    the dictionary does not apply (degree < 2, or p reducible)."""
     if p.degree < 2:
         raise ReduciblePolynomial("the eigenvector dictionary needs degree >= 2")
     try:
-        field = NumberField(p)
+        return NumberField(p)
     except ReduciblePolynomial:
         raise ReduciblePolynomial(
             f"characteristic polynomial {p} is reducible over Q"
         ) from None
+
+
+def _ideal_in(field, a, adj):
+    """``matrix_to_ideal(a)`` in the field of its char poly, from the
+    adjugate coefficients of ``exactmat.char_poly_adjugate(a)``."""
     vec = _row_eigenvector(field, a, adj)
     # Every entry is nonzero (a zero entry would cap the span at rank
     # n-1), so dividing by the first one picks a canonical point on the
@@ -398,11 +409,12 @@ def l_equivalent(a, b) -> EquivalenceVerdict:
     """Compare the coefficient rings of the two associated ideals.
 
     The ideal of A is only an ideal class, but C(I) is a class
-    invariant, so this is well defined.
+    invariant, so this is well defined.  Both rings come from the
+    powers of the matrices (``_matrix_ring``), in one number field.
     """
-    _require_same_char_poly(a, b)
-    ring_a = coefficient_ring(matrix_to_ideal(a))
-    ring_b = coefficient_ring(matrix_to_ideal(b))
+    field = _dictionary_field(_require_same_char_poly(a, b))
+    ring_a = _matrix_ring(field, power_table(a))
+    ring_b = _matrix_ring(field, power_table(b))
     if ring_a == ring_b:
         return EquivalenceVerdict(
             "L-equivalent", witness=f"common coefficient ring ({_basis_str(ring_a)})"
@@ -534,7 +546,7 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     so the witness and its groups are those of the unpruned search.
     """
     p = _require_same_char_poly(a, b)
-    bound = int(bound)
+    bound = operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     field = f = None
@@ -599,8 +611,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
     n = p.degree
     if n < 2:
         raise ReduciblePolynomial("certificates need degree >= 2")
-    if not is_irreducible(p):
-        raise ReduciblePolynomial(f"characteristic polynomial {p} is reducible over Q")
+    field = _dictionary_field(p)
     disc = discriminant(p)
     square, _ = square_part(disc)
     if square == 1 and abs(p.coeffs[0]) == 1:
@@ -612,8 +623,8 @@ def bf_certify(a, b) -> EquivalenceVerdict:
                 "polynomial share every BF_g"
             ),
         )
-    ideal_a = matrix_to_ideal(a)
-    ideal_b = matrix_to_ideal(b)
+    ideal_a = _ideal_in(field, a, char_poly_adjugate(a)[1])
+    ideal_b = _ideal_in(field, b, char_poly_adjugate(b)[1])
     ring_a = coefficient_ring(ideal_a)
     ring_b = coefficient_ring(ideal_b)
     if ring_a != ring_b:
@@ -634,7 +645,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
                 "that ring, hence to the other"
             ),
         )
-    zb = zbeta(ideal_a.field)
+    zb = zbeta(field)
     if _pair_has_invertible(ideal_a, zb) and _pair_has_invertible(ideal_b, zb):
         return EquivalenceVerdict(
             "BF-certified",
@@ -664,7 +675,7 @@ def conjugate_mod(a, b, m) -> bool:
     small-case oracle.  Strong BF-equivalence forces conjugacy mod
     every m, so a single failing modulus is a refutation.
     """
-    m = int(m)
+    m = operator.index(m)
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:

@@ -1,29 +1,60 @@
-"""Enumeration of the finite lattice of orders Z[b] ⊆ R ⊆ Z_K.
+"""The finite lattice of orders Z[b] ⊆ R ⊆ Z_K, built prime by prime.
 
-Every order R satisfies [R : Z[b]] = d with d | F, where disc(p) = F²·Δ
-and Δ is square-free.  Then M = d·R is an integer lattice squeezed
-between d·Zⁿ and Zⁿ of index exactly d^(n-1), so the orders of index d
-are found by walking the (finite) set of column-Hermite transversals
-with diagonal products d^(n-1) and keeping those that survive three
-filters: contain d·Zⁿ, are stable under multiplication by b, and are
-closed under multiplication.  The enumeration output is the ground
-truth; no external table is consulted.
+Write disc(p) = F²·Δ with Δ square-free.  The index [Z_K : Z[b]]
+squared divides disc(p), so every prime ℓ of the index divides F.
+
+*The sum over primes.*  For an order R ⊇ Z[b] the finite group R/Z[b]
+is the direct sum of its ℓ-primary parts, and the ℓ-part
+R_ℓ = {x ∈ R : ℓ^k·x ∈ Z[b] for some k} is itself an order: if ℓ^a·x
+and ℓ^c·y lie in Z[b], so does ℓ^(a+c)·xy.  Hence R is the sum of its
+ℓ-parts.  Conversely, let O and O' be orders whose quotients by Z[b]
+are an ℓ-group and a q-group, ℓ ≠ q.  For x ∈ O and y ∈ O' with
+ℓ^a·x and q^c·y in Z[b], the product ℓ^a·xy lies in O' and q^c·xy in
+O, and 1 = u·ℓ^a + v·q^c puts xy in O + O'.  So a sum of local orders
+is a ring, and R ↦ (R_ℓ)_ℓ is a bijection between the orders and the
+tuples of one local order per prime, inverse to the sum and
+respecting inclusion.  The list of all orders is therefore complete
+once each local list is.
+
+*Round 2* (Cohen, GTM 138, Alg. 6.1.8).  Every local order at ℓ lies
+in the ℓ-maximal order O_ℓ ⊇ Z[b].  Starting from O = Z[b], the
+ℓ-radical I of O is ℓO plus the elements nilpotent mod ℓO, the kernel
+mod ℓ of the linear map x ↦ x^(ℓ^j) on O/ℓO (ℓ^j ≥ n).  The ring of
+multipliers (I : I) contains O, and it equals O exactly when O is
+ℓ-maximal; otherwise O grows to it and the step repeats.  Primes at
+which the Dedekind criterion already shows Z[b] ℓ-maximal are skipped.
+
+*Local subgroups.*  The local orders at ℓ are the β-stable, ring-closed
+subgroups of the finite ℓ-group O_ℓ/Z[b], whose generators are read
+off the Smith form of the inclusion Z[b] ⊆ O_ℓ.  Such a subgroup is the
+ring generated by Z[b] and its elements, so each local order is a join
+of the orders Z[b][g] = span{b^i·g^j : i, j < n}, one per element g of
+O_ℓ/Z[b], and the join of two orders R, S is the ring R·S.  The walk
+forms every Z[b][g] and closes the set under joins.
+
+The enumeration output is the ground truth; no external table is
+consulted.
 """
 
+import itertools
 from typing import List, NamedTuple, Tuple
 
-from .ideals import (
-    FractionalIdeal,
-    Order,
-    _beta_action,
-    _beta_columns,
-    _escaping_product,
-    colon,
-    zbeta,
+from .config import debug_asserts_enabled
+from .exactmat import kernel_mod_m
+from .ideals import FractionalIdeal, Order, ZLattice, colon, lattice_sum, zbeta
+from .kernels import snf_rows, solve_upper_cols
+from .numberfield import NumberField, _mult_columns
+from .polyring import (
+    IntPoly,
+    _gf_divmod,
+    _gf_gcd,
+    _gf_mul,
+    _gf_normalize,
+    _gf_powmod,
+    discriminant,
+    factorint,
+    square_part,
 )
-from .kernels import solve_upper_cols
-from .numberfield import NumberField
-from .polyring import discriminant, factorint, square_part
 
 
 class OrderLattice(NamedTuple):
@@ -34,55 +65,150 @@ class OrderLattice(NamedTuple):
     max_index: int
 
 
-def _divisors_from_factorization(fac):
-    divs = [1]
-    for p, e in sorted(fac.items()):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _dedekind_maximal(p, ell):
+    """Dedekind's criterion (Cohen, GTM 138, Thm 6.1.4): with t the
+    product of the distinct monic irreducible factors of p mod ℓ,
+    h = (p mod ℓ)/t, both lifted with coefficients in [0, ℓ), and
+    f = (t·h - p)/ℓ, Z[b] is ℓ-maximal exactly when gcd(f, t, h) = 1
+    mod ℓ.  t is the lcm over d ≤ n of gcd(p, x^(ℓ^d) - x), the product
+    of the distinct irreducible factors of degree dividing d."""
+    pbar = _gf_normalize(p.coeffs, ell)
+    t = [1]
+    w = [0, 1]
+    for _ in range(p.degree):
+        w = _gf_powmod(w, ell, pbar, ell)
+        diff = w + [0] * (2 - len(w))
+        diff[1] -= 1
+        g = _gf_gcd(pbar, _gf_normalize(diff, ell), ell)
+        t = _gf_mul(t, _gf_divmod(g, _gf_gcd(t, g, ell), ell)[0], ell)
+    h = _gf_divmod(pbar, t, ell)[0]
+    f = [c // ell for c in (IntPoly(t) * IntPoly(h) - p).coeffs]
+    common = _gf_gcd(_gf_gcd(_gf_normalize(f, ell), t, ell), h, ell)
+    return len(common) == 1
 
 
-def _diag_tuples(d, n, d_fac):
-    """All (a_1..a_n) with a_i | d and product d^(n-1)."""
-    divs = _divisors_from_factorization(d_fac)
-    target = d ** (n - 1)
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            if remaining == 1:
-                out.append(tuple(prefix))
-            return
-        slots = n - len(prefix)
-        for a in divs:
-            if remaining % a:
-                continue
-            # the rest can contribute at most d^(slots-1)
-            if remaining > a * d ** (slots - 1):
-                continue
-            rec(prefix + [a], remaining // a)
-
-    rec([], target)
-    return out
+def _index_primes(field):
+    """The primes ℓ | F at which Z[b] may fail to be ℓ-maximal: those
+    the Dedekind criterion does not clear.  FactorizationIncomplete
+    when disc(p) cannot be fully factored."""
+    big_f, _delta = square_part(discriminant(field.p))
+    return [ell for ell in sorted(factorint(big_f)) if not _dedekind_maximal(field.p, ell)]
 
 
-def _candidate_columns(diag):
-    """Yield upper-triangular HNF column sets with the given diagonal;
-    entries right of the pivot of row i range over [0, a_i)."""
-    n = len(diag)
-    free = [(i, j) for j in range(1, n) for i in range(j)]
+def _radical(order, ell):
+    """The ℓ-radical of an order O: ℓO plus the kernel mod ℓ of the
+    Frobenius power x ↦ x^(ℓ^j), ℓ^j ≥ n, which is linear on O/ℓO and
+    kills exactly its nilpotent elements."""
+    field = order.field
+    n = field.n
+    d = order.denom
+    cols = order.cols
+    # table[a][b]: the coordinates mod ℓ of w_a·w_b in the basis w = cols/d;
+    # (c_a/d)·(c_b/d) = (cols·x)/d with x = cols⁻¹·(c_a·c_b/d).
+    table = [[None] * n for _ in range(n)]
+    for a in range(n):
+        mult_a = _mult_columns(field, cols[a])
+        for b in range(a, n):
+            prod = [sum(mult_a[j][r] * cols[b][j] for j in range(n)) // d for r in range(n)]
+            table[a][b] = table[b][a] = [e % ell for e in solve_upper_cols(cols, prod)]
 
-    def rec(k, cols):
-        if k == len(free):
-            yield [list(c) for c in cols]
-            return
-        i, j = free[k]
-        for v in range(diag[i]):
-            cols[j][i] = v
-            yield from rec(k + 1, cols)
-        cols[j][i] = 0
+    def mul(x, y):
+        out = [0] * n
+        for a, xa in enumerate(x):
+            for b, yb in enumerate(y):
+                if xa and yb:
+                    c = xa * yb
+                    out = [o + c * t for o, t in zip(out, table[a][b])]
+        return [e % ell for e in out]
 
-    base = [[diag[j] if i == j else 0 for i in range(n)] for j in range(n)]
-    yield from rec(0, base)
+    def power(x, e):
+        out = None
+        while True:
+            if e & 1:
+                out = x if out is None else mul(out, x)
+            e >>= 1
+            if not e:
+                return out
+            x = mul(x, x)
+
+    q = ell
+    while q < n:
+        q *= ell
+    images = [power([int(r == i) for r in range(n)], q) for i in range(n)]
+    rows = [[images[j][i] for j in range(n)] for i in range(n)]
+    gens = [[ell * e for e in c] for c in cols]
+    for k in kernel_mod_m(rows, ell):
+        gens.append([sum(cols[j][r] * k[j] for j in range(n)) for r in range(n)])
+    return ZLattice(field, d, gens)
+
+
+def _local_maximal(field, ell):
+    """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2."""
+    order = zbeta(field)
+    while True:
+        rad = _radical(order, ell)
+        bigger = colon(rad, rad)
+        if bigger == order:
+            return order
+        order = bigger
+
+
+def _join(r, s):
+    """The ring R·S generated by two orders: the span of basis products."""
+    field = r.field
+    n = field.n
+    gens = []
+    for a in r.cols:
+        mult_a = _mult_columns(field, a)
+        for b in s.cols:
+            gens.append([sum(mult_a[j][i] * b[j] for j in range(n)) for i in range(n)])
+    return ZLattice(field, r.denom * s.denom, gens)
+
+
+def _monogenic(field, vec, den):
+    """Z[b][g] for g = vec/den ∈ Z_K: the span of b^i·g^j, i, j < n."""
+    n = field.n
+    scale = den ** (n - 1)
+    mult_g = _mult_columns(field, vec)
+    power = [scale] + [0] * (n - 1)  # g^j·den^(n-1), integral for j < n
+    gens = _mult_columns(field, power)  # b^i·g^j for i < n, here j = 0
+    for _ in range(n - 1):
+        power = [sum(mult_g[j][i] * power[j] for j in range(n)) // den for i in range(n)]
+        gens.extend(_mult_columns(field, power))
+    return ZLattice(field, scale, gens)
+
+
+def _local_orders(top):
+    """Every order between Z[b] and the ℓ-primary order ``top``.
+
+    With X = d·C⁻¹ the coordinates of the power basis in the basis
+    C/d of ``top``, U·X·V = diag(a) gives b-coordinates V_i (column i
+    of V) = a_i·w_i for a basis w of ``top``, so top/Z[b] is the sum
+    of the cyclic groups generated by w_i = V_i/a_i, of orders a_i.
+    """
+    field = top.field
+    n = field.n
+    cols = top.cols
+    xcols = [
+        solve_upper_cols(cols, [top.denom if r == j else 0 for r in range(n)])
+        for j in range(n)
+    ]
+    diag, _, v = snf_rows([[xc[i] for xc in xcols] for i in range(n)])
+    big = diag[-1]
+    gens = [(a, [v[r][i] * (big // a) for r in range(n)]) for i, a in enumerate(diag) if a > 1]
+    orders = list(dict.fromkeys(
+        _monogenic(field, [sum(c * g[r] for c, (_, g) in zip(coeffs, gens)) % big
+                           for r in range(n)], big)
+        for coeffs in itertools.product(*(range(a) for a, _ in gens))
+    ))
+    seen = set(orders)
+    for i, r in enumerate(orders):  # also visits the joins appended below
+        for s in orders[:i]:
+            ring = _join(r, s)
+            if ring not in seen:
+                seen.add(ring)
+                orders.append(ring)
+    return orders
 
 
 def enumerate_order_lattice(field) -> OrderLattice:
@@ -92,29 +218,18 @@ def enumerate_order_lattice(field) -> OrderLattice:
     (the index bound F needs the exact square part).
     """
     zb = zbeta(field)
-    n = field.n
-    if n == 1:
+    if field.n == 1:
         return OrderLattice(field, [zb], [], 1, 1)
-    disc = discriminant(field.p)
-    big_f, _delta = square_part(disc)
-    f_fac = factorint(big_f)
-
-    mult_b = _beta_columns(field)
-
-    found = [zb]
-    for d in _divisors_from_factorization(f_fac):
-        if d == 1:
-            continue
-        d_fac = factorint(d)
-        for diag in _diag_tuples(d, n, d_fac):
-            for cols in _candidate_columns(diag):
-                if not _contains_d_zn(cols, d, n):
-                    continue
-                if _beta_action(cols, mult_b) is None:
-                    continue
-                if _escaping_product(field, cols, d) is not None:
-                    continue
-                found.append(Order(field, d, cols))
+    local = [_local_orders(_local_maximal(field, ell)) for ell in _index_primes(field)]
+    found = []
+    for choice in itertools.product(*local):
+        total = zb
+        for part in choice:
+            total = lattice_sum(total, part)
+        found.append(Order._proven(total))
+    if debug_asserts_enabled():
+        for r in found:
+            assert Order(field, r.denom, r.cols) == r, "a sum of local orders is not an order"
 
     nodes = sorted(found, key=lambda r: (1 / r.covolume(), r.denom, r.cols))
     indices = [int(1 / r.covolume()) for r in nodes]
@@ -136,19 +251,15 @@ def enumerate_order_lattice(field) -> OrderLattice:
     return OrderLattice(field, nodes, sorted(edges), min(indices), max(indices))
 
 
-def _contains_d_zn(cols, d, n):
-    for i in range(n):
-        rhs = [d if r == i else 0 for r in range(n)]
-        if solve_upper_cols(cols, rhs) is None:
-            return False
-    return True
-
-
 def maximal_order(field) -> Order:
-    """The top node of the order lattice (the ring of integers Z_K)."""
-    lat = enumerate_order_lattice(field)
-    top = max(range(len(lat.nodes)), key=lambda i: 1 / lat.nodes[i].covolume())
-    return lat.nodes[top]
+    """The ring of integers Z_K: the sum of the ℓ-maximal orders O_ℓ
+    over the primes ℓ that may divide the index (see the module doc)."""
+    total = zbeta(field)
+    if field.n == 1:
+        return total
+    for ell in _index_primes(field):
+        total = lattice_sum(total, _local_maximal(field, ell))
+    return Order._proven(total)
 
 
 def conductor(ring) -> FractionalIdeal:

@@ -461,7 +461,7 @@ def _gf_normalize(c, q):
     return c
 
 
-def _gf_mulmod(a, b, mod, q):
+def _gf_mul(a, b, q):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -469,7 +469,11 @@ def _gf_mulmod(a, b, mod, q):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % q
-    return _gf_divmod(out, mod, q)[1]
+    return out
+
+
+def _gf_mulmod(a, b, mod, q):
+    return _gf_divmod(_gf_mul(a, b, q), mod, q)[1]
 
 
 def _gf_divmod(a, b, q):

@@ -203,3 +203,9 @@ def test_non_integer_entries_rejected(entry):
         power_table(m)
     with pytest.raises(TypeError):
         eval_poly_at_matrix(RatPoly([0, 1]), m)
+
+
+@pytest.mark.parametrize("m", [4.0, 2.5, "4", Fraction(4)])
+def test_kernel_mod_m_rejects_non_integer_modulus(m):
+    with pytest.raises(TypeError):
+        kernel_mod_m([[1, 2], [3, 4]], m)

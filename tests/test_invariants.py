@@ -519,3 +519,34 @@ class TestSuspension:
             a, _ = random_unit_irreducible_matrix(rng, sizes=(2, 3))
             pres = pi1_presentation(a)
             assert oracle_abelianization(pres) == pres.abelianization()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bf_k([[2, 1], [1, 1]], 2.7),
+        lambda: periodic_structure([[2, 1], [1, 1]], 2.0),
+        lambda: bf_refute([[2, 1], [1, 1]], [[1, 1], [1, 2]], bound=2.9),
+        lambda: strong_bf_refute([[2, 1], [1, 1]], [[1, 1], [1, 2]], bound=Fraction(2)),
+        lambda: conjugate_mod([[2, 1], [1, 1]], [[1, 1], [1, 2]], 4.0),
+    ],
+    ids=["bf_k", "periodic_structure", "bf_refute", "strong_bf_refute", "conjugate_mod"],
+)
+def test_non_integer_counts_rejected(call):
+    # never truncated: bf_k(A, 2.7) must not answer for k = 2
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("engine", [bf_certify, l_equivalent])
+def test_one_irreducibility_test_per_verdict(engine, monkeypatch):
+    import bftorus.config as config
+    import bftorus.numberfield as numberfield
+
+    # the debug cross-check of _matrix_ring builds more fields on purpose
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    calls = []
+    real = numberfield.is_irreducible
+    monkeypatch.setattr(numberfield, "is_irreducible", lambda p: calls.append(p) or real(p))
+    assert engine(EX1_B, EX1_C).kind == "not-L-equivalent"
+    assert len(calls) == 1

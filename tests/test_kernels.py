@@ -1,20 +1,13 @@
-"""The integer linear-algebra kernels and their compiled twin.
+"""The integer linear-algebra kernels, against independent oracles."""
 
-The backend contract is bit-exactness: whatever the pure-Python
-reference produces, the compiled module must reproduce verbatim, so the
-rest of the library never needs to know which one is loaded.
-"""
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftorus._kernels_py import _bezout, _xgcd
 from bftorus.kernels import (
-    BACKEND,
+    _bezout,
+    _xgcd,
     det_bareiss,
     hnf_cols,
-    load_backend,
     mat_mul_rows,
     snf_diag,
     snf_rows,
@@ -31,13 +24,6 @@ def random_matrix(rng, n, m=None, span=20):
 
 def is_unimodular(rows):
     return abs(oracle_det(rows)) == 1
-
-
-def test_backend_is_declared():
-    assert BACKEND in ("python", "compiled")
-    assert load_backend("python").BACKEND == "python"
-    with pytest.raises(ValueError):
-        load_backend("fortran")
 
 
 def test_xgcd_bezout(rng):
@@ -221,44 +207,3 @@ def test_mat_mul_rows_small():
     a = [[1, 2], [3, 4]]
     b = [[5, 6], [7, 8]]
     assert mat_mul_rows(a, b) == [[19, 22], [43, 50]]
-
-
-class TestCompiledTwin:
-    """Bit-exactness of the compiled backend against the reference."""
-
-    @pytest.fixture(autouse=True)
-    def _backends(self):
-        self.py = load_backend("python")
-        self.cy = pytest.importorskip(
-            "bftorus._kernels_cy", reason="compiled kernels not built"
-        )
-
-    def test_backend_tags(self):
-        assert self.py.BACKEND == "python"
-        assert self.cy.BACKEND == "compiled"
-
-    def test_bit_exact_on_random_inputs(self, rng):
-        for _ in range(150):
-            n = rng.randint(1, 6)
-            m = rng.randint(1, 6)
-            rows = random_matrix(rng, n, span=30)
-            cols = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
-            assert self.py.snf_rows(rows) == self.cy.snf_rows(rows)
-            assert self.py.det_bareiss(rows) == self.cy.det_bareiss(rows)
-            assert self.py.hnf_cols(cols) == self.cy.hnf_cols(cols)
-            assert self.py.hnf_cols(cols, transform=True) == self.cy.hnf_cols(
-                cols, transform=True
-            )
-            w = rng.randint(1, 5)
-            b = [[rng.randint(-30, 30) for _ in range(w)] for _ in range(n)]
-            assert self.py.mat_mul_rows(rows, b) == self.cy.mat_mul_rows(rows, b)
-
-    def test_bit_exact_on_huge_entries(self, rng):
-        # arbitrary precision must survive the C loop layer untouched
-        for _ in range(10):
-            n = rng.randint(2, 4)
-            rows = [
-                [rng.randint(-10**40, 10**40) for _ in range(n)] for _ in range(n)
-            ]
-            assert self.py.snf_rows(rows) == self.cy.snf_rows(rows)
-            assert self.py.det_bareiss(rows) == self.cy.det_bareiss(rows)

@@ -8,13 +8,20 @@ Two worked examples anchor the expectations:
 * p = x^3 - 23x^2 + 7x - 1 (disc -21248 = -16^2 * 83): six orders again
   but a different shape — a diamond in the middle and a single cover of
   Z[b].
+
+The transversal walk of ``util.oracle_order_lattice`` checks the
+prime-by-prime enumeration on random fields of small F, and two fields
+out of the walk's reach check the time it takes.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from bftorus.ideals import ZLattice, coefficient_ring, lattice_from_generators, zbeta
+from bftorus.ideals import Order, ZLattice, coefficient_ring, lattice_from_generators, zbeta
 from bftorus.numberfield import NumberField
 from bftorus.orders import (
     conductor,
@@ -25,7 +32,7 @@ from bftorus.orders import (
 )
 from bftorus.polyring import IntPoly, discriminant, is_irreducible, square_part
 
-from util import J7_COLS, P_CUBIC, P_QUAD
+from util import J7_COLS, P_CUBIC, P_QUAD, oracle_order_lattice
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +205,54 @@ def _is_prime(m):
             return False
         d += 1
     return True
+
+
+@st.composite
+def small_index_fields(draw):
+    """Quadratic and cubic fields with F <= 16, quartic ones with F <= 8,
+    where disc(p) = F^2 * Delta with Delta square-free."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    span = {2: 40, 3: 16, 4: 8}[n]
+    coeffs = draw(st.lists(st.integers(-span, span), min_size=n, max_size=n))
+    p = IntPoly(coeffs + [1])
+    assume(coeffs[0] != 0 and is_irreducible(p))
+    assume(square_part(discriminant(p))[0] <= (8 if n == 4 else 16))
+    return NumberField(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_index_fields())
+@example(NumberField("x^2+40x+40"))  # F = 12, index 6
+@example(NumberField("x^3+12x^2-15x+18"))  # F = 12, index 12
+@example(NumberField("x^3-12x^2+3x-9"))  # F = 15, index 15
+@example(NumberField("x^4-3x^3+5x^2+10x-4"))  # F = 6, index 6
+@example(NumberField("x^3+3x^2+6x-7"))  # F = 15, Z[b] already 3-maximal
+def test_lattice_matches_the_transversal_walk(field):
+    lat = enumerate_order_lattice(field)
+    nodes, edges, min_index, max_index = oracle_order_lattice(field)
+    assert lat.nodes == nodes
+    assert lat.edges == edges
+    assert (lat.min_index, lat.max_index) == (min_index, max_index)
+    assert maximal_order(field) == nodes[-1]
+
+
+@pytest.mark.parametrize(
+    "poly, disc_zk",
+    [
+        ("x^3-3x^2-24x-1", 81),  # F = 3^5; the walk took 189 s
+        ("x^4-4x^3-2x^2+12x+1", 2048),  # F = 2^8; about 8.7e14 candidates
+    ],
+)
+def test_hard_fields_within_two_seconds(poly, disc_zk):
+    start = time.perf_counter()
+    field = NumberField(poly)
+    lat = enumerate_order_lattice(field)
+    top = maximal_order(field)
+    elapsed = time.perf_counter() - start
+    assert len(lat.nodes) == 4
+    assert lat.edges == [(0, 1), (1, 2), (2, 3)]
+    # the Order constructor re-runs the b-action and ring-closure checks
+    assert all(Order(field, r.denom, r.cols) == r for r in lat.nodes)
+    assert top == lat.nodes[-1]
+    assert order_discriminant(top) == disc_zk
+    assert elapsed < 2.0

@@ -6,7 +6,10 @@ kernels: determinants come from fraction Gaussian elimination,
 characteristic polynomials from cofactor expansion over coefficient
 lists, invariant factors from gcds of k x k minors, periodic points
 from brute-force grid enumeration.  Slow but transparently correct at
-the sizes the tests use.
+the sizes the tests use.  The order-lattice walk is the exception: it
+is the library's former algorithm and keeps its candidate filters
+(triangular solves and the checks of ``Order``), while its containments
+and edges come from Fraction solves.
 """
 
 import itertools
@@ -15,9 +18,19 @@ import random
 from fractions import Fraction
 
 from bftorus.errors import NonIntegralResult, ReduciblePolynomial
-from bftorus.ideals import AbelianGroup, coefficient_ring, lattice_from_generators
+from bftorus.ideals import (
+    AbelianGroup,
+    Order,
+    _beta_action,
+    _beta_columns,
+    _escaping_product,
+    coefficient_ring,
+    lattice_from_generators,
+    zbeta,
+)
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
-from bftorus.polyring import RatPoly, format_poly
+from bftorus.kernels import solve_upper_cols
+from bftorus.polyring import RatPoly, discriminant, factorint, format_poly, square_part
 
 # ---------------------------------------------------------------------------
 # worked examples
@@ -519,6 +532,115 @@ def oracle_bf_refute(a, b, bound):
                 "BF-distinguished", witness=format_poly(coeffs), groups=groups
             )
     return EquivalenceVerdict("inconclusive", bound=bound)
+
+
+# ---------------------------------------------------------------------------
+# the order lattice by the transversal walk
+# ---------------------------------------------------------------------------
+
+
+def _divisors_from_factorization(fac):
+    divs = [1]
+    for p, e in sorted(fac.items()):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def _diag_tuples(d, n, d_fac):
+    """All (a_1..a_n) with a_i | d and product d^(n-1)."""
+    divs = _divisors_from_factorization(d_fac)
+    target = d ** (n - 1)
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == n:
+            if remaining == 1:
+                out.append(tuple(prefix))
+            return
+        slots = n - len(prefix)
+        for a in divs:
+            if remaining % a:
+                continue
+            # the rest can contribute at most d^(slots-1)
+            if remaining > a * d ** (slots - 1):
+                continue
+            rec(prefix + [a], remaining // a)
+
+    rec([], target)
+    return out
+
+
+def _candidate_columns(diag, d):
+    """Yield the upper-triangular HNF column sets with the given diagonal
+    (entries right of the pivot of row i in [0, a_i)) whose span
+    contains d·Zⁿ.  Column j is checked as soon as it is filled: d·e_j
+    lies in the span exactly when it lies in that of columns 0..j."""
+    n = len(diag)
+    cols = [[diag[j] if i == j else 0 for i in range(n)] for j in range(n)]
+
+    def fill(j, i):
+        if i == j:
+            lead = [c[: j + 1] for c in cols[: j + 1]]
+            if solve_upper_cols(lead, [d if r == j else 0 for r in range(j + 1)]) is None:
+                return
+            if j == n - 1:
+                yield [list(c) for c in cols]
+            else:
+                yield from fill(j + 1, 0)
+            return
+        for v in range(diag[i]):
+            cols[j][i] = v
+            yield from fill(j, i + 1)
+        cols[j][i] = 0
+
+    yield from fill(0, 0)
+
+
+def _oracle_contains(big, small):
+    """small ⊆ big, by Fraction solves against the basis of big."""
+    basis = [[Fraction(e, big.denom) for e in c] for c in big.cols]
+    for c in small.cols:
+        x = _express(basis, [Fraction(e, small.denom) for e in c])
+        if x is None or any(e.denominator != 1 for e in x):
+            return False
+    return True
+
+
+def oracle_order_lattice(field):
+    """(nodes, edges, min_index, max_index) of the order lattice by the
+    transversal walk.
+
+    With disc(p) = F²·Δ, every order R of index d over Z[b] has d | F,
+    and M = d·R is squeezed between d·Zⁿ and Zⁿ with index d^(n-1).
+    The walk tries every column-Hermite basis with that diagonal
+    product that contains d·Zⁿ, keeps those the Order constructor
+    accepts, sorts them as the library does, and takes the covering
+    pairs of Fraction containment.  Exponential in F: small F only.
+    """
+    n = field.n
+    found = [zbeta(field)]
+    mult_b = _beta_columns(field)
+    f_fac = factorint(square_part(discriminant(field.p))[0]) if n > 1 else {}
+    for d in _divisors_from_factorization(f_fac)[1:]:
+        for diag in _diag_tuples(d, n, factorint(d)):
+            for cols in _candidate_columns(diag, d):
+                if _beta_action(cols, mult_b) is None:
+                    continue
+                if _escaping_product(field, cols, d) is not None:
+                    continue
+                found.append(Order(field, d, cols))
+    nodes = sorted(found, key=lambda r: (1 / r.covolume(), r.denom, r.cols))
+    count = len(nodes)
+    incl = [[i != j and _oracle_contains(nodes[j], nodes[i]) for j in range(count)]
+            for i in range(count)]
+    edges = [
+        (i, j)
+        for i in range(count)
+        for j in range(count)
+        if incl[i][j] and not any(incl[i][k] and incl[k][j] for k in range(count))
+    ]
+    indices = [int(1 / r.covolume()) for r in nodes]
+    return nodes, edges, min(indices), max(indices)
 
 
 # ---------------------------------------------------------------------------
