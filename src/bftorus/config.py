@@ -4,9 +4,10 @@ Debug assertions enable expensive internal cross-checks: Cayley-Hamilton
 in ``char_poly_adjugate``; U·A·V = D and A·T = H with unimodular
 transforms; the Smith diagonal against |det| for BF groups; k-periodicity
 of the periodic-point generators; v·A = b·v for the dictionary
-eigenvector; the char poly of ``ideal_to_matrix``; the colon kernel rank;
-the trace-dual involution; the two characterizations of invertibility;
-the coefficient rings formed from the powers of A against
+eigenvector; the char poly of ``ideal_to_matrix``; (M : N)·N ⊆ M for
+every colon; the coefficient ring from the b-action against
+``colon(I, I)``; the trace-dual involution; the two characterizations of
+invertibility; the coefficient rings formed from the powers of A against
 ``coefficient_ring(matrix_to_ideal(A))``; and every enumerated order
 through the b-action and ring-closure checks of ``Order``.  They are
 controlled by the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or

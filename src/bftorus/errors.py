@@ -26,6 +26,10 @@ class FactorizationIncomplete(BFTorusError):
     """An integer could not be fully factored within the configured budget."""
 
 
+class BudgetExceeded(BFTorusError):
+    """An exhaustive search ran out of its candidate budget undecided."""
+
+
 class ZeroInverse(BFTorusError):
     """Attempted to invert the zero field element."""
 

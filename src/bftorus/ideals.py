@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .config import debug_asserts_enabled
 from .errors import NotASublattice, NotFullRank
-from .exactmat import _integer_inverse
+from .exactmat import _integer_inverse, power_table
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import parse_int_poly
@@ -383,51 +383,67 @@ def colon(m, n_lat):
     g = gcd(d_N·δ, entries of every d_M·X_j), the conditions read
     S_j·y ∈ s·Zⁿ for s = d_N·δ/g and S_j = d_M·X_j/g, the least common
     denominator cleared.  Writing D = |det S₁|, every admissible y lies
-    in (s/D)·Zⁿ, and the solutions are exactly
-    (s/D)·{k : S_j k ≡ 0 (D)}.  That kernel is read off the HNF
-    transform of [stack(S_j) | D·I].
+    in (s/D)·Zⁿ, and y = (s/D)·k is admissible exactly when k pairs
+    integrally with each e_i and each row of each S_j/D.  So the colon
+    is s·W* for W = span{D·e_i, rows of S_j mod D}: one HNF of n + n²
+    vectors with entries below D, without a transform.
     """
     m._require_same_field(n_lat)
     field = m.field
     nn = field.n
-    bcols = m.cols
-    delta = math.prod(bcols[i][i] for i in range(nn))
-    x_mats = []
-    g = n_lat.denom * delta
+    delta = math.prod(m.cols[i][i] for i in range(nn))
+    md = m.denom * delta
+    xs = []  # xs[j][k]: column k of d_M·X_j
     for col in n_lat.cols:
-        x = []
-        for mult_col in _mult_columns(field, col):
-            xc = solve_upper_cols(bcols, [delta * e for e in mult_col])
-            xc = [m.denom * e for e in xc]
-            g = math.gcd(g, *xc)
-            x.append(xc)
-        x_mats.append(x)
-    s = n_lat.denom * delta // g
-    # S_j as rows: S_j[i][k] = d_M·X_j[column k][i]/g
-    s_mats = [[[x[k][i] // g for k in range(nn)] for i in range(nn)] for x in x_mats]
-    d_det = abs(det_bareiss(s_mats[0]))
+        mult = _mult_columns(field, col)
+        xs.append([solve_upper_cols(m.cols, [md * e for e in c]) for c in mult])
+    g = math.gcd(n_lat.denom * delta, *(e for x in xs for c in x for e in c))
+    rows = [[x[k][i] // g for k in range(nn)] for x in xs for i in range(nn)]
+    d_det = abs(det_bareiss(rows[:nn]))
     if d_det == 0:
         raise AssertionError("colon condition matrix must be nonsingular")
-    # Stack all conditions S_j k ≡ 0 (mod D); entries only matter mod D.
-    stacked = []
-    for sm in s_mats:
-        stacked.extend([e % d_det for e in row] for row in sm)
-    rows = len(stacked)
-    cols = []
-    for j in range(nn):
-        cols.append([stacked[i][j] for i in range(rows)])
-    for i in range(rows):
-        cols.append([d_det if r == i else 0 for r in range(rows)])
-    h, t = hnf_cols(cols, transform=True)
-    kernel = [t[j][:nn] for j in range(len(h)) if not any(h[j])]
+    gens = [[d_det * (r == i) for r in range(nn)] for i in range(nn)]
+    gens += ([e % d_det for e in row] for row in rows)
+    out = _dual_lattice(field, gens, n_lat.denom * delta // g)
     if debug_asserts_enabled():
-        assert len(kernel) == nn, "colon kernel has wrong rank"
-    return ZLattice(field, d_det, [[s * e for e in k] for k in kernel])
+        assert m.contains_lattice(product(out, n_lat)), "(M : N)·N is not inside M"
+    return out
+
+
+def _dual_lattice(field, vecs, scale=1):
+    """scale·W*, W* = {y : w·y ∈ Z for w in W} the dual of the lattice W
+    the integer vectors span: with H an HNF basis of W, the columns of
+    (Hᵗ)⁻¹ span W*."""
+    h, _ = hnf_cols(vecs)
+    m, d = _integer_inverse([c for c in h if any(c)])
+    return ZLattice(field, abs(d), [[scale * e for e in c] for c in zip(*m)])
+
+
+def _power_ring(field, table) -> Order:
+    """{g(b) : g(X) integral} for ``table = power_table(X)``, X the
+    b-action on some lattice basis (or its transpose): g(X) = sum c_k X^k
+    is integral exactly when c pairs integrally with every entry vector
+    (X^0[i][j], ..., X^(n-1)[i][j]), so the ring is their dual."""
+    return Order._proven(_dual_lattice(field, [list(e) for row in table for e in row]))
 
 
 def coefficient_ring(ideal) -> Order:
-    """C(I) = (I : I), the largest order I is a module over."""
-    return colon(ideal, ideal).as_order()
+    """C(I) = (I : I), the largest order I is a module over: g(b)·I ⊆ I
+    exactly when g(X) is integral, X the b-action of I, so C(I) is
+    ``_power_ring`` of X.  NotASublattice when I is not b-stable."""
+    x = _beta_action(ideal.cols, _beta_columns(ideal.field))
+    if x is None:
+        raise NotASublattice("lattice is not stable under multiplication by b")
+    ring = _power_ring(ideal.field, power_table(x))
+    if debug_asserts_enabled():
+        assert ring == colon(ideal, ideal).as_order(), "ring of the b-action != (I : I)"
+    return ring
+
+
+def _joint_class(i, j):
+    """FractionalIdeal when both lattices are ideals, else ZLattice."""
+    both = isinstance(i, FractionalIdeal) and isinstance(j, FractionalIdeal)
+    return FractionalIdeal if both else ZLattice
 
 
 def product(i, j):
@@ -440,12 +456,7 @@ def product(i, j):
         mult = _mult_columns(field, a)
         for b in j.cols:
             cols.append([sum(mult[r][t] * b[r] for r in range(nn)) for t in range(nn)])
-    cls = (
-        FractionalIdeal
-        if isinstance(i, FractionalIdeal) and isinstance(j, FractionalIdeal)
-        else ZLattice
-    )
-    return cls(field, i.denom * j.denom, cols)
+    return _joint_class(i, j)(field, i.denom * j.denom, cols)
 
 
 def lattice_sum(i, j):
@@ -454,12 +465,7 @@ def lattice_sum(i, j):
     d = _lcm(i.denom, j.denom)
     cols = [[e * (d // i.denom) for e in c] for c in i.cols]
     cols += [[e * (d // j.denom) for e in c] for c in j.cols]
-    cls = (
-        FractionalIdeal
-        if isinstance(i, FractionalIdeal) and isinstance(j, FractionalIdeal)
-        else ZLattice
-    )
-    return cls(i.field, d, cols)
+    return _joint_class(i, j)(i.field, d, cols)
 
 
 def intersect(i, j):
@@ -477,12 +483,7 @@ def intersect(i, j):
         vecs.append(
             [sum(a_cols[j2][r] * combo[j2] for j2 in range(nn)) for r in range(nn)]
         )
-    cls = (
-        FractionalIdeal
-        if isinstance(i, FractionalIdeal) and isinstance(j, FractionalIdeal)
-        else ZLattice
-    )
-    return cls(i.field, d, vecs)
+    return _joint_class(i, j)(i.field, d, vecs)
 
 
 def _trace_dual_lattice(lattice):

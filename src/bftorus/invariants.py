@@ -50,7 +50,6 @@ from .exactmat import (
     eval_poly_at_matrix,
     mat_pow,
     power_table,
-    transpose,
 )
 from .ideals import (
     AbelianGroup,
@@ -58,14 +57,14 @@ from .ideals import (
     ZLattice,
     _beta_action,
     _beta_columns,
+    _power_ring,
     coefficient_ring,
     colon,
-    fractional_ideal,
     is_invertible,
     zbeta,
 )
-from .kernels import det_bareiss, hnf_cols, snf_diag, snf_rows
-from .numberfield import NumberField
+from .kernels import det_bareiss, mat_mul_rows, snf_diag, snf_rows
+from .numberfield import NumberField, _mult_columns
 from .polyring import (
     IntPoly,
     RatPoly,
@@ -219,7 +218,8 @@ def periodic_structure(a, k) -> PeriodicStructure:
 # the matrix <-> ideal dictionary
 
 def _row_eigenvector(field, a, adj):
-    """Row 0 of adj(beta.I - A): a nonzero v (entries in K) with v.A = beta.v.
+    """Row 0 of adj(beta.I - A): a nonzero v (entries in K) with v.A = beta.v,
+    each entry given by its integer power-basis coordinates.
 
     ``adj`` is [B_0, ..., B_{n-1}] with adj(xI - A) = sum_k x^k B_k (see
     ``exactmat.char_poly_adjugate``).  Since adj(beta.I - A)(beta.I - A)
@@ -228,15 +228,13 @@ def _row_eigenvector(field, a, adj):
     has beta^(n-1)-coordinate 1 because B_{n-1} = I, so v != 0.
     """
     n = field.n
-    v = [field.element([adj[k][0][j] for k in range(n)]) for j in range(n)]
+    vec = [[adj[k][0][j] for k in range(n)] for j in range(n)]
     if debug_asserts_enabled():
-        beta = field.beta()
+        v = [field.element(c) for c in vec]
         for i in range(n):
-            lhs = field.zero()
-            for j in range(n):
-                lhs = lhs + v[j] * a[j][i]
-            assert lhs == v[i] * beta, "v.A != beta.v"
-    return v
+            lhs = sum((v[j] * a[j][i] for j in range(n)), field.zero())
+            assert lhs == v[i] * field.beta(), "v.A != beta.v"
+    return vec
 
 
 def matrix_to_ideal(a) -> FractionalIdeal:
@@ -276,13 +274,13 @@ def _ideal_in(field, a, adj):
     vec = _row_eigenvector(field, a, adj)
     # Every entry is nonzero (a zero entry would cap the span at rank
     # n-1), so dividing by the first one picks a canonical point on the
-    # K-line of eigenvectors.
-    inv = vec[0].inverse()
-    raw = fractional_ideal(field, [z * inv for z in vec])
-    first_rational = Fraction(raw.cols[0][0], raw.denom)
-    if first_rational == 1:
-        return raw
-    return raw.scaled(1 / first_rational)
+    # K-line of eigenvectors: v_j/v_0 = Mult(v_0)^-1.v_j, the integer
+    # vector adj(Mult(v_0)).v_j over a scalar the rescale absorbs.  Fed
+    # columns as rows, _integer_inverse gives the transposed adjugate.
+    adj_t, _ = _integer_inverse(_mult_columns(field, vec[0]))
+    raw = ZLattice(field, 1, mat_mul_rows(vec, adj_t))
+    # The first HNF column spans the intersection with Q; rescale it to Z.
+    return FractionalIdeal._proven(ZLattice(field, raw.cols[0][0], raw.cols))
 
 
 def _matrix_ring(field, table) -> ZLattice:
@@ -292,14 +290,9 @@ def _matrix_ring(field, table) -> ZLattice:
     The entries of a row eigenvector v are a basis of the ideal I (up to
     the scalar ``matrix_to_ideal`` normalizes by, which leaves C(I)
     alone), and g(beta).v = v.g(A), so g(beta).I lies in I exactly when
-    g(A) is integral.  g(A) = sum_k c_k A^k is integral exactly when c pairs
-    integrally with every vector (A^0[i][j], ..., A^(n-1)[i][j]), so the
-    ring is the dual of the lattice those vectors span: with H a basis
-    of that lattice, the columns of (H^t)^-1.
+    g(A) is integral: C(I) is ``ideals._power_ring`` of A.
     """
-    h, _ = hnf_cols([list(e) for row in table for e in row])
-    m, d = _integer_inverse([c for c in h if any(c)])
-    ring = ZLattice(field, abs(d), transpose(m))
+    ring = _power_ring(field, table)
     if debug_asserts_enabled():
         a = [[e[1] for e in row] for row in table]
         got = coefficient_ring(matrix_to_ideal(a))

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import ReduciblePolynomial, ZeroInverse
-from .exactmat import char_poly
+from .exactmat import _integer_inverse, char_poly
 from .kernels import det_bareiss
 from .polyring import (
     IntPoly,
@@ -22,7 +22,6 @@ from .polyring import (
     parse_int_poly,
     parse_poly,
     poly_gcd,
-    poly_xgcd,
 )
 
 
@@ -217,14 +216,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/z = M(z)⁻¹·e_0 = d·M(d·z)⁻¹·e_0, d the least common
+        denominator, from the integer inverse of M(d·z) (as ``norm``)."""
         if self.is_zero():
             raise ZeroInverse("0 has no inverse in the field")
-        g = RatPoly(self.coords)
-        d, s, _ = poly_xgcd(g, self.field.p)
-        # p irreducible and g != 0 mod p, so the gcd is 1.
-        if d.degree != 0:
-            raise ZeroInverse(f"{self} is not invertible")
-        return self.field.from_poly(s * (1 / d.coeffs[0]))
+        d, scaled = self._cleared()
+        # Fed the columns of M(d·z) as rows, _integer_inverse inverts the
+        # transpose: M(d·z)⁻¹ = mᵗ/den, whose column 0 is row 0 of m.
+        m, den = _integer_inverse(_mult_columns(self.field, scaled))
+        return FieldElement(self.field, [Fraction(d * e, den) for e in m[0]])
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -12,7 +12,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import FactorizationIncomplete, NotMonic
+from .errors import BudgetExceeded, FactorizationIncomplete, NotMonic
 from .kernels import det_bareiss
 
 
@@ -568,6 +568,9 @@ def _int_divmod_monic(a, b):
     return quo, _strip(a)
 
 
+IRREDUCIBILITY_SEARCH_BUDGET = 50_000  # candidate factors tried at most
+
+
 def is_irreducible(p):
     """Exact irreducibility of a monic integer polynomial over Q.
 
@@ -575,7 +578,9 @@ def is_irreducible(p):
     first attacked by factor-degree patterns modulo several primes; if
     every prime leaves a possible proper factor degree, an exhaustive
     search over coefficient-bounded monic integer factors settles the
-    question.  The answer is always a proof, never a probability.
+    question.  The answer is always a proof, never a probability; a
+    search that would try more than IRREDUCIBILITY_SEARCH_BUDGET
+    candidates raises BudgetExceeded instead.
     """
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
@@ -588,17 +593,17 @@ def is_irreducible(p):
         return True
     if p.coeffs[0] == 0:
         return False  # x divides
-    # Repeated factors force reducibility at degree >= 2.
-    if poly_gcd(p, p.derivative()).degree > 0:
-        return False
-    # Rational (hence integer) roots.
+    # Rational (hence integer) roots.  Up to degree 3 a repeated factor
+    # is linear, so this also catches every p that is not squarefree.
     for r in _divisors(p.coeffs[0]):
         if p(r) == 0 or p(-r) == 0:
             return False
     if n <= 3:
         return True
 
-    disc = resultant(p, p.derivative())  # nonzero: p squarefree
+    disc = resultant(p, p.derivative())
+    if disc == 0:
+        return False  # a repeated factor
     possible = set(range(1, n))
     used = 0
     for prime in range(3, 200, 2):
@@ -622,11 +627,14 @@ def is_irreducible(p):
     const_choices = []
     for d0 in _divisors(p.coeffs[0]):
         const_choices.extend([d0, -d0])
+    tried = 0
     for k in candidates:
         for const in const_choices:
             for mid in itertools.product(range(-bound, bound + 1), repeat=k - 1):
-                cand = [const, *mid, 1]
-                _, rem = _int_divmod_monic(list(p.coeffs), cand)
+                tried += 1
+                if tried > IRREDUCIBILITY_SEARCH_BUDGET:
+                    raise BudgetExceeded(f"{p}: the factor search exceeds its budget")
+                _, rem = _int_divmod_monic(list(p.coeffs), [const, *mid, 1])
                 if not rem:
                     return False
     return True

@@ -7,7 +7,7 @@ import pytest
 
 from bftorus import cli
 
-from util import EX1_A, EX1_B, EX1_C, EX2_M, EX2_MP, I7_COLS
+from util import EX1_A, EX1_B, EX1_C, EX2_M, EX2_MP, I7_COLS, companion
 
 
 def run_cli(*argv):
@@ -203,6 +203,14 @@ class TestIdealVerb:
         code, out, _ = run_cli("ideal", "--matrix", mats["id3"])
         assert code == 2
         assert "ReduciblePolynomial" in out
+
+    def test_irreducibility_budget_exit_2(self, mats):
+        # x^8+1 is reducible mod every prime: only the budgeted search is left.
+        phi16 = companion([1, 0, 0, 0, 0, 0, 0, 0, 1])
+        path = write_matrix(mats["dir"], "phi16.txt", phi16)
+        code, out, _ = run_cli("ideal", "--matrix", path)
+        assert code == 2
+        assert "BudgetExceeded" in out
 
     def test_json_error_form(self, mats):
         code, out, _ = run_cli(

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import bftorus.ideals
 from bftorus.errors import NotASublattice, NotFullRank
 from bftorus.ideals import (
     AbelianGroup,
@@ -30,6 +31,7 @@ from bftorus.ideals import (
     trace_dual,
     zbeta,
 )
+from bftorus.kernels import hnf_cols
 from bftorus.numberfield import NumberField
 from bftorus.polyring import IntPoly
 
@@ -388,3 +390,17 @@ class TestLatticeOps:
         assert small.index_in(big) == 27
         with pytest.raises(NotASublattice):
             big.index_in(small)
+
+
+def test_colon_and_ring_build_no_transform(K, zb, I, J, monkeypatch):
+    requested = []
+
+    def recording(cols, transform=False):
+        requested.append(transform)
+        return hnf_cols(cols, transform)
+
+    monkeypatch.setattr(bftorus.ideals, "hnf_cols", recording)
+    colon(zb, I)
+    colon(I, J)
+    coefficient_ring(J)
+    assert requested and not any(requested)

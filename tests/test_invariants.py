@@ -42,7 +42,7 @@ from bftorus.invariants import (
     strong_bf_refute,
     suspension_h1,
 )
-from bftorus.numberfield import NumberField
+from bftorus.numberfield import FieldElement, NumberField
 from bftorus.polyring import IntPoly, is_irreducible, parse_rat_poly
 
 from util import (
@@ -245,7 +245,7 @@ class TestDictionary:
         a = random_irreducible_matrix(random.Random(seed), n)
         p, adj = char_poly_adjugate(a)
         field = NumberField(p)
-        v = _row_eigenvector(field, a, adj)
+        v = [field.element(c) for c in _row_eigenvector(field, a, adj)]
         w = oracle_row_eigenvector(field, a)
         # one K-line of row eigenvectors
         assert all(v[j] * w[0] == w[j] * v[0] for j in range(n))
@@ -275,6 +275,24 @@ class TestDictionary:
                 _row_eigenvector(NumberField(IntPoly(P_CUBIC)), EX1_A, adj_b)
         finally:
             set_debug_asserts(saved)
+
+    def test_matrix_to_ideal_builds_no_field_element(self, monkeypatch):
+        built = []
+        init = FieldElement.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        saved = debug_asserts_enabled()
+        set_debug_asserts(False)
+        monkeypatch.setattr(FieldElement, "__init__", counting)
+        try:
+            for a in (EX1_A, EX1_C, EX2_M):
+                matrix_to_ideal(a)
+        finally:
+            set_debug_asserts(saved)
+        assert built == []
 
     def test_unstable_lattice_rejected(self):
         K = NumberField(IntPoly(P_CUBIC))

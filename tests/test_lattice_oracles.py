@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftorus.errors import NonIntegralResult
+from bftorus.errors import NonIntegralResult, NotASublattice
 from bftorus.ideals import (
     Order,
     ZLattice,
     _trace_dual_lattice,
     coefficient_ring,
     colon,
+    lattice_from_generators,
     trace_dual,
     zbeta,
 )
@@ -75,6 +76,32 @@ def _random_lattice(rng, field):
         cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         if oracle_char_poly(cols)[0]:  # nonsingular
             return ZLattice(field, rng.randint(1, 6), cols)
+
+
+def _lattice_with_denominator(rng, field, stable):
+    """A random lattice with denominator > 1, b-stable exactly when
+    ``stable`` (as the oracle's b-action decides)."""
+    while True:
+        lattice = _random_lattice(rng, field)
+        if stable:
+            gens = lattice.basis_elements()
+            lattice = lattice_from_generators(field, gens, module_closure=True)
+        if lattice.denom > 1 and (oracle_ideal_to_matrix(lattice) is not None) == stable:
+            return lattice
+
+
+def _sublattice(rng, lattice):
+    """The lattice spanned by random nonsingular integer combinations of
+    the basis of ``lattice``, so contained in it."""
+    n = lattice.n
+    while True:
+        combos = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if oracle_char_poly(combos)[0]:
+            cols = [
+                [sum(c[k] * lattice.cols[k][r] for k in range(n)) for r in range(n)]
+                for c in combos
+            ]
+            return ZLattice(lattice.field, lattice.denom, cols)
 
 
 def _non_maximal_field(rng, n):
@@ -129,6 +156,37 @@ def test_random_lattices_against_oracles(seed, n):
     _check_dictionary(first)
     # trace_dual itself requires an ideal; the lattice step does not.
     assert _trace_dual_lattice(first) == oracle_trace_dual(first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, DEGREES, st.booleans(), st.booleans())
+def test_colon_against_oracle(seed, n, m_stable, n_inside):
+    # M b-stable or not; N inside M or not; both with denominators.
+    rng = random.Random(seed)
+    field = _random_field(rng, n)
+    big = _lattice_with_denominator(rng, field, m_stable)
+    if n_inside:
+        small = _sublattice(rng, big)
+    else:
+        small = _lattice_with_denominator(rng, field, rng.random() < 0.5)
+        while big.contains_lattice(small):
+            small = _lattice_with_denominator(rng, field, rng.random() < 0.5)
+    assert colon(big, small) == oracle_colon(big, small)
+    assert colon(small, big) == oracle_colon(small, big)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, DEGREES)
+def test_coefficient_ring_against_oracle(seed, n):
+    rng = random.Random(seed)
+    field = _random_field(rng, n)
+    ideal = _lattice_with_denominator(rng, field, True)
+    ring = coefficient_ring(ideal)
+    assert isinstance(ring, Order)
+    assert ring == oracle_colon(ideal, ideal)
+    # A lattice that is not b-stable has no coefficient ring over Z[b].
+    with pytest.raises(NotASublattice, match="not stable under multiplication by b"):
+        coefficient_ring(_lattice_with_denominator(rng, field, False))
 
 
 def _check_order_lattice(field, lattice):

@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bftorus.errors import ReduciblePolynomial, ZeroInverse
 from bftorus.exactmat import char_poly
 from bftorus.ideals import FractionalIdeal
 from bftorus.invariants import ideal_to_matrix
 from bftorus.numberfield import NumberField, multiplication_matrix
-from bftorus.polyring import IntPoly, parse_int_poly, resultant
+from bftorus.polyring import IntPoly, RatPoly, parse_int_poly, poly_xgcd, resultant
 
 from util import I7_COLS, P_CUBIC, random_admissible_poly
 
@@ -99,6 +101,34 @@ class TestMultiplicationMatrix:
         m = multiplication_matrix(K.one())
         n = K.n
         assert m == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+# Eisenstein at 2 (every lower coefficient even, the constant 2 mod 4),
+# so irreducible: fields of degree 1..5.
+EISENSTEIN = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from([-6, -2, 2, 6]),
+        st.lists(st.integers(-3, 3).map(lambda c: 2 * c), min_size=n - 1, max_size=n - 1),
+    )
+).map(lambda t: [t[0], *t[1], 1])
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(EISENSTEIN, st.data())
+def test_inverse_against_xgcd(coeffs, data):
+    field = NumberField(IntPoly(coeffs))
+    n = field.n
+    z = field.element(data.draw(st.lists(FRACTIONS, min_size=n, max_size=n)))
+    if z.is_zero():
+        with pytest.raises(ZeroInverse):
+            z.inverse()
+        return
+    # s·z + t·p = d, d a nonzero constant, so 1/z = s/d mod p
+    d, s, _ = poly_xgcd(RatPoly(z.coords), field.p)
+    assert d.degree == 0
+    assert z.inverse() == field.from_poly(s * (1 / d.coeffs[0]))
+    assert z * z.inverse() == field.one()
 
 
 class TestTraceAndNorm:

@@ -1,10 +1,14 @@
 """Integer/rational polynomial arithmetic and the number-theory helpers."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftorus.errors import NotMonic
+import bftorus.polyring
+from bftorus.errors import BudgetExceeded, NotMonic
 from bftorus.polyring import (
     IntPoly,
     RatPoly,
@@ -21,7 +25,7 @@ from bftorus.polyring import (
     square_part,
 )
 
-from util import P_CUBIC, P_QUAD, oracle_irreducible
+from util import P_CUBIC, P_QUAD, _poly_mul, oracle_irreducible
 
 
 P = IntPoly(P_CUBIC)  # x^3 - 23x^2 + 7x - 1
@@ -180,6 +184,47 @@ class TestIrreducibility:
     def test_requires_monic(self):
         with pytest.raises(NotMonic):
             is_irreducible(IntPoly([1, 0, 2]))
+
+    def test_no_rational_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_irreducible called poly_gcd")
+
+        monkeypatch.setattr(bftorus.polyring, "poly_gcd", refuse)
+        assert not is_irreducible(IntPoly([1, 0, 2, 0, 1]))  # (x^2+1)^2
+        assert not is_irreducible(IntPoly([4, -4, 1]))  # (x-2)^2
+        assert is_irreducible(IntPoly([1, -7, 0, -7, 1]))
+        assert is_irreducible(P)
+
+    def test_search_budget(self):
+        # x^8+1 (the 16th cyclotomic polynomial) is reducible mod every
+        # prime, so only the exhaustive search could settle it, over about
+        # 4·10^7 candidate factors.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="x\\^8\\+1"):
+            is_irreducible(IntPoly([1, 0, 0, 0, 0, 0, 0, 0, 1]))
+        assert time.perf_counter() - start < 2
+
+
+def _monic(degree):
+    return st.lists(st.integers(-5, 5), min_size=degree, max_size=degree).map(
+        lambda c: c + [1]
+    )
+
+
+# f^2, f^2·g and x·f at degrees 2..6: reducible, with a repeated factor
+# or the root 0, which is what the early exits must catch.
+SQUARES = st.integers(1, 3).flatmap(_monic).map(lambda f: _poly_mul(f, f))
+SQUARES_TIMES = st.integers(1, 2).flatmap(
+    lambda d: st.tuples(_monic(d), st.integers(1, 6 - 2 * d).flatmap(_monic))
+).map(lambda fg: _poly_mul(_poly_mul(fg[0], fg[0]), fg[1]))
+ZERO_ROOT = st.integers(1, 5).flatmap(_monic).map(lambda f: [0] + f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(SQUARES, SQUARES_TIMES, ZERO_ROOT))
+def test_repeated_factor_or_zero_root_against_oracle(coeffs):
+    assert 2 <= len(coeffs) - 1 <= 6
+    assert is_irreducible(IntPoly(coeffs)) == oracle_irreducible(coeffs)
 
 
 class TestParsing:

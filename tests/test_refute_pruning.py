@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bftorus.invariants as inv
-from bftorus.errors import FactorizationIncomplete
+from bftorus.errors import BudgetExceeded, FactorizationIncomplete
 from bftorus.invariants import bf_refute, strong_bf_refute
 from bftorus.polyring import is_irreducible
 
@@ -119,6 +119,14 @@ def test_factorization_fallback_keeps_verdicts(monkeypatch):
     assert [bf_refute(a, b, 2) for a, b in pairs] == before
     assert failing.calls >= 4  # every irreducible pair took the |disc| path
     assert bf_refute(F1_A, F1_B, 2) == oracle_bf_refute(F1_A, F1_B, 2)
+
+
+def test_irreducibility_budget_is_not_a_factorization_fallback():
+    # The budgeted irreducibility search of x^8+1 gives up; that must
+    # reach the caller, not pass for a reducible p or a failed factoring.
+    phi16 = companion([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(BudgetExceeded):
+        bf_refute(phi16, phi16, 1)
 
 
 def test_square_free_discriminant_answers_at_once(monkeypatch):

@@ -229,12 +229,32 @@ def _divisors(n):
     return small + large[::-1]
 
 
+def _has_repeated_factor(coeffs):
+    """gcd(p, p') over Q has positive degree, by Euclid's algorithm on
+    Fraction coefficient lists (constant first)."""
+    a = [Fraction(c) for c in coeffs]
+    b = [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            a = [x - f * b[i - shift] if i >= shift else x for i, x in enumerate(a)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) > 1
+
+
 def oracle_irreducible(coeffs):
-    """Exact irreducibility over Q for monic integer polys, degree <= 4.
+    """Exact irreducibility over Q for monic integer polys.
 
     Degrees 2-3 reduce to the rational root theorem; a rootless quartic
     factors only as two monic quadratics, found by enumerating divisor
-    pairs of the constant term.
+    pairs of the constant term.  Degrees 5 and up are decided only when
+    there is a rational root or a repeated factor (a Fraction gcd of p
+    and p'); otherwise ValueError.
     """
     deg = len(coeffs) - 1
     assert coeffs[deg] == 1 and deg >= 1
@@ -272,7 +292,9 @@ def oracle_irreducible(coeffs):
                         if disc >= 0 and math.isqrt(disc) ** 2 == disc:
                             return False
         return True
-    raise ValueError("oracle only handles degree <= 4")
+    if _has_repeated_factor(coeffs):
+        return False
+    raise ValueError("oracle only decides squarefree polys of degree <= 4")
 
 
 def oracle_adjugate(rows):
