@@ -8,8 +8,11 @@ eigenvector; the char poly of ``ideal_to_matrix``; (M : N)·N ⊆ M for
 every colon; the coefficient ring from the b-action against
 ``colon(I, I)``; the trace-dual involution; the two characterizations of
 invertibility; the coefficient rings formed from the powers of A against
-``coefficient_ring(matrix_to_ideal(A))``; and every enumerated order
-through the b-action and ring-closure checks of ``Order``.  They are
+``coefficient_ring(matrix_to_ideal(A))``; an inconclusive verdict that
+``bf_refute`` gives without a search, because both ideals are invertible
+over one ring, against the full search; the invertibility of an ideal
+whose ring is Z[b]; and every enumerated order through the b-action and
+ring-closure checks of ``Order``.  They are
 controlled by the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or
 programmatically via :func:`set_debug_asserts`.
 """

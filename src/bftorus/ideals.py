@@ -469,21 +469,13 @@ def lattice_sum(i, j):
 
 
 def intersect(i, j):
-    """I ∩ J via the kernel of the pasted basis matrix [A | -C]."""
+    """I ∩ J = (I* + J*)*, with * the dual under the coordinate dot
+    product: (1/d)·B has the dual d·(Bᵗ)⁻¹Zⁿ, which ``_dual_lattice``
+    forms without a transform."""
     i._require_same_field(j)
-    nn = i.field.n
-    d = _lcm(i.denom, j.denom)
-    a_cols = [[e * (d // i.denom) for e in c] for c in i.cols]
-    c_cols = [[e * (d // j.denom) for e in c] for c in j.cols]
-    paste = [list(c) for c in a_cols] + [[-e for e in c] for c in c_cols]
-    h, t = hnf_cols(paste, transform=True)
-    combos = [t[k][:nn] for k in range(len(h)) if not any(h[k])]
-    vecs = []
-    for combo in combos:
-        vecs.append(
-            [sum(a_cols[j2][r] * combo[j2] for j2 in range(nn)) for r in range(nn)]
-        )
-    return _joint_class(i, j)(i.field, d, vecs)
+    field = i.field
+    s = lattice_sum(*(_dual_lattice(field, x.cols, x.denom) for x in (i, j)))
+    return _joint_class(i, j)._proven(_dual_lattice(field, s.cols, s.denom))
 
 
 def _trace_dual_lattice(lattice):
@@ -518,9 +510,22 @@ def trace_dual(ideal) -> "FractionalIdeal":
     return out.as_ideal()
 
 
+def _invertibility_index(ideal, ring) -> int:
+    """[R : I·(R:I)] for the order R, 1 exactly when I is invertible over
+    R.  (R:I)·I ⊆ R always, so the index is the ratio of covolumes, read
+    off the HNF diagonals."""
+    inner = product(ideal, colon(ring, ideal))
+    n = ring.n
+    num = math.prod(inner.cols[k][k] for k in range(n)) * ring.denom**n
+    den = math.prod(ring.cols[k][k] for k in range(n)) * inner.denom**n
+    index, rem = divmod(num, den)
+    assert not rem, "I·(R:I) is not inside R"
+    return index
+
+
 def is_invertible(ideal, ring) -> bool:
     """True when I·(R:I) = R (I invertible over the order R)."""
-    result = product(ideal, colon(ring, ideal)) == ring
+    result = _invertibility_index(ideal, ring) == 1
     if debug_asserts_enabled():
         alt = coefficient_ring(ideal) == ring and is_divisorial(ideal, ring)
         assert result == alt, "invertibility characterizations disagree"

@@ -57,6 +57,7 @@ from .ideals import (
     ZLattice,
     _beta_action,
     _beta_columns,
+    _invertibility_index,
     _power_ring,
     coefficient_ring,
     colon,
@@ -440,7 +441,7 @@ def _cyclic_remainders(p, bound):
         yield tuple(r)
 
 
-def _refutation_candidates(p, field, tables, bound):
+def _refutation_candidates(p, rings, bound):
     """The documented candidate list, deduplicated mod p.
 
     Yields (d, r, coeffs): the candidate g has coefficients ``coeffs``
@@ -456,9 +457,9 @@ def _refutation_candidates(p, field, tables, bound):
     coordinates in max-norm shells 1..bound, first nonzero coordinate
     positive, constants skipped (they never distinguish).  Only the
     cyclic candidates need reducing; the other two kinds already have
-    degree < deg p.  ``tables`` holds the power tables of both
-    matrices; ``field`` is the number field of p, or None when p is
-    reducible or of degree < 2, and then there are no rings.
+    degree < deg p.  ``rings`` holds the coefficient rings of both
+    matrices (``_matrix_ring``), and is empty when p is reducible or of
+    degree < 2.
     """
     seen = set()
 
@@ -472,12 +473,11 @@ def _refutation_candidates(p, field, tables, bound):
         if fresh(1, r):
             yield 1, r, IntPoly.cyclic(k).coeffs
     n = p.degree
-    if field is not None:
-        for table in tables:
-            for z in _matrix_ring(field, table).basis_elements():
-                d, r = _scaled_coords(z.coords, n)
-                if d != 1 and fresh(d, r):
-                    yield d, r, z.coords
+    for ring in rings:
+        for z in ring.basis_elements():
+            d, r = _scaled_coords(z.coords, n)
+            if d != 1 and fresh(d, r):
+                yield d, r, z.coords
     for radius in range(1, bound + 1):
         for tup in itertools.product(range(-radius, radius + 1), repeat=n):
             if max(abs(c) for c in tup) != radius:
@@ -509,6 +509,18 @@ def _group_or_none(table, d, r):
         return None
 
 
+def _matrix_invertibility_index(field, ring, a):
+    """[R : I·(R:I)] for the ideal I of ``a`` and R = C(I), taken as 1
+    without forming I when R = Z[beta]: Z[beta] is Gorenstein, so every
+    ideal whose coefficient ring it is is invertible over it."""
+    gorenstein = ring == zbeta(field)
+    if gorenstein and not debug_asserts_enabled():
+        return 1
+    index = _invertibility_index(_ideal_in(field, a, char_poly_adjugate(a)[1]), ring)
+    assert index == 1 or not gorenstein, "an ideal with ring Z[beta] is not invertible"
+    return index
+
+
 def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     """Search for a g with BF_g(A) != BF_g(B).
 
@@ -520,28 +532,56 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     same powers (``_matrix_ring``).
 
     Candidates that provably cannot distinguish are skipped.  Let p be
-    irreducible of degree >= 2 and disc(p) = F^2 * Delta with Delta
-    square-free.  The index [Z_K : Z[beta]] squared divides disc(p),
-    so every prime l of the index divides F.  For l not dividing F the
-    local ring Z[beta]_l is maximal, hence a PID, so the ideal I of a
-    matrix has I_l isomorphic to Z[beta]_l, and the l-part of
-    BF_g(A) = I/g(beta)I is that of Z[beta]/g(beta)Z[beta] for every
-    matrix with char poly p.  Both groups have order |det g(A)| (when
-    det g(A) = 0, g(beta) = 0 and g(A) = g(B) = 0), so an integral g
-    with gcd(det g(A), F) = 1 gives isomorphic groups and is skipped
-    without a Smith form.  When F = 1 every integral g is
-    skipped and Z[beta] = Z_K is the coefficient ring of both sides,
-    so no candidate has a denominator: the verdict is inconclusive at
-    once.  If factoring disc(p) fails, |disc(p)| stands in for F; the
-    primes of the index divide it too, so the skip stays sound.
+    irreducible of degree >= 2, I and J the ideals of A and B.  The row
+    eigenvector v of A maps Z^n onto I by c -> v.c, and v.g(A).c =
+    g(beta).v.c, so BF_g(A) = I/g(beta)I, and g(A) is integral exactly
+    when g(beta) lies in C(I).  Both groups have order |N(g(beta))| =
+    |det g(A)| = |det g(B)|; when that is 0, g(beta) = 0 and
+    g(A) = g(B) = 0.  A finite abelian group is the sum of its l-parts,
+    and the l-part of I/xI is that of I_l/xI_l, over the localisation
+    at l.  So an integral g (g(beta) in Z[beta]) gives isomorphic groups
+    as soon as I_l and J_l are isomorphic over a ring containing g(beta)
+    at every prime l dividing det g(A).  Two steps find such primes.
+
+    1. Let disc(p) = F^2 * Delta with Delta square-free.  The index
+       [Z_K : Z[beta]] squared divides disc(p), so every prime l of the
+       index divides F.  For l not dividing F the local ring Z[beta]_l
+       is maximal, hence a PID, so I_l and J_l are both isomorphic to
+       Z[beta]_l.  When F = 1 every integral g is skipped and Z[beta] =
+       Z_K is the coefficient ring of both sides, so no candidate has a
+       denominator: the verdict is inconclusive at once.  If factoring
+       disc(p) fails, |disc(p)| stands in for F; the primes of the
+       index divide it too.
+    2. When C(I) = C(J) = R, let N_I = [R : I.(R:I)] and N_J likewise,
+       and F' = N_I * N_J.  For l not dividing N_I, I_l.(R_l : I_l) =
+       R_l, so I_l is an invertible ideal of R_l.  R_l is semilocal
+       (its maximal ideals lie over l), and an invertible ideal of a
+       semilocal ring is principal, so I_l = alpha.R_l is isomorphic to
+       R_l over R_l, as is J_l for l not dividing N_J.  So every g with
+       g(beta) in R - every integral g, and every g with g(A) integral -
+       gives isomorphic l-parts at the primes l not dividing F'.  An
+       integral g with gcd(det g(A), F') = 1 is skipped.  When F' = 1
+       no candidate can distinguish: one with g(A) integral has g(B)
+       integral too (both rings are R) and isomorphic groups, and one
+       with g(A) not integral is not integral on either side; so the
+       verdict is inconclusive at once.  When R = Z[beta], N = 1 needs
+       no computing: Z[beta] is Gorenstein, so every ideal whose
+       coefficient ring it is is invertible over it.  When the rings
+       differ, a basis element of one that is not in the other is a
+       candidate integral on one side only, and the search runs with
+       the skip of step 1.
+
     Candidates with denominators, and every candidate of a reducible
     p, are always evaluated.  A skipped candidate never distinguishes,
     so the witness and its groups are those of the unpruned search.
+    With debug assertions on, an answer of step 2 without a search is
+    checked against the full search.
     """
     p = _require_same_char_poly(a, b)
     bound = operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    rings = ()
     field = f = None
     if p.degree >= 2:
         try:
@@ -552,13 +592,31 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
             f = _index_multiple(p)
             if f == 1:
                 return EquivalenceVerdict("inconclusive", bound=bound)
-    table_a = power_table(a)
-    table_b = power_table(b)
-    for d, r, coeffs in _refutation_candidates(p, field, (table_a, table_b), bound):
+    tables = (power_table(a), power_table(b))
+    if field is not None:
+        rings = tuple(_matrix_ring(field, table) for table in tables)
+        if rings[0] == rings[1]:
+            f = _matrix_invertibility_index(field, rings[0], a)
+            f *= _matrix_invertibility_index(field, rings[0], b)
+            if f == 1:
+                verdict = EquivalenceVerdict("inconclusive", bound=bound)
+                if debug_asserts_enabled():
+                    full = _search(p, tables, rings, bound, None)
+                    assert full == verdict, "equal invertible ideals were distinguished"
+                return verdict
+    return _search(p, tables, rings, bound, f)
+
+
+def _search(p, tables, rings, bound, f):
+    """bf_refute's loop over ``_refutation_candidates``, skipping the
+    integral g with gcd(det g(A), f) = 1; f = None evaluates every
+    candidate."""
+    table_a, table_b = tables
+    for d, r, coeffs in _refutation_candidates(p, rings, bound):
         if d == 1 and f is not None:
             mat_a = eval_at_power_table(table_a, 1, r)
             if math.gcd(det_bareiss(mat_a), f) == 1:
-                continue  # |det g(B)| = |det g(A)|, prime to the index
+                continue  # |det g(B)| = |det g(A)|, prime to f
             group_a = _cokernel(mat_a)
         else:
             group_a = _group_or_none(table_a, d, r)

@@ -6,7 +6,6 @@ Coefficients are stored constant-term first with no trailing zeros, so
 the zero polynomial is the empty tuple and ``degree`` of zero is -1.
 """
 
-import itertools
 import math
 import operator
 import re
@@ -385,6 +384,30 @@ def _pollard_brent(n, rng_state=1):
     return g if g != n else None
 
 
+def _trial_division(n, bound):
+    """(factors, m) with n = m·prod(q^e) for ``factors`` a dict q -> e of
+    the primes q <= bound dividing n > 0; m is 1, a prime, or has no
+    prime factor <= bound."""
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    w = 0
+    while f * f <= n and f <= bound:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += wheel[w]
+        w = (w + 1) % 8
+    if n > 1 and f * f > n:
+        out[n] = out.get(n, 0) + 1
+        n = 1
+    return out, n
+
+
 def factorint(n, trial_bound=TRIAL_DIVISION_BOUND):
     """Full factorization of |n| as a dict prime -> exponent.
 
@@ -395,24 +418,8 @@ def factorint(n, trial_bound=TRIAL_DIVISION_BOUND):
     n = abs(int(n))
     if n == 0:
         raise ValueError("cannot factor 0")
-    out = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while f * f <= n and f <= trial_bound:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += wheel[w]
-        w = (w + 1) % 8
+    out, n = _trial_division(n, trial_bound)
     if n == 1:
-        return out
-    if f * f > n:
-        out[n] = out.get(n, 0) + 1
         return out
     stack = [n]
     while stack:
@@ -568,7 +575,85 @@ def _int_divmod_monic(a, b):
     return quo, _strip(a)
 
 
-IRREDUCIBILITY_SEARCH_BUDGET = 50_000  # candidate factors tried at most
+IRREDUCIBILITY_SEARCH_BUDGET = 50_000  # factor values tried at most
+
+
+def _signed_divisors(n):
+    """Every divisor of the nonzero integer n, both signs, smallest first;
+    None unless trial division up to 10^4 leaves 1 or a proven prime."""
+    fac, m = _trial_division(abs(n), 10**4)
+    if m > 1:
+        try:
+            if not _is_prime(m):
+                return None
+        except FactorizationIncomplete:
+            return None
+        fac[m] = 1
+    divs = [1]
+    for q, e in fac.items():
+        divs = [d * q**i for d in divs for i in range(e + 1)]
+    return [s * d for d in sorted(divs) for s in (1, -1)]
+
+
+def _kronecker_points(p, k):
+    """k integer points x with the divisors of p(x), those with the
+    fewest divisors first, out of |x| <= deg p; BudgetExceeded when fewer
+    than k of those values can be factored.  p has no integer root, so
+    p(x) != 0."""
+    ranked = []
+    for x in sorted(range(-p.degree, p.degree + 1), key=abs):
+        divs = _signed_divisors(p(x))
+        if divs is not None:
+            ranked.append((len(divs), len(ranked), x, divs))
+    if len(ranked) < k:
+        raise BudgetExceeded(f"{p}: too few values factor for the factor search")
+    ranked.sort()
+    return [(x, divs) for _, _, x, divs in ranked[:k]]
+
+
+def _kronecker_factor(p, k, tried):
+    """A monic integer factor of p of degree k, or None; ``tried`` is the
+    one-element list counting the factor values tried against
+    IRREDUCIBILITY_SEARCH_BUDGET.
+
+    Kronecker's method: a monic h of degree k is fixed by its values v_i
+    at k distinct integer points x_i, and h | p forces v_i | p(x_i).  h
+    is integral exactly when its Newton coefficients
+    c_j = (v_j - h_(j-1)(x_j)) / prod_(i<j) (x_j - x_i) are integers,
+    h_(j-1) the interpolant of the first j values, so a value that leaves
+    c_j fractional is cut before the later points are tried.
+    """
+    points = _kronecker_points(p, k)
+    xs = [x for x, _ in points]
+    newton = []
+
+    def extend(j):
+        if j == k:
+            h = [1]  # h = c_0 + (x - x_0)(c_1 + ... (c_(k-1) + (x - x_(k-1))))
+            for i in range(k - 1, -1, -1):
+                h = [newton[i] - xs[i] * h[0]] + [
+                    a - xs[i] * b for a, b in zip(h, h[1:])
+                ] + [h[-1]]
+            return h if not _int_divmod_monic(p.coeffs, h)[1] else None
+        base = 0  # h_(j-1)(x_j), by Horner on the Newton form
+        for i in range(j - 1, -1, -1):
+            base = base * (xs[j] - xs[i]) + newton[i]
+        step = math.prod(xs[j] - xs[i] for i in range(j))
+        for v in points[j][1]:
+            tried[0] += 1
+            if tried[0] > IRREDUCIBILITY_SEARCH_BUDGET:
+                raise BudgetExceeded(f"{p}: the factor search exceeds its budget")
+            c, rem = divmod(v - base, step)
+            if rem:
+                continue
+            newton.append(c)
+            found = extend(j + 1)
+            if found is not None:
+                return found
+            newton.pop()
+        return None
+
+    return extend(0)
 
 
 def is_irreducible(p):
@@ -576,11 +661,12 @@ def is_irreducible(p):
 
     Degree <= 3 falls to the rational root theorem.  Higher degrees are
     first attacked by factor-degree patterns modulo several primes; if
-    every prime leaves a possible proper factor degree, an exhaustive
-    search over coefficient-bounded monic integer factors settles the
-    question.  The answer is always a proof, never a probability; a
-    search that would try more than IRREDUCIBILITY_SEARCH_BUDGET
-    candidates raises BudgetExceeded instead.
+    every prime leaves a possible proper factor degree, Kronecker's
+    exhaustive search for a monic integer factor of each such degree
+    (``_kronecker_factor``) settles the question.  The answer is always
+    a proof, never a probability; a search that would try more than
+    IRREDUCIBILITY_SEARCH_BUDGET factor values raises BudgetExceeded
+    instead.
     """
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
@@ -620,23 +706,12 @@ def is_irreducible(p):
     if not candidates:
         return True
 
-    # Exhaustive search for a monic factor of each remaining degree; the
-    # coefficient bound is a (loose) Mignotte bound, so absence is a proof.
-    norm = math.isqrt(sum(c * c for c in p.coeffs)) + 1
-    bound = math.comb(n, n // 2) * norm
-    const_choices = []
-    for d0 in _divisors(p.coeffs[0]):
-        const_choices.extend([d0, -d0])
-    tried = 0
+    # A monic rational factor of a monic integer polynomial is integral
+    # (Gauss), so finding none of any open degree is a proof.
+    tried = [0]
     for k in candidates:
-        for const in const_choices:
-            for mid in itertools.product(range(-bound, bound + 1), repeat=k - 1):
-                tried += 1
-                if tried > IRREDUCIBILITY_SEARCH_BUDGET:
-                    raise BudgetExceeded(f"{p}: the factor search exceeds its budget")
-                _, rem = _int_divmod_monic(list(p.coeffs), [const, *mid, 1])
-                if not rem:
-                    return False
+        if _kronecker_factor(p, k, tried) is not None:
+            return False
     return True
 
 

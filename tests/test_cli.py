@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import bftorus.polyring
 from bftorus import cli
 
 from util import EX1_A, EX1_B, EX1_C, EX2_M, EX2_MP, I7_COLS, companion
@@ -204,8 +205,10 @@ class TestIdealVerb:
         assert code == 2
         assert "ReduciblePolynomial" in out
 
-    def test_irreducibility_budget_exit_2(self, mats):
-        # x^8+1 is reducible mod every prime: only the budgeted search is left.
+    def test_irreducibility_budget_exit_2(self, mats, monkeypatch):
+        # x^8+1 is reducible mod every prime: only the budgeted search is
+        # left, and it needs about a hundred factor values.
+        monkeypatch.setattr(bftorus.polyring, "IRREDUCIBILITY_SEARCH_BUDGET", 50)
         phi16 = companion([1, 0, 0, 0, 0, 0, 0, 0, 1])
         path = write_matrix(mats["dir"], "phi16.txt", phi16)
         code, out, _ = run_cli("ideal", "--matrix", path)

@@ -25,10 +25,11 @@ from bftorus.polyring import (
     square_part,
 )
 
-from util import P_CUBIC, P_QUAD, _poly_mul, oracle_irreducible
+from util import P_CUBIC, P_QUAD, _poly_mul, oracle_box_irreducible, oracle_irreducible
 
 
 P = IntPoly(P_CUBIC)  # x^3 - 23x^2 + 7x - 1
+PHI16 = IntPoly([1, 0, 0, 0, 0, 0, 0, 0, 1])  # x^8 + 1
 
 
 class TestArithmetic:
@@ -195,14 +196,35 @@ class TestIrreducibility:
         assert is_irreducible(IntPoly([1, -7, 0, -7, 1]))
         assert is_irreducible(P)
 
-    def test_search_budget(self):
+    def test_search_budget(self, monkeypatch):
         # x^8+1 (the 16th cyclotomic polynomial) is reducible mod every
-        # prime, so only the exhaustive search could settle it, over about
-        # 4·10^7 candidate factors.
-        start = time.perf_counter()
+        # prime, so only the factor search can settle it; Kronecker's
+        # method needs about a hundred values, so a budget of 50 runs out.
+        monkeypatch.setattr(bftorus.polyring, "IRREDUCIBILITY_SEARCH_BUDGET", 50)
         with pytest.raises(BudgetExceeded, match="x\\^8\\+1"):
-            is_irreducible(IntPoly([1, 0, 0, 0, 0, 0, 0, 0, 1]))
+            is_irreducible(PHI16)
+
+    def test_too_few_factored_values_exceed_the_budget(self):
+        # x^32+1 leaves degree 16 open mod every prime, but only 7 of its
+        # values at |x| <= 32 (those at |x| <= 3) factor by trial division
+        # up to 10^4 with a proven prime cofactor.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="x\\^32\\+1"):
+            is_irreducible(IntPoly([1] + [0] * 31 + [1]))
         assert time.perf_counter() - start < 2
+
+    def test_reducible_mod_every_prime_yet_irreducible(self):
+        # The coefficient box would hold about 4·10^7 quartics for x^8+1.
+        assert is_irreducible(PHI16)
+        assert is_irreducible(IntPoly([1] + [0] * 15 + [1]))  # x^16+1
+        assert is_irreducible(IntPoly([1, 0, 0, 0, -1, 0, 0, 0, 1]))  # x^8-x^4+1
+
+    def test_split_beyond_the_coefficient_box_budget(self):
+        # (x^2-4x+15)(x^2+3x-16): the char poly of a 4x4 matrix with
+        # entries in [-4, 4], whose box search ran past 50,000 candidates.
+        coeffs = _poly_mul([15, -4, 1], [-16, 3, 1])
+        assert coeffs == [-240, 109, -13, -1, 1]
+        assert not is_irreducible(IntPoly(coeffs))
 
 
 def _monic(degree):
@@ -225,6 +247,21 @@ ZERO_ROOT = st.integers(1, 5).flatmap(_monic).map(lambda f: [0] + f)
 def test_repeated_factor_or_zero_root_against_oracle(coeffs):
     assert 2 <= len(coeffs) - 1 <= 6
     assert is_irreducible(IntPoly(coeffs)) == oracle_irreducible(coeffs)
+
+
+# Products of a monic quadratic and a monic factor of degree 2..3, and
+# random monic polynomials of degree 4..5, without the root 0; small
+# coefficients keep the box search affordable.
+PRODUCTS = st.tuples(_monic(2), st.integers(2, 3).flatmap(_monic)).map(
+    lambda fg: _poly_mul(*fg)
+)
+RANDOM = st.integers(4, 5).flatmap(_monic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(PRODUCTS, RANDOM).filter(lambda c: c[0] != 0))
+def test_kronecker_against_the_coefficient_box(coeffs):
+    assert is_irreducible(IntPoly(coeffs)) == oracle_box_irreducible(coeffs)
 
 
 class TestParsing:

@@ -2,21 +2,35 @@
 
 bf_refute skips the integral candidates g with gcd(det g(A), F) = 1,
 F the square part of disc(p), answers at once when F = 1, and reads
-the coefficient rings off the powers of A.  These tests check that the
-verdict, witness, groups and bound are those of
-``util.oracle_bf_refute``, which evaluates every candidate and takes
-the rings from the ideals, and that the skipped work really is skipped.
+the coefficient rings off the powers of A.  When both rings are one R,
+F' = [R : I·(R:I)]·[R : J·(R:J)] takes the place of F, and F' = 1
+answers at once.  These tests check that the verdict, witness, groups
+and bound are those of ``util.oracle_bf_refute``, which evaluates every
+candidate and takes the rings from the ideals, and that the skipped
+work really is skipped.
 """
 
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bftorus.config as config
 import bftorus.invariants as inv
+import bftorus.polyring as polyring
 from bftorus.errors import BudgetExceeded, FactorizationIncomplete
-from bftorus.invariants import bf_refute, strong_bf_refute
+from bftorus.ideals import (
+    _invertibility_index,
+    coefficient_ring,
+    lattice_sum,
+    trace_dual,
+    zbeta,
+)
+from bftorus.invariants import bf_refute, ideal_to_matrix, l_equivalent, strong_bf_refute
+from bftorus.numberfield import NumberField
+from bftorus.orders import enumerate_order_lattice
 from bftorus.polyring import is_irreducible
 
 from util import (
@@ -95,6 +109,9 @@ class _Counter:
     st.sampled_from(("companion", "transpose", "conjugate", "reducible", "cyclotomic")),
     st.integers(2, 4),
 )
+# char poly (x^2-4x+15)(x^2+3x-16), which the former coefficient-box
+# factor search could not split within its budget
+@example(seed=546868963, kind="companion", n=4)
 def test_matches_unpruned_search(seed, kind, n):
     a, b, bound = _pair(random.Random(seed), kind, n)
     assert bf_refute(a, b, bound) == oracle_bf_refute(a, b, bound)
@@ -121,9 +138,11 @@ def test_factorization_fallback_keeps_verdicts(monkeypatch):
     assert bf_refute(F1_A, F1_B, 2) == oracle_bf_refute(F1_A, F1_B, 2)
 
 
-def test_irreducibility_budget_is_not_a_factorization_fallback():
-    # The budgeted irreducibility search of x^8+1 gives up; that must
-    # reach the caller, not pass for a reducible p or a failed factoring.
+def test_irreducibility_budget_is_not_a_factorization_fallback(monkeypatch):
+    # The budgeted irreducibility search of x^8+1 gives up (it needs
+    # about a hundred factor values); that must reach the caller, not
+    # pass for a reducible p or a failed factoring.
+    monkeypatch.setattr(polyring, "IRREDUCIBILITY_SEARCH_BUDGET", 50)
     phi16 = companion([1, 0, 0, 0, 0, 0, 0, 0, 1])
     with pytest.raises(BudgetExceeded):
         bf_refute(phi16, phi16, 1)
@@ -152,8 +171,9 @@ def test_witness_after_a_skipped_candidate(monkeypatch):
     assert v.groups == {"A": "Z15+Z75", "B": "Z5+Z225"}
     # second on the list, after x-1; only the witness took Smith forms
     p = inv.char_poly(F6_A)
-    tables = [inv.power_table(m) for m in (F6_A, F6_B)]
-    listed = inv._refutation_candidates(p, inv.NumberField(p), tables, 4)
+    field = inv.NumberField(p)
+    rings = [inv._matrix_ring(field, inv.power_table(m)) for m in (F6_A, F6_B)]
+    listed = inv._refutation_candidates(p, rings, 4)
     assert [inv.format_poly(c) for _, _, c in listed][:2] == ["x-1", "x^2-1"]
     assert smith.calls == 2
 
@@ -179,3 +199,97 @@ def test_ring_from_powers_is_the_coefficient_ring(seed, n):
     ring = inv._matrix_ring(inv.NumberField(p), inv.power_table(a))
     expected = inv.coefficient_ring(inv.matrix_to_ideal(a))
     assert (ring.denom, ring.cols) == (expected.denom, expected.cols)
+
+
+# ---------------------------------------------------------------------
+# equal coefficient rings
+
+# The order R = <1, b, b^2/2, b^3/4> of x^4-48 and a non-invertible
+# ideal over it: the pair is L-equivalent, and yet (1/2)x^2 separates it.
+R48 = [[0, 0, 0, 12], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]]
+I48 = [[0, -2, -2, 3], [2, -2, 0, 1], [0, 4, 2, 0], [0, 0, 2, 0]]
+
+# Fields with a non-Gorenstein order: its trace dual has the same
+# coefficient ring and is not invertible over it.
+NON_GORENSTEIN_FIELDS = ("x^4-48", "x^4-8", "x^3-54", "x^3-3x^2-24x-1")
+
+
+@functools.lru_cache(maxsize=None)
+def _non_gorenstein_orders(poly):
+    field = NumberField(poly)
+    out = []
+    for ring in enumerate_order_lattice(field).nodes:
+        if _invertibility_index(trace_dual(ring.as_ideal()), ring) > 1:
+            out.append(ring)
+    assert out
+    return out
+
+
+def _noninvertible_ideal(rng, ring):
+    """The trace dual of ``ring``, or a random two-generated ideal
+    alpha·R + gamma·R whose ring is R and which is not invertible."""
+    ideal = ring.as_ideal()
+    els = ring.basis_elements()
+
+    def element():
+        return sum((e * rng.randint(-3, 3) for e in els), ring.field.zero())
+
+    for _ in range(rng.randint(0, 20)):
+        a, c = element(), element()
+        if a.is_zero() or c.is_zero():
+            continue
+        got = lattice_sum(ideal.scaled(a), ideal.scaled(c)).as_ideal()
+        if coefficient_ring(got) == ring and _invertibility_index(got, ring) > 1:
+            return got
+    return trace_dual(ideal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(NON_GORENSTEIN_FIELDS),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.booleans(),
+)
+def test_equal_rings_with_a_noninvertible_ideal(poly, seed, bound, swap):
+    rng = random.Random(seed)
+    ring = rng.choice(_non_gorenstein_orders(poly))
+    a = _conjugate(rng, ideal_to_matrix(ring))
+    b = _conjugate(rng, ideal_to_matrix(_noninvertible_ideal(rng, ring)))
+    if swap:
+        a, b = b, a
+    expected = oracle_bf_refute(a, b, bound)
+    smith = _Counter(inv.snf_diag)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inv, "snf_diag", smith)
+        assert bf_refute(a, b, bound) == expected
+    assert smith.calls > 0  # F' > 1: the search ran
+
+
+def test_equal_rings_with_a_noninvertible_ideal_are_searched():
+    assert l_equivalent(R48, I48).kind == "L-equivalent"
+    v = bf_refute(R48, I48, 2)
+    assert v == oracle_bf_refute(R48, I48, 2)
+    assert (v.kind, v.witness) == ("BF-distinguished", "(1/2)x^2")
+    assert v.groups == {"A": "Z2+Z6+Z12", "B": "Z12+Z12"}
+
+
+@pytest.mark.parametrize("p", [[34, -10, 1], [-48, 0, 0, 0, 1], [-54, 0, 0, 1]])
+def test_zbeta_rings_answer_without_a_search(monkeypatch, p):
+    # A companion matrix and the transpose of a conjugate of it: both
+    # ideals have the ring Z[b], and F > 1.
+    rng = random.Random(0xBF10)
+    a = companion(p)
+    b = _transpose(_conjugate(rng, a))
+    field = NumberField(inv.char_poly(a))
+    assert inv._index_multiple(inv.char_poly(a)) > 1
+    assert inv._matrix_ring(field, inv.power_table(b)) == zbeta(field)
+    expected = oracle_bf_refute(a, b, 3)
+    # debug checks rerun the full search and form the ideals on purpose
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counters = {name: _Counter(getattr(inv, name)) for name in ("snf_diag", "_ideal_in")}
+    for name, counter in counters.items():
+        monkeypatch.setattr(inv, name, counter)
+    v = bf_refute(a, b, 3)
+    assert v == expected and v.kind == "inconclusive"
+    assert {name: c.calls for name, c in counters.items()} == dict.fromkeys(counters, 0)

@@ -5,11 +5,12 @@ agrees on them.  The oracles deliberately avoid the library's own
 kernels: determinants come from fraction Gaussian elimination,
 characteristic polynomials from cofactor expansion over coefficient
 lists, invariant factors from gcds of k x k minors, periodic points
-from brute-force grid enumeration.  Slow but transparently correct at
-the sizes the tests use.  The order-lattice walk is the exception: it
-is the library's former algorithm and keeps its candidate filters
-(triangular solves and the checks of ``Order``), while its containments
-and edges come from Fraction solves.
+from brute-force grid enumeration, irreducibility from a search over
+every monic factor in a coefficient box.  Slow but transparently
+correct at the sizes the tests use.  The order-lattice walk is the
+exception: it is the library's former algorithm and keeps its candidate
+filters (triangular solves and the checks of ``Order``), while its
+containments and edges come from Fraction solves.
 """
 
 import itertools
@@ -43,8 +44,11 @@ EX1_A = [[0, 1, 0], [0, 0, 1], [1, -7, 23]]
 EX1_B = [[0, -1, -11], [1, 0, -3], [0, 2, 23]]
 EX1_C = [[0, 1, 0], [1, 0, 4], [6, -2, 23]]
 
-# A strongly BF-equivalent quartic pair, p(x) = x^4 - 7x^3 - 7x + 1;
-# every BF_g with integral g(A) agrees, yet they are not conjugate.
+# A quartic pair, p(x) = x^4 - 7x^3 - 7x + 1, with the same BF_48
+# (BF48_TORSION) and the same BF_1 that is still not BF-equivalent:
+# g = x^3+4x^2+4x+5 gives Z4+Z8+Z8+Z64 against Z8+Z8+Z8+Z32, and the
+# coefficient rings differ (b^3+1 over 4 against (b^3+4b^2+4b+5)/8), so
+# the pair is not even L-equivalent.
 P_QUARTIC = [1, -7, 0, -7, 1]
 EX2_M = [[-1, -1, -1, -4], [4, 1, 3, 8], [0, 1, 0, 0], [0, 0, 1, 7]]
 EX2_MP = [[-5, -4, -5, -12], [8, 5, 7, 12], [0, 1, 0, 0], [0, 0, 1, 7]]
@@ -295,6 +299,39 @@ def oracle_irreducible(coeffs):
     if _has_repeated_factor(coeffs):
         return False
     raise ValueError("oracle only decides squarefree polys of degree <= 4")
+
+
+def _monic_remainder(p, h):
+    """The remainder of p by the monic h over Z (coefficient lists,
+    constant first), with its zero top entries left in place."""
+    p = list(p)
+    k = len(h) - 1
+    for i in range(len(p) - 1, k - 1, -1):
+        c = p[i]
+        if c:
+            for j, hc in enumerate(h):
+                p[i - k + j] -= c * hc
+    return p[:k]
+
+
+def oracle_box_irreducible(coeffs):
+    """Irreducibility over Q of a monic integer poly of degree >= 2 with
+    p(0) != 0 by the coefficient-box search the library used before
+    Kronecker's method: every monic integer h of degree 1..deg/2 with
+    h(0) | p(0) and the other coefficients within comb(n, n/2)·(||p||+1),
+    a loose Mignotte bound, is divided into p.  No mod-prime sieve;
+    exponential in the degree, so meant for degree <= 5 and small
+    coefficients."""
+    n = len(coeffs) - 1
+    assert coeffs[n] == 1 and n >= 2 and coeffs[0] != 0
+    bound = math.comb(n, n // 2) * (math.isqrt(sum(c * c for c in coeffs)) + 1)
+    consts = [s * d for d in _divisors(coeffs[0]) for s in (1, -1)]
+    for k in range(1, n // 2 + 1):
+        for const in consts:
+            for mid in itertools.product(range(-bound, bound + 1), repeat=k - 1):
+                if not any(_monic_remainder(coeffs, [const, *mid, 1])):
+                    return False
+    return True
 
 
 def oracle_adjugate(rows):
