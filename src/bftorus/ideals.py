@@ -137,6 +137,21 @@ class AbelianGroup:
         return f"AbelianGroup({self})"
 
 
+def _is_hnf(cols, n):
+    """True when the columns already are the canonical column HNF of a
+    full-rank lattice: n columns, upper triangular, positive pivots, and
+    every entry right of a pivot in [0, pivot)."""
+    if len(cols) != n:
+        return False
+    for j, col in enumerate(cols):
+        pivot = col[j]
+        if pivot <= 0 or any(col[j + 1:]):
+            return False
+        if any(not 0 <= later[j] < pivot for later in cols[j + 1:]):
+            return False
+    return True
+
+
 class ZLattice:
     """A full-rank Z-lattice in K, in canonical form (see module doc)."""
 
@@ -150,8 +165,7 @@ class ZLattice:
         cols = [[operator.index(e) for e in c] for c in cols]
         if any(len(c) != n for c in cols):
             raise ValueError("basis columns must have length n")
-        h, _ = hnf_cols(cols)
-        h = [c for c in h if any(c)]
+        h = cols if _is_hnf(cols, n) else [c for c in hnf_cols(cols)[0] if any(c)]
         if len(h) != n:
             raise NotFullRank(f"generators span rank {len(h)} < {n}")
         g = denom
@@ -412,11 +426,17 @@ def colon(m, n_lat):
 
 def _dual_lattice(field, vecs, scale=1):
     """scale·W*, W* = {y : w·y ∈ Z for w in W} the dual of the lattice W
-    the integer vectors span: with H an HNF basis of W, the columns of
-    (Hᵗ)⁻¹ span W*."""
-    h, _ = hnf_cols(vecs)
-    m, d = _integer_inverse([c for c in h if any(c)])
-    return ZLattice(field, abs(d), [[scale * e for e in c] for c in zip(*m)])
+    the integer vectors span; NotFullRank when they span less than Qⁿ.
+    With H the triangular HNF basis of W and δ the product of its
+    pivots, W* is spanned by the columns of (Hᵗ)⁻¹, the rows of H⁻¹, and
+    δ·H⁻¹ = adj(H) is integral: back substitution solves H·x_j = δ·e_j."""
+    n = field.n
+    h = [c for c in hnf_cols(vecs)[0] if any(c)]
+    if len(h) != n:
+        raise NotFullRank(f"generators span rank {len(h)} < {n}")
+    delta = math.prod(h[i][i] for i in range(n))
+    x = [solve_upper_cols(h, [delta * (r == j) for r in range(n)]) for j in range(n)]
+    return ZLattice(field, delta, [[scale * xj[i] for xj in x] for i in range(n)])
 
 
 def _power_ring(field, table) -> Order:
@@ -503,10 +523,14 @@ def trace_dual(ideal) -> "FractionalIdeal":
     """I* = {z : Tr(z·y) ∈ Z for all y ∈ I}, via the trace Gram inverse.
 
     The dual basis w_j of the basis v_i satisfies Tr(v_i·w_j) = δ_ij,
-    so w_j = Σ_k (G⁻¹)_kj v_k with G the Gram matrix Tr(v_i·v_j)."""
+    so w_j = Σ_k (G⁻¹)_kj v_k with G the Gram matrix Tr(v_i·v_j).  The
+    dual of a b-stable lattice is b-stable, as Tr(bz·y) = Tr(z·by); any
+    other lattice is checked."""
     out = _trace_dual_lattice(ideal)
     if debug_asserts_enabled():
         assert _trace_dual_lattice(out) == ideal, "trace dual is not an involution"
+    if isinstance(ideal, FractionalIdeal):
+        return FractionalIdeal._proven(out)
     return out.as_ideal()
 
 

@@ -17,26 +17,46 @@ respecting inclusion.  The list of all orders is therefore complete
 once each local list is.
 
 *Round 2* (Cohen, GTM 138, Alg. 6.1.8).  Every local order at ℓ lies
-in the ℓ-maximal order O_ℓ ⊇ Z[b].  Starting from O = Z[b], the
-ℓ-radical I of O is ℓO plus the elements nilpotent mod ℓO, the kernel
+in the ℓ-maximal order O_ℓ ⊇ Z[b], the ℓ-part of Z_K.  The ℓ-radical
+I of an order O is ℓO plus the elements nilpotent mod ℓO, the kernel
 mod ℓ of the linear map x ↦ x^(ℓ^j) on O/ℓO (ℓ^j ≥ n).  The ring of
 multipliers (I : I) contains O, and it equals O exactly when O is
-ℓ-maximal; otherwise O grows to it and the step repeats.  Primes at
-which the Dedekind criterion already shows Z[b] ℓ-maximal are skipped.
+ℓ-maximal; otherwise O grows to it and the step repeats.
+
+*Dedekind's seed.*  Let t be the product of the distinct monic
+irreducible factors of p mod ℓ, h = (p mod ℓ)/t, f = (t·h - p)/ℓ
+(t and h lifted), Z = gcd(f, t, h) mod ℓ and U = (p mod ℓ)/Z, lifted.
+Dedekind's criterion (Cohen, Thm 6.1.4) says that
+O₁ = Z[b] + (U(b)/ℓ)·Z[b] is the first Round 2 step from Z[b], of
+index ℓ^deg Z; so Z[b] is ℓ-maximal exactly when deg Z = 0, and such
+primes are skipped.  O₁ is an order with ℓ·O₁ ⊆ Z[b], so O₁ ⊆ O_ℓ
+and Round 2 may start from O₁ instead of Z[b].
+
+*The index bound.*  disc(p) = [Z_K : Z[b]]²·disc(Z_K) and
+[O_ℓ : Z[b]] is the ℓ-part of [Z_K : Z[b]], so with i = v_ℓ[O_ℓ : Z[b]],
+2i ≤ v_ℓ(disc p) = 2·v_ℓ(F) + v_ℓ(Δ) ≤ 2·v_ℓ(F) + 1, hence
+i ≤ v_ℓ(F).  An order O between Z[b] and O_ℓ of index ℓ^v_ℓ(F)
+therefore has the covolume of O_ℓ and is O_ℓ: Round 2 stops there
+without the radical and colon that would confirm the fixed point.
 
 *Local subgroups.*  The local orders at ℓ are the β-stable, ring-closed
 subgroups of the finite ℓ-group O_ℓ/Z[b], whose generators are read
 off the Smith form of the inclusion Z[b] ⊆ O_ℓ.  Such a subgroup is the
 ring generated by Z[b] and its elements, so each local order is a join
-of the orders Z[b][g] = span{b^i·g^j : i, j < n}, one per element g of
-O_ℓ/Z[b], and the join of two orders R, S is the ring R·S.  The walk
-forms every Z[b][g] and closes the set under joins.
+of the orders Z[b][g] = span{b^i·g^j : i, j < n}, g ∈ O_ℓ, and the
+join of two orders R, S is the ring R·S.  Z[b][g] depends only on the
+cyclic subgroup ⟨g⟩ of O_ℓ/Z[b]: if g has order e there and u is prime
+to e, then u·u' ≡ 1 mod e for some u', so g - u'·(u·g) ∈ Z[b] puts g
+in Z[b][u·g], and u·g lies in Z[b][g].  The walk forms one Z[b][g] per
+cyclic subgroup and closes the set under joins, skipping the join of
+two comparable orders R ⊆ S, which is S.
 
 The enumeration output is the ground truth; no external table is
 consulted.
 """
 
 import itertools
+import math
 from typing import List, NamedTuple, Tuple
 
 from .config import debug_asserts_enabled
@@ -66,12 +86,10 @@ class OrderLattice(NamedTuple):
 
 
 def _dedekind_maximal(p, ell):
-    """Dedekind's criterion (Cohen, GTM 138, Thm 6.1.4): with t the
-    product of the distinct monic irreducible factors of p mod ℓ,
-    h = (p mod ℓ)/t, both lifted with coefficients in [0, ℓ), and
-    f = (t·h - p)/ℓ, Z[b] is ℓ-maximal exactly when gcd(f, t, h) = 1
-    mod ℓ.  t is the lcm over d ≤ n of gcd(p, x^(ℓ^d) - x), the product
-    of the distinct irreducible factors of degree dividing d."""
+    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
+    doc), monic with coefficients in [0, ℓ); Z[b] is ℓ-maximal exactly
+    when deg U = deg p.  t is the lcm over d ≤ n of gcd(p, x^(ℓ^d) - x),
+    the product of the distinct irreducible factors of degree dividing d."""
     pbar = _gf_normalize(p.coeffs, ell)
     t = [1]
     w = [0, 1]
@@ -84,15 +102,28 @@ def _dedekind_maximal(p, ell):
     h = _gf_divmod(pbar, t, ell)[0]
     f = [c // ell for c in (IntPoly(t) * IntPoly(h) - p).coeffs]
     common = _gf_gcd(_gf_gcd(_gf_normalize(f, ell), t, ell), h, ell)
-    return len(common) == 1
+    return _gf_divmod(pbar, common, ell)[0]
 
 
 def _index_primes(field):
-    """The primes ℓ | F at which Z[b] may fail to be ℓ-maximal: those
-    the Dedekind criterion does not clear.  FactorizationIncomplete
-    when disc(p) cannot be fully factored."""
+    """(ℓ, v_ℓ(F), U) for the primes ℓ | F at which Z[b] may fail to be
+    ℓ-maximal, those the Dedekind criterion does not clear, with U from
+    ``_dedekind_maximal``.  FactorizationIncomplete when disc(p) cannot
+    be fully factored."""
     big_f, _delta = square_part(discriminant(field.p))
-    return [ell for ell in sorted(factorint(big_f)) if not _dedekind_maximal(field.p, ell)]
+    out = []
+    for ell, v in sorted(factorint(big_f).items()):
+        u = _dedekind_maximal(field.p, ell)
+        if len(u) <= field.n:
+            out.append((ell, v, u))
+    return out
+
+
+def _dedekind_order(field, ell, u):
+    """O₁ = Z[b] + (U(b)/ℓ)·Z[b] (see the module doc)."""
+    n = field.n
+    gens = [[ell * (r == i) for r in range(n)] for i in range(n)]
+    return ZLattice(field, ell, gens + _mult_columns(field, u))
 
 
 def _radical(order, ell):
@@ -142,15 +173,20 @@ def _radical(order, ell):
     return ZLattice(field, d, gens)
 
 
-def _local_maximal(field, ell):
-    """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2."""
-    order = zbeta(field)
-    while True:
+def _local_maximal(field, ell, v, u):
+    """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2 from Dedekind's order
+    O₁ of ``_dedekind_order`` up to the index ℓ^v, v = v_ℓ(F)."""
+    order = _dedekind_order(field, ell, u)
+    while 1 / order.covolume() < ell**v:  # [O : Z[b]] below the bound
         rad = _radical(order, ell)
         bigger = colon(rad, rad)
         if bigger == order:
-            return order
+            break
         order = bigger
+    if debug_asserts_enabled():
+        rad = _radical(order, ell)
+        assert colon(rad, rad) == order, "Round 2 stopped below the ℓ-maximal order"
+    return order
 
 
 def _join(r, s):
@@ -185,6 +221,8 @@ def _local_orders(top):
     C/d of ``top``, U·X·V = diag(a) gives b-coordinates V_i (column i
     of V) = a_i·w_i for a basis w of ``top``, so top/Z[b] is the sum
     of the cyclic groups generated by w_i = V_i/a_i, of orders a_i.
+    The first element met of each cyclic subgroup gives its ring
+    Z[b][g], and its other generators u·g are marked covered.
     """
     field = top.field
     n = field.n
@@ -196,14 +234,22 @@ def _local_orders(top):
     diag, _, v = snf_rows([[xc[i] for xc in xcols] for i in range(n)])
     big = diag[-1]
     gens = [(a, [v[r][i] * (big // a) for r in range(n)]) for i, a in enumerate(diag) if a > 1]
-    orders = list(dict.fromkeys(
-        _monogenic(field, [sum(c * g[r] for c, (_, g) in zip(coeffs, gens)) % big
-                           for r in range(n)], big)
-        for coeffs in itertools.product(*(range(a) for a, _ in gens))
-    ))
+    orders = []
+    covered = set()
+    for coeffs in itertools.product(*(range(a) for a, _ in gens)):
+        if coeffs in covered:
+            continue
+        e = max((a // math.gcd(c, a) for c, (a, _) in zip(coeffs, gens)), default=1)
+        covered.update(tuple(u * c % a for c, (a, _) in zip(coeffs, gens))
+                       for u in range(1, e) if math.gcd(u, e) == 1)
+        orders.append(_monogenic(field, [sum(c * g[r] for c, (_, g) in zip(coeffs, gens)) % big
+                                         for r in range(n)], big))
+    orders = list(dict.fromkeys(orders))
     seen = set(orders)
     for i, r in enumerate(orders):  # also visits the joins appended below
         for s in orders[:i]:
+            if r.contains_lattice(s) or s.contains_lattice(r):
+                continue
             ring = _join(r, s)
             if ring not in seen:
                 seen.add(ring)
@@ -220,7 +266,7 @@ def enumerate_order_lattice(field) -> OrderLattice:
     zb = zbeta(field)
     if field.n == 1:
         return OrderLattice(field, [zb], [], 1, 1)
-    local = [_local_orders(_local_maximal(field, ell)) for ell in _index_primes(field)]
+    local = [_local_orders(_local_maximal(field, *prime)) for prime in _index_primes(field)]
     found = []
     for choice in itertools.product(*local):
         total = zb
@@ -257,15 +303,16 @@ def maximal_order(field) -> Order:
     total = zbeta(field)
     if field.n == 1:
         return total
-    for ell in _index_primes(field):
-        total = lattice_sum(total, _local_maximal(field, ell))
+    for prime in _index_primes(field):
+        total = lattice_sum(total, _local_maximal(field, *prime))
     return Order._proven(total)
 
 
 def conductor(ring) -> FractionalIdeal:
-    """(Z[b] : R), i.e. R⁻¹ with R viewed as a Z[b]-fractional ideal."""
+    """(Z[b] : R), i.e. R⁻¹ with R viewed as a Z[b]-fractional ideal; it
+    is b-stable since Z[b] is."""
     zb = zbeta(ring.field)
-    return colon(zb, ring).as_ideal()
+    return FractionalIdeal._proven(colon(zb, ring))
 
 
 def order_discriminant(ring) -> int:

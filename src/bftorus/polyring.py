@@ -475,12 +475,21 @@ def _gf_mul(a, b, q):
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    return out
+                out[i + j] += ca * cb
+    return [e % q for e in out]
 
 
 def _gf_mulmod(a, b, mod, q):
-    return _gf_divmod(_gf_mul(a, b, q), mod, q)[1]
+    """a·b mod (mod, q) for a monic ``mod``: one reduction pass from the
+    top, with no inverse of the lead."""
+    out = _gf_mul(a, b, q)
+    dm = len(mod) - 1
+    for i in range(len(out) - 1, dm - 1, -1):
+        c = out[i] % q
+        if c:
+            for j in range(dm):
+                out[i - dm + j] -= c * mod[j]
+    return _gf_normalize(out[:dm], q)
 
 
 def _gf_divmod(a, b, q):
@@ -546,18 +555,6 @@ def _subset_sums(degrees, total):
     for d in degrees:
         mask |= mask << d
     return {s for s in range(1, total) if (mask >> s) & 1}
-
-
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            out.add(n // f)
-        f += 1
-    return sorted(out)
 
 
 def _int_divmod_monic(a, b):
@@ -659,14 +656,16 @@ def _kronecker_factor(p, k, tried):
 def is_irreducible(p):
     """Exact irreducibility of a monic integer polynomial over Q.
 
-    Degree <= 3 falls to the rational root theorem.  Higher degrees are
-    first attacked by factor-degree patterns modulo several primes; if
-    every prime leaves a possible proper factor degree, Kronecker's
-    exhaustive search for a monic integer factor of each such degree
-    (``_kronecker_factor``) settles the question.  The answer is always
-    a proof, never a probability; a search that would try more than
-    IRREDUCIBILITY_SEARCH_BUDGET factor values raises BudgetExceeded
-    instead.
+    Degree <= 3 falls to the rational root theorem, whose candidate
+    roots are the divisors of p(0) from the bounded factoring of
+    ``_signed_divisors``.  Higher degrees are first attacked by
+    factor-degree patterns modulo several primes; if every prime leaves
+    a possible proper factor degree, Kronecker's exhaustive search for a
+    monic integer factor of each such degree (``_kronecker_factor``)
+    settles the question.  The answer is always a proof, never a
+    probability; when p(0) does not factor, or a search would try more
+    than IRREDUCIBILITY_SEARCH_BUDGET factor values, BudgetExceeded is
+    raised instead.
     """
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
@@ -681,9 +680,11 @@ def is_irreducible(p):
         return False  # x divides
     # Rational (hence integer) roots.  Up to degree 3 a repeated factor
     # is linear, so this also catches every p that is not squarefree.
-    for r in _divisors(p.coeffs[0]):
-        if p(r) == 0 or p(-r) == 0:
-            return False
+    roots = _signed_divisors(p.coeffs[0])
+    if roots is None:
+        raise BudgetExceeded(f"{p}: the constant term does not factor for the root test")
+    if any(p(r) == 0 for r in roots):
+        return False
     if n <= 3:
         return True
 

@@ -43,7 +43,7 @@ from bftorus.invariants import (
     suspension_h1,
 )
 from bftorus.numberfield import FieldElement, NumberField
-from bftorus.polyring import IntPoly, is_irreducible, parse_rat_poly
+from bftorus.polyring import IntPoly, RatPoly, is_irreducible, parse_rat_poly
 
 from util import (
     EX1_A,
@@ -127,11 +127,21 @@ class TestBFGroups:
             q = bf_group(a, g)
             assert q.order() == abs(det(eval_poly_at_matrix(g, a)))
 
-    def test_similarity_invariance(self, rng):
-        for _ in range(15):
-            a, b = random_similar_pair(rng)
-            g = IntPoly(random_admissible_poly(rng, len(a)))
-            assert bf_group(a, g) == bf_group(b, g)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 3))
+    def test_similarity_invariance(self, seed, n, den):
+        # BF_g(A) and the integrality of g(A) depend only on the
+        # conjugacy class of A, for any g over Q
+        rng = random.Random(seed)
+        a, b = random_similar_pair(rng, sizes=(n,), span=4)
+        g = RatPoly([Fraction(c, den) for c in random_admissible_poly(rng, n + 1)])
+        groups = []
+        for m in (a, b):
+            try:
+                groups.append(bf_group(m, g))
+            except NonIntegralResult:
+                groups.append("non-integral")
+        assert groups[0] == groups[1]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 60))
@@ -238,6 +248,31 @@ class TestDictionary:
         J = FractionalIdeal(K, 1, J7_COLS)
         assert matrix_to_ideal(ideal_to_matrix(I)) == I.scaled(Fraction(1, 8))
         assert matrix_to_ideal(ideal_to_matrix(J)) == J.scaled(Fraction(1, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    def test_round_trips_on_random_conjugates(self, seed, n):
+        rng = random.Random(seed)
+        ideal = matrix_to_ideal(random_irreducible_matrix(rng, n))
+        m = ideal_to_matrix(ideal)
+        assert matrix_to_ideal(m) == ideal
+        p, q = random_unimodular_pair(rng, n)
+        b = mat_mul(mat_mul(p, m), q)
+        # h·M = b·h for the basis h of the ideal, so w = h·P⁻¹ is a row
+        # eigenvector of B = P·M·P⁻¹ whose entries span the ideal.  The
+        # eigenvectors of B form one K-line, and matrix_to_ideal divides
+        # its eigenvector by the first entry, then meets Q in Z.
+        field = ideal.field
+        h = ideal.basis_elements()
+        w = [sum((h[i] * q[i][j] for i in range(n)), field.zero()) for j in range(n)]
+        v = oracle_row_eigenvector(field, b)
+        assert all(v[j] * w[0] == w[j] * v[0] for j in range(n))
+        expected = ideal.scaled(w[0].inverse())
+        expected = expected.scaled(Fraction(expected.denom, expected.cols[0][0]))
+        got = matrix_to_ideal(b)
+        assert got == expected
+        assert matrix_to_ideal(ideal_to_matrix(got)) == got
+        assert char_poly(ideal_to_matrix(got)) == char_poly(b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))

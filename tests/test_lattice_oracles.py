@@ -6,7 +6,9 @@ kernels; the oracles in util redo each in Fraction arithmetic by a
 different route (a dual row lattice for the colon, a basis solve for
 the beta action, the Gauss-Jordan inverse of the trace Gram matrix of
 field products, the trace Gram determinant, the determinant of the
-rational multiplication matrix).  Inputs are seeded: ideals of random
+rational multiplication matrix).  The dual lattice under the dot
+product, which ``colon``, ``intersect`` and the rings of the b-action
+share, is checked against the Faddeev-LeVerrier inverse.  Inputs are seeded: ideals of random
 irreducible matrices, random lattices with denominators, and every
 node of the order lattices of random fields, n = 2..4.
 """
@@ -18,10 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftorus.errors import NonIntegralResult, NotASublattice
+from bftorus.errors import NonIntegralResult, NotASublattice, NotFullRank
 from bftorus.ideals import (
     Order,
     ZLattice,
+    _dual_lattice,
     _trace_dual_lattice,
     coefficient_ring,
     colon,
@@ -39,6 +42,7 @@ from util import (
     P_QUAD,
     oracle_char_poly,
     oracle_colon,
+    oracle_dual_lattice,
     oracle_ideal_to_matrix,
     oracle_irreducible,
     oracle_norm,
@@ -220,3 +224,28 @@ def test_norm_with_denominators(seed, n):
     z = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)])
     assert z.norm() == oracle_norm(z)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, DEGREES, st.integers(0, 3), st.integers(1, 6), st.booleans())
+def test_dual_lattice_against_faddeev_leverrier(seed, n, extra, scale, deficient):
+    # n + extra generators; ``deficient`` draws them from a hyperplane
+    rng = random.Random(seed)
+    field = _random_field(rng, n)
+    basis = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n - deficient)]
+    combos = [[rng.randint(-3, 3) for _ in basis] for _ in range(n + extra)]
+    vecs = [[sum(c * b[r] for c, b in zip(cs, basis)) for r in range(n)] for cs in combos]
+    try:
+        expected = oracle_dual_lattice(field, vecs, scale)
+    except (NotFullRank, ValueError):  # the span has rank below n
+        with pytest.raises(NotFullRank, match="span rank"):
+            _dual_lattice(field, vecs, scale)
+        return
+    assert not deficient
+    assert _dual_lattice(field, vecs, scale) == expected
+
+
+@pytest.mark.parametrize("vecs", [[[1, 0, 0], [2, 0, 0], [0, 1, 0]], [[0, 0, 0]], []])
+def test_dual_lattice_of_a_rank_deficient_span(vecs):
+    with pytest.raises(NotFullRank, match="span rank"):
+        _dual_lattice(NumberField("x^3-2"), vecs)

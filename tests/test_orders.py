@@ -11,7 +11,11 @@ Two worked examples anchor the expectations:
 
 The transversal walk of ``util.oracle_order_lattice`` checks the
 prime-by-prime enumeration on random fields of small F, and two fields
-out of the walk's reach check the time it takes.
+out of the walk's reach check the time it takes.  Round 2 from
+Dedekind's order up to the index bound is checked against the fixed
+point from Z[b] (``util.oracle_local_maximal``), and the walk over
+cyclic subgroups against the walk over every element
+(``util.oracle_local_orders``).
 """
 
 import time
@@ -21,18 +25,42 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bftorus.ideals import Order, ZLattice, coefficient_ring, lattice_from_generators, zbeta
+import bftorus.config as config
+from bftorus.ideals import (
+    Order,
+    ZLattice,
+    coefficient_ring,
+    colon,
+    lattice_from_generators,
+    zbeta,
+)
 from bftorus.numberfield import NumberField
 from bftorus.orders import (
+    _dedekind_order,
+    _index_primes,
+    _local_maximal,
+    _local_orders,
+    _radical,
     conductor,
     enumerate_order_lattice,
     maximal_order,
     non_invertible_primes,
     order_discriminant,
 )
-from bftorus.polyring import IntPoly, discriminant, is_irreducible, square_part
+from bftorus.polyring import IntPoly, discriminant, factorint, is_irreducible, square_part
 
-from util import J7_COLS, P_CUBIC, P_QUAD, oracle_order_lattice
+from util import (
+    J7_COLS,
+    P_CUBIC,
+    P_QUAD,
+    oracle_local_maximal,
+    oracle_local_orders,
+    oracle_order_lattice,
+)
+
+# b = 2^12·sqrt(3): O_2/Z[b] is cyclic of order 2^12, so its 4,096
+# elements make 13 cyclic subgroups and the orders form a chain.
+CYCLIC_4096 = f"x^2-{3 * 4**12}"
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +284,85 @@ def test_hard_fields_within_two_seconds(poly, disc_zk):
     assert top == lat.nodes[-1]
     assert order_discriminant(top) == disc_zk
     assert elapsed < 2.0
+
+
+@st.composite
+def monic_fields(draw):
+    """Fields of monic irreducible p of degree 2-5, coefficients in [-12, 12]."""
+    n = draw(st.integers(2, 5))
+    coeffs = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+    p = IntPoly(coeffs + [1])
+    assume(coeffs[0] != 0 and is_irreducible(p))
+    return NumberField(p)
+
+
+HIGH_INDEX_FIELDS = ("x^3-3x^2-24x-1", "x^4-4x^3-2x^2+12x+1", CYCLIC_4096, "x^5-48")
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_fields())
+@example(NumberField(HIGH_INDEX_FIELDS[0]))
+@example(NumberField(HIGH_INDEX_FIELDS[1]))
+@example(NumberField(HIGH_INDEX_FIELDS[2]))
+@example(NumberField(HIGH_INDEX_FIELDS[3]))
+def test_round2_from_the_dedekind_order_reaches_the_fixed_point(field):
+    # every ℓ | F: the primes Dedekind's criterion clears keep O_ℓ = Z[b]
+    seeded = {ell: _local_maximal(field, ell, v, u) for ell, v, u in _index_primes(field)}
+    for ell in factorint(square_part(discriminant(field.p))[0]):
+        assert seeded.get(ell, zbeta(field)) == oracle_local_maximal(field, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_fields())
+@example(NumberField(HIGH_INDEX_FIELDS[0]))
+@example(NumberField(HIGH_INDEX_FIELDS[1]))
+@example(NumberField(HIGH_INDEX_FIELDS[3]))
+def test_dedekind_order_is_an_order_of_index_ell_to_the_gcd_degree(field):
+    zb = zbeta(field)
+    for ell, _v, u in _index_primes(field):
+        o1 = _dedekind_order(field, ell, u)
+        # the Order constructor re-runs the b-action and ring-closure checks
+        assert Order(field, o1.denom, o1.cols) == o1
+        # deg U = n - deg gcd(f, t, h)
+        assert zb.index_in(o1) == ell ** (field.n + 1 - len(u))
+        rad = _radical(zb, ell)
+        assert colon(rad, rad) == o1  # the first Round 2 step
+
+
+def test_debug_check_catches_round2_stopped_short(monkeypatch):
+    field = NumberField(CYCLIC_4096)
+    [(ell, v, u)] = _index_primes(field)
+    top = oracle_local_maximal(field, ell)
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    # v = 0 claims Dedekind's order already has the largest index
+    assert _local_maximal(field, ell, 0, u) == _dedekind_order(field, ell, u) != top
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    with pytest.raises(AssertionError, match="Round 2 stopped"):
+        _local_maximal(field, ell, 0, u)
+    assert _local_maximal(field, ell, v, u) == top
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_index_fields())
+@example(NumberField("x^3+12x^2-15x+18"))  # F = 12, index 12
+@example(NumberField("x^4-3x^3+5x^2+10x-4"))  # F = 6, index 6
+@example(NumberField("x^4-4x^3-2x^2+12x+1"))  # O_2/Z[b] of order 2^8
+# local orders that are no Z[b][g], only joins of two
+@example(NumberField("x^4-112x^3+14x^2-60x+128"))
+@example(NumberField("x^4+6x^3+16x^2-96x-16"))
+def test_local_orders_match_the_per_element_walk(field):
+    for prime in _index_primes(field):
+        top = _local_maximal(field, *prime)
+        got = _local_orders(top)
+        assert len(set(got)) == len(got)
+        assert set(got) == oracle_local_orders(top)
+
+
+def test_cyclic_local_group_within_a_tenth_of_a_second():
+    field = NumberField(CYCLIC_4096)
+    start = time.perf_counter()
+    lat = enumerate_order_lattice(field)
+    elapsed = time.perf_counter() - start
+    assert [zbeta(field).index_in(r) for r in lat.nodes] == [2**k for k in range(13)]
+    assert lat.edges == [(k, k + 1) for k in range(12)]
+    assert elapsed < 0.1

@@ -213,6 +213,19 @@ class TestIrreducibility:
             is_irreducible(IntPoly([1] + [0] * 31 + [1]))
         assert time.perf_counter() - start < 2
 
+    def test_root_test_with_a_large_constant_term(self):
+        # p(0) = 10^14+31 is prime: its divisors come from the bounded
+        # factoring, not from trial division up to 10^7
+        start = time.perf_counter()
+        assert is_irreducible(IntPoly([10**14 + 31, 1, 0, 0, 1]))
+        assert time.perf_counter() - start < 0.1
+        assert not is_irreducible(IntPoly([-(10**14 + 31), 10**14 + 30, 1]))  # root 1
+
+    def test_constant_term_that_does_not_factor_exceeds_the_budget(self):
+        # two prime factors above the trial-division bound 10^4
+        with pytest.raises(BudgetExceeded, match="constant term"):
+            is_irreducible(IntPoly([10007 * 10009, 1, 0, 1]))
+
     def test_reducible_mod_every_prime_yet_irreducible(self):
         # The coefficient box would hold about 4·10^7 quartics for x^8+1.
         assert is_irreducible(PHI16)

@@ -28,7 +28,13 @@ from bftorus.ideals import (
     trace_dual,
     zbeta,
 )
-from bftorus.invariants import bf_refute, ideal_to_matrix, l_equivalent, strong_bf_refute
+from bftorus.invariants import (
+    bf_certify,
+    bf_refute,
+    ideal_to_matrix,
+    l_equivalent,
+    strong_bf_refute,
+)
 from bftorus.numberfield import NumberField
 from bftorus.orders import enumerate_order_lattice
 from bftorus.polyring import is_irreducible
@@ -264,6 +270,30 @@ def test_equal_rings_with_a_noninvertible_ideal(poly, seed, bound, swap):
         patch.setattr(inv, "snf_diag", smith)
         assert bf_refute(a, b, bound) == expected
     assert smith.calls > 0  # F' > 1: the search ran
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(poly):
+    return enumerate_order_lattice(NumberField(poly)).nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(NON_GORENSTEIN_FIELDS + ("x^2-34x+1", "x^3-23x^2+7x-1")),
+    st.integers(0, 2**32 - 1),
+)
+def test_certificates_are_never_refuted(poly, seed):
+    # two conjugated ideals over one random order R: R itself, its trace
+    # dual or a random two-generated ideal, invertible or not
+    rng = random.Random(seed)
+    ring = rng.choice(_orders(poly))
+    a, b = (
+        _conjugate(rng, ideal_to_matrix(rng.choice((ring, _noninvertible_ideal(rng, ring)))))
+        for _ in range(2)
+    )
+    verdict = bf_certify(a, b)
+    if verdict.kind in ("BF-certified", "strong-BF-certified"):
+        assert oracle_bf_refute(a, b, 2).kind == "inconclusive"
 
 
 def test_equal_rings_with_a_noninvertible_ideal_are_searched():

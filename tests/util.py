@@ -10,7 +10,12 @@ every monic factor in a coefficient box.  Slow but transparently
 correct at the sizes the tests use.  The order-lattice walk is the
 exception: it is the library's former algorithm and keeps its candidate
 filters (triangular solves and the checks of ``Order``), while its
-containments and edges come from Fraction solves.
+containments and edges come from Fraction solves.  So are the Round 2
+fixed point, the per-element walk of local orders and the
+Faddeev-LeVerrier dual lattice: former library paths built on its own
+steps, which stand in for the shortcuts that replaced them (Dedekind's
+seed and the index bound, one ring per cyclic subgroup, the triangular
+inverse).
 """
 
 import itertools
@@ -19,18 +24,22 @@ import random
 from fractions import Fraction
 
 from bftorus.errors import NonIntegralResult, ReduciblePolynomial
+from bftorus.exactmat import _integer_inverse
 from bftorus.ideals import (
     AbelianGroup,
     Order,
+    ZLattice,
     _beta_action,
     _beta_columns,
     _escaping_product,
     coefficient_ring,
+    colon,
     lattice_from_generators,
     zbeta,
 )
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
-from bftorus.kernels import solve_upper_cols
+from bftorus.kernels import hnf_cols, snf_rows, solve_upper_cols
+from bftorus.orders import _join, _monogenic, _radical
 from bftorus.polyring import RatPoly, discriminant, factorint, format_poly, square_part
 
 # ---------------------------------------------------------------------------
@@ -700,6 +709,55 @@ def oracle_order_lattice(field):
     ]
     indices = [int(1 / r.covolume()) for r in nodes]
     return nodes, edges, min(indices), max(indices)
+
+
+def oracle_local_maximal(field, ell):
+    """The ℓ-maximal order by Round 2 from Z[b] to its fixed point: no
+    Dedekind seed, no index bound."""
+    order = zbeta(field)
+    while True:
+        rad = _radical(order, ell)
+        bigger = colon(rad, rad)
+        if bigger == order:
+            return order
+        order = bigger
+
+
+def oracle_local_orders(top):
+    """Every order between Z[b] and the ℓ-primary order ``top`` by the
+    per-element walk: Z[b][g] for every element g of top/Z[b], read off
+    the Smith form of the inclusion, then every pairwise join until the
+    set is closed."""
+    field = top.field
+    n = field.n
+    xcols = [
+        solve_upper_cols(top.cols, [top.denom if r == j else 0 for r in range(n)])
+        for j in range(n)
+    ]
+    diag, _, v = snf_rows([[xc[i] for xc in xcols] for i in range(n)])
+    big = diag[-1]
+    gens = [(a, [v[r][i] * (big // a) for r in range(n)]) for i, a in enumerate(diag) if a > 1]
+    orders = list(dict.fromkeys(
+        _monogenic(field, [sum(c * g[r] for c, (_, g) in zip(coeffs, gens)) % big
+                           for r in range(n)], big)
+        for coeffs in itertools.product(*(range(a) for a, _ in gens))
+    ))
+    seen = set(orders)
+    for i, r in enumerate(orders):
+        for s in orders[:i]:
+            ring = _join(r, s)
+            if ring not in seen:
+                seen.add(ring)
+                orders.append(ring)
+    return seen
+
+
+def oracle_dual_lattice(field, vecs, scale=1):
+    """``ideals._dual_lattice`` by the Faddeev-LeVerrier inverse of the
+    transposed HNF basis, (Hᵗ)⁻¹ = M/D."""
+    h, _ = hnf_cols(vecs)
+    m, d = _integer_inverse([c for c in h if any(c)])
+    return ZLattice(field, abs(d), [[scale * e for e in c] for c in zip(*m)])
 
 
 # ---------------------------------------------------------------------------
