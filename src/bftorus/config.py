@@ -5,9 +5,11 @@ in ``char_poly_adjugate``; U·A·V = D and A·T = H with unimodular
 transforms; the Smith diagonal against |det| for BF groups; k-periodicity
 of the periodic-point generators; v·A = b·v for the dictionary
 eigenvector; the char poly of ``ideal_to_matrix``; (M : N)·N ⊆ M for
-every colon; the coefficient ring from the b-action against
-``colon(I, I)``; the trace-dual involution; the two characterizations of
-invertibility; the coefficient rings formed from the powers of A against
+every colon; ``zbeta_colon`` from Euler's dual basis, and with it every
+``conductor``, against ``colon(zbeta, L)``; the coefficient ring from
+the b-action against ``colon(I, I)``; the trace-dual involution; the
+two characterizations of invertibility; the coefficient rings formed
+from the powers of A against
 ``coefficient_ring(matrix_to_ideal(A))``; an inconclusive verdict that
 ``bf_refute`` gives without a search, because both ideals are invertible
 over one ring, against the full search; the invertibility of an ideal

@@ -426,17 +426,61 @@ def colon(m, n_lat):
 
 def _dual_lattice(field, vecs, scale=1):
     """scale·W*, W* = {y : w·y ∈ Z for w in W} the dual of the lattice W
-    the integer vectors span; NotFullRank when they span less than Qⁿ.
-    With H the triangular HNF basis of W and δ the product of its
-    pivots, W* is spanned by the columns of (Hᵗ)⁻¹, the rows of H⁻¹, and
-    δ·H⁻¹ = adj(H) is integral: back substitution solves H·x_j = δ·e_j."""
-    n = field.n
-    h = [c for c in hnf_cols(vecs)[0] if any(c)]
+    the integer vectors span; NotFullRank when they span less than Qⁿ."""
+    return ZLattice(field, *_dual_basis(vecs, field.n, scale))
+
+
+def _dual_basis(vecs, n, scale=1):
+    """(δ, Y) with scale·W* = (1/δ)·span(Y) for ``_dual_lattice``, Y not
+    yet in canonical form.  With H the triangular HNF basis of W and δ
+    the product of its pivots, W* is spanned by the columns of (Hᵗ)⁻¹,
+    the rows of H⁻¹, and δ·H⁻¹ = adj(H) is integral: back substitution
+    solves H·x_j = δ·e_j.  Vectors that already are a canonical HNF
+    basis are H."""
+    h = vecs if _is_hnf(vecs, n) else [c for c in hnf_cols(vecs)[0] if any(c)]
     if len(h) != n:
         raise NotFullRank(f"generators span rank {len(h)} < {n}")
     delta = math.prod(h[i][i] for i in range(n))
     x = [solve_upper_cols(h, [delta * (r == j) for r in range(n)]) for j in range(n)]
-    return ZLattice(field, delta, [[scale * xj[i] for xj in x] for i in range(n)])
+    return delta, [[scale * xj[i] for xj in x] for i in range(n)]
+
+
+def zbeta_colon(lattice) -> "FractionalIdeal":
+    """(Z[b] : L) for a b-stable lattice L, from Euler's dual basis of
+    Z[b]; NotASublattice when L is not b-stable.
+
+    *Euler's lemma* (Serre, Local Fields, III §6, Lemma 2).  Write
+    p(x)/(x - b) = Σ_j e_j·x^j, so e_j = Σ_(k>j) p_k·b^(k-j-1).  Then
+    Tr(b^i·e_j/p'(b)) = δ_ij for 0 <= i, j < n.  Proof: with b_1..b_n
+    the roots of p, Lagrange interpolation at them gives
+    Σ_k b_k^i·p(x)/((x - b_k)·p'(b_k)) = x^i, as both sides have degree
+    below n and agree at every b_k.  The left side is
+    Tr(b^i·p(x)/((x - b)·p'(b))) = Σ_j Tr(b^i·e_j/p'(b))·x^j; compare
+    the coefficients of x^j.
+
+    The e_j are a basis of Z[b] (e_j is b^(n-1-j) plus lower powers), so
+    the trace dual of Z[b] is Z[b]^♯ = p'(b)⁻¹·Z[b]: Z[b] is Gorenstein.
+    For a Z[b]-module L, z·L ⊆ Z[b]^♯ means Tr(z·L·Z[b]) = Tr(z·L) ⊆ Z,
+    so (Z[b]^♯ : L) = L^♯ and (Z[b] : L) = p'(b)·L^♯.  An element
+    z = Σ_j y_j·e_j/p'(b) has Tr(z·b^i) = y_i, so z ∈ L^♯ exactly when y
+    pairs integrally with the coordinates of L, i.e. y ∈ L*, the
+    coordinate dual.  Hence (Z[b] : L) = E·L*, where column j of E is
+    e_j: the Hankel matrix E[r][j] = p_(r+j+1), with p_n = 1 and zero
+    beyond.  That is n back substitutions for L* and one HNF of n
+    columns, against the n² products and the HNF of n + n² vectors of
+    ``colon``.
+    """
+    if not isinstance(lattice, FractionalIdeal):
+        lattice = lattice.as_ideal()
+    field = lattice.field
+    n = field.n
+    p = field.p.coeffs
+    delta, dual = _dual_basis(lattice.cols, n, lattice.denom)
+    cols = [[sum(p[r + 1 + j] * y[j] for j in range(n - r)) for r in range(n)] for y in dual]
+    out = FractionalIdeal._proven(ZLattice(field, delta, cols))
+    if debug_asserts_enabled():
+        assert out == colon(zbeta(field), lattice), "Euler's (Z[b] : L) != colon"
+    return out
 
 
 def _power_ring(field, table) -> Order:

@@ -60,9 +60,9 @@ from .ideals import (
     _invertibility_index,
     _power_ring,
     coefficient_ring,
-    colon,
     is_invertible,
     zbeta,
+    zbeta_colon,
 )
 from .kernels import det_bareiss, mat_mul_rows, snf_diag, snf_rows
 from .numberfield import NumberField, _mult_columns
@@ -639,7 +639,7 @@ def _pair_has_invertible(ideal, zb):
     """At least one of I, (Z[beta]:I) is an invertible Z[beta]-ideal."""
     if is_invertible(ideal, zb):
         return True
-    return is_invertible(colon(zb, ideal).as_ideal(), zb)
+    return is_invertible(zbeta_colon(ideal), zb)
 
 
 def bf_certify(a, b) -> EquivalenceVerdict:

@@ -30,7 +30,11 @@ Dedekind's criterion (Cohen, Thm 6.1.4) says that
 O₁ = Z[b] + (U(b)/ℓ)·Z[b] is the first Round 2 step from Z[b], of
 index ℓ^deg Z; so Z[b] is ℓ-maximal exactly when deg Z = 0, and such
 primes are skipped.  O₁ is an order with ℓ·O₁ ⊆ Z[b], so O₁ ⊆ O_ℓ
-and Round 2 may start from O₁ instead of Z[b].
+and Round 2 may start from O₁ instead of Z[b].  t, the radical of
+p mod ℓ, comes from squarefree decomposition (``polyring._gf_radical``):
+p/gcd(p, p') is the product of the factors whose multiplicity is prime
+to ℓ; what is left after they are divided out of the gcd is an ℓ-th
+power g(x^ℓ), whose radical is that of g.
 
 *The index bound.*  disc(p) = [Z_K : Z[b]]²·disc(Z_K) and
 [O_ℓ : Z[b]] is the ℓ-part of [Z_K : Z[b]], so with i = v_ℓ[O_ℓ : Z[b]],
@@ -60,21 +64,24 @@ import math
 from typing import List, NamedTuple, Tuple
 
 from .config import debug_asserts_enabled
+from .errors import BudgetExceeded
 from .exactmat import kernel_mod_m
-from .ideals import FractionalIdeal, Order, ZLattice, colon, lattice_sum, zbeta
+from .ideals import FractionalIdeal, Order, ZLattice, colon, lattice_sum, zbeta, zbeta_colon
 from .kernels import snf_rows, solve_upper_cols
 from .numberfield import NumberField, _mult_columns
 from .polyring import (
     IntPoly,
     _gf_divmod,
     _gf_gcd,
-    _gf_mul,
     _gf_normalize,
-    _gf_powmod,
+    _gf_radical,
     discriminant,
     factorint,
     square_part,
 )
+
+
+LOCAL_ORDERS_BUDGET = 2**20  # elements of O_ℓ/Z[b] the local walk visits at most
 
 
 class OrderLattice(NamedTuple):
@@ -88,17 +95,10 @@ class OrderLattice(NamedTuple):
 def _dedekind_maximal(p, ell):
     """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
     doc), monic with coefficients in [0, ℓ); Z[b] is ℓ-maximal exactly
-    when deg U = deg p.  t is the lcm over d ≤ n of gcd(p, x^(ℓ^d) - x),
-    the product of the distinct irreducible factors of degree dividing d."""
+    when deg U = deg p.  t is the radical of p mod ℓ from
+    ``_gf_radical``."""
     pbar = _gf_normalize(p.coeffs, ell)
-    t = [1]
-    w = [0, 1]
-    for _ in range(p.degree):
-        w = _gf_powmod(w, ell, pbar, ell)
-        diff = w + [0] * (2 - len(w))
-        diff[1] -= 1
-        g = _gf_gcd(pbar, _gf_normalize(diff, ell), ell)
-        t = _gf_mul(t, _gf_divmod(g, _gf_gcd(t, g, ell), ell)[0], ell)
+    t = _gf_radical(pbar, ell)
     h = _gf_divmod(pbar, t, ell)[0]
     f = [c // ell for c in (IntPoly(t) * IntPoly(h) - p).coeffs]
     common = _gf_gcd(_gf_gcd(_gf_normalize(f, ell), t, ell), h, ell)
@@ -215,7 +215,9 @@ def _monogenic(field, vec, den):
 
 
 def _local_orders(top):
-    """Every order between Z[b] and the ℓ-primary order ``top``.
+    """Every order between Z[b] and the ℓ-primary order ``top``;
+    BudgetExceeded when top/Z[b] has more than LOCAL_ORDERS_BUDGET
+    elements, before the walk steps through them.
 
     With X = d·C⁻¹ the coordinates of the power basis in the basis
     C/d of ``top``, U·X·V = diag(a) gives b-coordinates V_i (column i
@@ -232,6 +234,9 @@ def _local_orders(top):
         for j in range(n)
     ]
     diag, _, v = snf_rows([[xc[i] for xc in xcols] for i in range(n)])
+    size = math.prod(diag)
+    if size > LOCAL_ORDERS_BUDGET:
+        raise BudgetExceeded(f"{field.p}: the local walk would visit {size} elements")
     big = diag[-1]
     gens = [(a, [v[r][i] * (big // a) for r in range(n)]) for i, a in enumerate(diag) if a > 1]
     orders = []
@@ -261,7 +266,8 @@ def enumerate_order_lattice(field) -> OrderLattice:
     """All orders between Z[b] and the maximal order, with Hasse edges.
 
     Raises FactorizationIncomplete if disc(p) cannot be fully factored
-    (the index bound F needs the exact square part).
+    (the index bound F needs the exact square part), and BudgetExceeded
+    when some O_ℓ/Z[b] has more than LOCAL_ORDERS_BUDGET elements.
     """
     zb = zbeta(field)
     if field.n == 1:
@@ -309,10 +315,9 @@ def maximal_order(field) -> Order:
 
 
 def conductor(ring) -> FractionalIdeal:
-    """(Z[b] : R), i.e. R⁻¹ with R viewed as a Z[b]-fractional ideal; it
-    is b-stable since Z[b] is."""
-    zb = zbeta(ring.field)
-    return FractionalIdeal._proven(colon(zb, ring))
+    """(Z[b] : R), i.e. R⁻¹ with R viewed as a Z[b]-fractional ideal,
+    from Euler's dual basis (``ideals.zbeta_colon``)."""
+    return zbeta_colon(ring)
 
 
 def order_discriminant(ring) -> int:

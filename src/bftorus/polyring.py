@@ -527,6 +527,30 @@ def _gf_powmod(base, exp, mod, q):
     return result
 
 
+def _gf_radical(f, q):
+    """The product of the distinct monic irreducible factors of the
+    monic f mod the prime q, by squarefree decomposition (Cohen, GTM 138,
+    Alg. 3.4.2).  Write f = Π P_i^m_i.  If f' = 0, then f = g(x^q) =
+    g^q (the Frobenius fixes F_q), so rad f = rad g.  Otherwise
+    gcd(f, f') = Π P_i^(m_i - 1) over q ∤ m_i times Π P_i^m_i over
+    q | m_i, so r = f/gcd(f, f') is the product of the P_i with q ∤ m_i;
+    dividing those out of the gcd leaves the q-th power Π P_i^m_i over
+    q | m_i, whose radical is taken by recursion."""
+    if len(f) <= 1:
+        return [1]
+    df = _gf_normalize([i * c for i, c in enumerate(f)][1:], q)
+    if not df:
+        return _gf_radical(f[::q], q)
+    rest = _gf_gcd(f, df, q)
+    r = _gf_divmod(f, rest, q)[0]
+    while True:
+        common = _gf_gcd(rest, r, q)
+        if len(common) == 1:
+            break
+        rest = _gf_divmod(rest, common, q)[0]
+    return _gf_mul(r, _gf_radical(rest, q), q)
+
+
 def _factor_degrees_mod(p, q):
     """Multiset of irreducible-factor degrees of p mod q (p squarefree
     mod q assumed)."""
@@ -575,17 +599,24 @@ def _int_divmod_monic(a, b):
 IRREDUCIBILITY_SEARCH_BUDGET = 50_000  # factor values tried at most
 
 
-def _signed_divisors(n):
+def _signed_divisors(n, pollard=False):
     """Every divisor of the nonzero integer n, both signs, smallest first;
-    None unless trial division up to 10^4 leaves 1 or a proven prime."""
-    fac, m = _trial_division(abs(n), 10**4)
-    if m > 1:
-        try:
-            if not _is_prime(m):
-                return None
-        except FactorizationIncomplete:
-            return None
-        fac[m] = 1
+    None when n does not split.  Trial division up to 10^4 must leave 1
+    or a proven prime, or with ``pollard`` ``factorint`` (the same trial
+    division, then Pollard-Brent within its rounds) must finish: the one
+    value of the root test may take that time, the 2n+1 values of the
+    factor search may not."""
+    try:
+        if pollard:
+            fac = factorint(n, trial_bound=10**4)
+        else:
+            fac, m = _trial_division(abs(n), 10**4)
+            if m > 1:
+                if not _is_prime(m):
+                    return None
+                fac[m] = 1
+    except FactorizationIncomplete:
+        return None
     divs = [1]
     for q, e in fac.items():
         divs = [d * q**i for d in divs for i in range(e + 1)]
@@ -657,10 +688,11 @@ def is_irreducible(p):
     """Exact irreducibility of a monic integer polynomial over Q.
 
     Degree <= 3 falls to the rational root theorem, whose candidate
-    roots are the divisors of p(0) from the bounded factoring of
-    ``_signed_divisors``.  Higher degrees are first attacked by
-    factor-degree patterns modulo several primes; if every prime leaves
-    a possible proper factor degree, Kronecker's exhaustive search for a
+    roots are the divisors of p(0) from ``factorint`` (trial division
+    up to 10^4, then Pollard-Brent).  Higher degrees are first attacked
+    by factor-degree patterns modulo several primes; once no root is
+    found, the possible factor degrees start at 2..n-2.  If every prime
+    leaves a possible proper factor degree, Kronecker's search for a
     monic integer factor of each such degree (``_kronecker_factor``)
     settles the question.  The answer is always a proof, never a
     probability; when p(0) does not factor, or a search would try more
@@ -680,7 +712,7 @@ def is_irreducible(p):
         return False  # x divides
     # Rational (hence integer) roots.  Up to degree 3 a repeated factor
     # is linear, so this also catches every p that is not squarefree.
-    roots = _signed_divisors(p.coeffs[0])
+    roots = _signed_divisors(p.coeffs[0], pollard=True)
     if roots is None:
         raise BudgetExceeded(f"{p}: the constant term does not factor for the root test")
     if any(p(r) == 0 for r in roots):
@@ -691,7 +723,8 @@ def is_irreducible(p):
     disc = resultant(p, p.derivative())
     if disc == 0:
         return False  # a repeated factor
-    possible = set(range(1, n))
+    # No rational roots, so no linear factor and no degree n-1 cofactor.
+    possible = set(range(2, n - 1))
     used = 0
     for prime in range(3, 200, 2):
         if used >= 8:
@@ -701,8 +734,6 @@ def is_irreducible(p):
             used += 1
             if not possible:
                 return True
-    # No rational roots, so no linear factor (and no degree n-1 cofactor).
-    possible -= {1, n - 1}
     candidates = sorted(d for d in possible if d <= n // 2 and (n - d) in possible)
     if not candidates:
         return True

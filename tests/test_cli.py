@@ -158,6 +158,12 @@ class TestLattice:
         assert code == 2
         assert "ReduciblePolynomial" in out
 
+    def test_local_walk_budget_exit_2(self):
+        # b = 2^21·sqrt(3): O_2/Z[b] has 2^21 elements, above the budget
+        code, out, _ = run_cli("lattice", "--poly", f"x^2-{3 * 4**21}")
+        assert code == 2
+        assert "BudgetExceeded" in out
+
     def test_bad_poly_is_exit_1(self):
         code, _, err = run_cli("lattice", "--poly", "x^^2")
         assert code == 1

@@ -31,6 +31,7 @@ from bftorus.ideals import (
     lattice_from_generators,
     trace_dual,
     zbeta,
+    zbeta_colon,
 )
 from bftorus.invariants import ideal_to_matrix, matrix_to_ideal
 from bftorus.numberfield import NumberField
@@ -146,6 +147,20 @@ def test_matrix_ideals_against_oracles(seed, n):
     for lattice in (ideal, ring):
         _check_dictionary(lattice)
         assert trace_dual(lattice) == oracle_trace_dual(lattice)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, DEGREES)
+def test_zbeta_colon_against_the_general_colon(seed, n):
+    rng = random.Random(seed)
+    ideal = matrix_to_ideal(_irreducible_matrix(rng, n))
+    field = ideal.field
+    lattices = [ideal, coefficient_ring(ideal), _lattice_with_denominator(rng, field, True)]
+    lattices += _non_maximal_field(rng, n)[1].nodes
+    for lattice in lattices:
+        assert zbeta_colon(lattice) == colon(zbeta(lattice.field), lattice)
+    with pytest.raises(NotASublattice):
+        zbeta_colon(_lattice_with_denominator(rng, field, False))
 
 
 @settings(max_examples=40, deadline=None)

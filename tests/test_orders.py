@@ -26,6 +26,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bftorus.config as config
+import bftorus.ideals as ideals
+import bftorus.orders as orders
+from bftorus.errors import BudgetExceeded
 from bftorus.ideals import (
     Order,
     ZLattice,
@@ -356,6 +359,27 @@ def test_local_orders_match_the_per_element_walk(field):
         got = _local_orders(top)
         assert len(set(got)) == len(got)
         assert set(got) == oracle_local_orders(top)
+
+
+def test_local_walk_budget(monkeypatch):
+    # x^2-3·4^16: 65,536 elements stay within the default budget
+    lat = enumerate_order_lattice(NumberField(f"x^2-{3 * 4**16}"))
+    assert len(lat.nodes) == 17
+    monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 2**11)
+    field = NumberField(CYCLIC_4096)
+    with pytest.raises(BudgetExceeded, match="4096 elements"):
+        enumerate_order_lattice(field)
+    monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 2**12)
+    assert len(enumerate_order_lattice(field).nodes) == 13
+
+
+def test_debug_check_catches_a_wrong_conductor(monkeypatch, K3):
+    lat = enumerate_order_lattice(K3)
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    assert [conductor(r) for r in lat.nodes] == [colon(zbeta(K3), r) for r in lat.nodes]
+    monkeypatch.setattr(ideals, "colon", lambda m, n_lat: zbeta(K3))
+    with pytest.raises(AssertionError, match="Euler"):
+        conductor(lat.nodes[-1])
 
 
 def test_cyclic_local_group_within_a_tenth_of_a_second():

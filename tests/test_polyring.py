@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bftorus.polyring
-from bftorus.errors import BudgetExceeded, NotMonic
+from bftorus.errors import BudgetExceeded, FactorizationIncomplete, NotMonic
 from bftorus.polyring import (
     IntPoly,
     RatPoly,
+    _gf_mul,
+    _gf_radical,
     discriminant,
     factorint,
     format_poly,
@@ -25,7 +27,14 @@ from bftorus.polyring import (
     square_part,
 )
 
-from util import P_CUBIC, P_QUAD, _poly_mul, oracle_box_irreducible, oracle_irreducible
+from util import (
+    P_CUBIC,
+    P_QUAD,
+    _poly_mul,
+    oracle_box_irreducible,
+    oracle_gf_radical,
+    oracle_irreducible,
+)
 
 
 P = IntPoly(P_CUBIC)  # x^3 - 23x^2 + 7x - 1
@@ -221,10 +230,32 @@ class TestIrreducibility:
         assert time.perf_counter() - start < 0.1
         assert not is_irreducible(IntPoly([-(10**14 + 31), 10**14 + 30, 1]))  # root 1
 
-    def test_constant_term_that_does_not_factor_exceeds_the_budget(self):
-        # two prime factors above the trial-division bound 10^4
+    def test_constant_term_with_two_large_prime_factors(self):
+        # both above the trial-division bound 10^4: Pollard-Brent splits p(0)
+        start = time.perf_counter()
+        assert is_irreducible(IntPoly([10007 * 10009, 1, 0, 1]))
+        assert time.perf_counter() - start < 0.1
+        # (x - 10007)(x^2 + x + 10009)
+        assert not is_irreducible(IntPoly(_poly_mul([-10007, 1], [10009, 1, 1])))
+
+    def test_constant_term_that_does_not_factor_exceeds_the_budget(self, monkeypatch):
+        def give_up(n, trial_bound=None):
+            raise FactorizationIncomplete(f"failed to split composite {n}")
+
+        monkeypatch.setattr(bftorus.polyring, "factorint", give_up)
         with pytest.raises(BudgetExceeded, match="constant term"):
             is_irreducible(IntPoly([10007 * 10009, 1, 0, 1]))
+
+    def test_factor_degrees_start_at_two_after_the_root_test(self, monkeypatch):
+        # x^4+x+1 mod 3 is (x-1)(x^3+x^2+x+2): with no rational root the
+        # degree pattern {1, 3} leaves no factor of degree 2, so the first
+        # prime decides
+        calls = []
+        patterns = bftorus.polyring._factor_degrees_mod
+        monkeypatch.setattr(bftorus.polyring, "_factor_degrees_mod",
+                            lambda p, q: calls.append(q) or patterns(p, q))
+        assert is_irreducible(IntPoly([1, 1, 0, 0, 1]))
+        assert calls == [3]
 
     def test_reducible_mod_every_prime_yet_irreducible(self):
         # The coefficient box would hold about 4·10^7 quartics for x^8+1.
@@ -275,6 +306,27 @@ RANDOM = st.integers(4, 5).flatmap(_monic)
 @given(st.one_of(PRODUCTS, RANDOM).filter(lambda c: c[0] != 0))
 def test_kronecker_against_the_coefficient_box(coeffs):
     assert is_irreducible(IntPoly(coeffs)) == oracle_box_irreducible(coeffs)
+
+
+@st.composite
+def powers_mod_small_primes(draw):
+    """(f, ℓ): a monic product of random monic factors mod ℓ, each to a
+    multiplicity among 1, 2, ℓ, ℓ + 1 and 2ℓ, so that repeated factors
+    and ℓ-th powers (f' = 0) occur."""
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    f = [1]
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.lists(st.integers(0, ell - 1), min_size=1, max_size=3)) + [1]
+        for _ in range(draw(st.sampled_from((1, 2, ell, ell + 1, 2 * ell)))):
+            f = _gf_mul(f, g, ell)
+    return f, ell
+
+
+@settings(max_examples=200, deadline=None)
+@given(powers_mod_small_primes())
+def test_gf_radical_against_distinct_degrees(case):
+    f, ell = case
+    assert _gf_radical(f, ell) == oracle_gf_radical(f, ell)
 
 
 class TestParsing:

@@ -11,11 +11,11 @@ correct at the sizes the tests use.  The order-lattice walk is the
 exception: it is the library's former algorithm and keeps its candidate
 filters (triangular solves and the checks of ``Order``), while its
 containments and edges come from Fraction solves.  So are the Round 2
-fixed point, the per-element walk of local orders and the
-Faddeev-LeVerrier dual lattice: former library paths built on its own
-steps, which stand in for the shortcuts that replaced them (Dedekind's
-seed and the index bound, one ring per cyclic subgroup, the triangular
-inverse).
+fixed point, the per-element walk of local orders, the distinct-degree
+radical mod ℓ and the Faddeev-LeVerrier dual lattice: former library
+paths built on its own steps, which stand in for the shortcuts that
+replaced them (Dedekind's seed and the index bound, one ring per cyclic
+subgroup, squarefree decomposition, the triangular inverse).
 """
 
 import itertools
@@ -40,7 +40,18 @@ from bftorus.ideals import (
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
 from bftorus.kernels import hnf_cols, snf_rows, solve_upper_cols
 from bftorus.orders import _join, _monogenic, _radical
-from bftorus.polyring import RatPoly, discriminant, factorint, format_poly, square_part
+from bftorus.polyring import (
+    RatPoly,
+    _gf_divmod,
+    _gf_gcd,
+    _gf_mul,
+    _gf_normalize,
+    _gf_powmod,
+    discriminant,
+    factorint,
+    format_poly,
+    square_part,
+)
 
 # ---------------------------------------------------------------------------
 # worked examples
@@ -721,6 +732,22 @@ def oracle_local_maximal(field, ell):
         if bigger == order:
             return order
         order = bigger
+
+
+def oracle_gf_radical(f, q):
+    """The product of the distinct monic irreducible factors of the
+    monic f mod the prime q, by distinct degrees: the lcm over d <= deg f
+    of gcd(f, x^(q^d) - x), the product of the irreducible factors of
+    degree dividing d."""
+    t = [1]
+    w = [0, 1]
+    for _ in range(len(f) - 1):
+        w = _gf_powmod(w, q, f, q)
+        diff = w + [0] * (2 - len(w))
+        diff[1] -= 1
+        g = _gf_gcd(f, _gf_normalize(diff, q), q)
+        t = _gf_mul(t, _gf_divmod(g, _gf_gcd(t, g, q), q)[0], q)
+    return t
 
 
 def oracle_local_orders(top):
