@@ -2,8 +2,10 @@
 
 Debug assertions enable expensive internal cross-checks: Cayley-Hamilton
 in ``char_poly_adjugate``; U·A·V = D and A·T = H with unimodular
-transforms; the Smith diagonal against |det| for BF groups; k-periodicity
-of the periodic-point generators; v·A = b·v for the dictionary
+transforms; the Smith diagonal of every BF group (``snf_diag``, modulo
+the (n-1)-minor gcd) against that of the independent transform loop
+``snf_rows``; k-periodicity of the periodic-point generators; v·A = b·v
+for the dictionary
 eigenvector; the char poly of ``ideal_to_matrix``; (M : N)·N ⊆ M for
 every colon; ``zbeta_colon`` from Euler's dual basis, and with it every
 ``conductor``, against ``colon(zbeta, L)``; the coefficient ring from

@@ -319,10 +319,15 @@ class Order(FractionalIdeal):
 
 
 def zbeta(field) -> Order:
-    """The monogenic order Z[b] (identity basis)."""
+    """The monogenic order Z[b] (identity basis).  The identity already
+    is a canonical basis, so none of the ``ZLattice`` checks run: callers
+    test ``ring == zbeta(field)`` in their hot paths."""
     n = field.n
-    identity = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return Order._proven(ZLattice(field, 1, identity))
+    out = object.__new__(Order)
+    object.__setattr__(out, "field", field)
+    object.__setattr__(out, "denom", 1)
+    object.__setattr__(out, "cols", tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)))
+    return out
 
 
 def _coordinates(big, small):
@@ -581,8 +586,9 @@ def trace_dual(ideal) -> "FractionalIdeal":
 def _invertibility_index(ideal, ring) -> int:
     """[R : I·(R:I)] for the order R, 1 exactly when I is invertible over
     R.  (R:I)·I ⊆ R always, so the index is the ratio of covolumes, read
-    off the HNF diagonals."""
-    inner = product(ideal, colon(ring, ideal))
+    off the HNF diagonals.  For R = Z[b], (R:I) is ``zbeta_colon(I)``."""
+    dual = zbeta_colon(ideal) if ring == zbeta(ring.field) else colon(ring, ideal)
+    inner = product(ideal, dual)
     n = ring.n
     num = math.prod(inner.cols[k][k] for k in range(n)) * ring.denom**n
     den = math.prod(ring.cols[k][k] for k in range(n)) * inner.denom**n

@@ -19,6 +19,10 @@ Conventions
   ``snf_rows`` also returns the unimodular transforms, whose entries
   can grow far beyond those of the input; ``snf_diag`` returns the
   diagonal alone and is what the Bowen-Franks groups are computed with.
+  For a nonsingular input it eliminates modulo m, the gcd of the
+  determinant and four (n-1)-minors that one Bareiss pass leaves
+  behind; m is a multiple of d1⋯d(n-1), so the first n-1 entries
+  survive the reduction and the last is |det|/(d1⋯d(n-1)).
 """
 
 import math
@@ -173,15 +177,23 @@ def solve_upper_cols(hcols, rhs):
     return x
 
 
-def det_bareiss(rows):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def _bareiss(rows):
+    """``(det M, block)`` for a square M of size n >= 2, by fraction-free
+    (Bareiss) elimination.
+
+    ``block`` is the trailing 2x2 block ``(w, x, y, z)`` before the last
+    step, or None when a zero column ends the elimination early (det 0).
+    After step k every entry a[i][j] (i, j > k) is the (k+2)-minor of
+    the row-permuted M on rows 0..k, i and columns 0..k, j (the Bareiss
+    invariant), so w, x, y, z are (n-1)-minors.  The last step needs no
+    pivot: det = ±(w·z - x·y)/prev exactly, by Sylvester's identity,
+    with prev the pivot of the step before.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n - 2):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k]:
@@ -189,7 +201,7 @@ def det_bareiss(rows):
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, None
         akk = a[k][k]
         for i in range(k + 1, n):
             aik = a[i][k]
@@ -199,7 +211,17 @@ def det_bareiss(rows):
                 ai[j] = (ai[j] * akk - aik * ak[j]) // prev
             ai[k] = 0
         prev = akk
-    return sign * a[n - 1][n - 1]
+    w, x = a[n - 2][n - 2:]
+    y, z = a[n - 1][n - 2:]
+    return sign * (w * z - x * y) // prev, (w, x, y, z)
+
+
+def det_bareiss(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n < 2:
+        return rows[0][0] if n else 1
+    return _bareiss(rows)[0]
 
 
 def snf_rows(rows):
@@ -329,16 +351,70 @@ def snf_diag(rows):
     """Smith diagonal of a square integer matrix (list of rows).
 
     Returns exactly ``snf_rows(rows)[0]``, the non-negative divisor
-    chain with zeros last, but tracks neither transform.  At step t the
-    smallest nonzero entry of the trailing block becomes the pivot;
-    row t and column t are then cleared by an exact quotient where the
-    pivot divides the entry, and otherwise by the unimodular 2x2 step
-    ``[[s, u], [-b/g, a/g]]`` with ``g = s*a + u*b = gcd(a, b)``, which
-    makes g the new pivot.  The diagonal left behind is folded into a
-    divisor chain by gcd/lcm.
+    chain with zeros last, but tracks neither transform.
+
+    *Modulus.*  One Bareiss pass (``_bareiss``) gives D = det M and four
+    (n-1)-minors of M, each a multiple of d_1⋯d_(n-1), the gcd of all
+    (n-1)-minors.  When D ≠ 0, let
+    m be the gcd of D and those minors: a multiple of d_1⋯d_(n-1), so
+    d_i divides m for i < n.  From U·M·V = diag(d) with U, V unimodular,
+    U·[M | m·I] spans the same lattice as [U·M·V | m·I], so the cokernel
+    of [M | m·I] is ⊕ Z/gcd(d_i, m), whose invariant factors are
+    d_1, …, d_(n-1), gcd(d_n, m).  The elimination (``_smith_pivots``)
+    therefore runs with every entry kept in [0, m): row and column
+    operations, and adding multiples of the columns m·e_i, keep the
+    cokernel.  A pivot p it leaves stands for Z/gcd(p, m), a trailing
+    block that vanishes mod m for copies of Z/m.  Folded into a chain,
+    these give d_1, …, d_(n-1) and then gcd(d_n, m), which is replaced
+    by d_n = |D|/(d_1⋯d_(n-1)).  When m = 1 the answer is
+    [1, …, 1, |D|] with no elimination.  Entries stay below m instead of
+    growing through the gcd steps to several times the size of the
+    input.  For singular M the same elimination runs over Z, and the
+    chain is folded from the pivots alone, zeros last.
     """
-    a = [list(r) for r in rows]
-    n = len(a)
+    n = len(rows)
+    if n < 2:
+        return [abs(rows[0][0])] if n else []
+    det, block = _bareiss(rows)
+    m = math.gcd(det, *block) if det else 0
+    if m == 1:
+        return [1] * (n - 1) + [abs(det)]
+    diag = _smith_pivots(rows, m)
+    if m:
+        diag = [math.gcd(p, m) for p in diag] + [m] * (n - len(diag))
+
+    # Fold into a divisor chain; gcd/lcm swaps keep every prime's
+    # multiset of valuations, so the chain is the Smith diagonal.
+    k = len(diag)
+    for i in range(k):
+        for j in range(i + 1, k):
+            di = diag[i]
+            dj = diag[j]
+            if dj % di:
+                g = math.gcd(di, dj)
+                diag[i] = g
+                diag[j] = di // g * dj
+    if m:
+        head = diag[:-1]
+        return head + [abs(det) // math.prod(head)]
+    return diag + [0] * (n - k)
+
+
+def _smith_pivots(rows, m):
+    """The absolute pivots that diagonal elimination of a square matrix
+    leaves: over Z when m = 0, otherwise with every entry kept in
+    [0, m) (see ``snf_diag``).  The list ends early where the trailing
+    block vanishes.
+
+    At step t the smallest nonzero entry of the trailing block becomes
+    the pivot; row t and column t are then cleared by an exact quotient
+    where the pivot divides the entry, and otherwise by the unimodular
+    2x2 step ``[[s, u], [-b/g, a/g]]`` with ``g = s*a + u*b = gcd(a, b)``,
+    which makes g the new pivot.  Each gcd step shrinks the pivot, so
+    the sweeps end; mod m the new pivot is below m already.
+    """
+    n = len(rows)
+    a = [[e % m for e in r] for r in rows] if m else [list(r) for r in rows]
     diag = []
     for t in range(n):
         # smallest nonzero entry of the trailing submatrix -> (t, t)
@@ -382,11 +458,16 @@ def snf_diag(rows):
                         f = ai[j]
                         at[j] = s * e + u * f
                         ai[j] = y * f - x * e
+                        if m:
+                            at[j] %= m
+                            ai[j] %= m
                 else:
                     for j in range(t + 1, n):
                         e = at[j]
                         if e:
                             ai[j] -= q * e
+                            if m:
+                                ai[j] %= m
                     ai[t] = 0
             # Row t: column operations.  While column t is zero below
             # the pivot an exact step only zeroes at[j]; a gcd step
@@ -406,6 +487,8 @@ def snf_diag(rows):
                         e = ai[t]
                         if e:
                             ai[j] -= q * e
+                            if m:
+                                ai[j] %= m
                 else:
                     g, s, u = _bezout(p, b)
                     x = b // g
@@ -416,21 +499,12 @@ def snf_diag(rows):
                         f = ai[j]
                         ai[t] = s * e + u * f
                         ai[j] = y * f - x * e
+                        if m:
+                            ai[t] %= m
+                            ai[j] %= m
                     refilled = True
             if not refilled:
                 break
         p = at[t]
         diag.append(-p if p < 0 else p)
-
-    # Fold into a divisor chain; gcd/lcm swaps keep every prime's
-    # multiset of valuations, so the chain is the Smith diagonal.
-    k = len(diag)
-    for i in range(k):
-        for j in range(i + 1, k):
-            di = diag[i]
-            dj = diag[j]
-            if dj % di:
-                g = math.gcd(di, dj)
-                diag[i] = g
-                diag[j] = di // g * dj
-    return diag + [0] * (n - k)
+    return diag
