@@ -9,7 +9,12 @@ for the dictionary
 eigenvector; the char poly of ``ideal_to_matrix``; (M : N)·N ⊆ M for
 every colon; ``zbeta_colon`` from Euler's dual basis, and with it every
 ``conductor``, against ``colon(zbeta, L)``; the coefficient ring from
-the b-action against ``colon(I, I)``; the trace-dual involution; the
+the b-action against ``colon(I, I)``; every ring taken modulo the gcd
+of its Krylov determinants (``ideals._power_ring``) against the plain
+dual of all the entry vectors; every answer of the Krylov test
+``ideals._locally_cyclic``, in ``bf_refute`` and in
+``_invertibility_index``, against the exact [R : I·(R:I)]; the
+trace-dual involution; the
 two characterizations of invertibility; the coefficient rings formed
 from the powers of A against
 ``coefficient_ring(matrix_to_ideal(A))``; an inconclusive verdict that

@@ -11,14 +11,15 @@ equality.  Everything downstream — "these two ideals coincide", "this
 module is a ring", "I·I⁻¹ = R" — reduces to that exactness.
 """
 
+import itertools
 import json
 import math
 import operator
 from fractions import Fraction
 
 from .config import debug_asserts_enabled
-from .errors import NotASublattice, NotFullRank
-from .exactmat import _integer_inverse, power_table
+from .errors import NonIntegralResult, NotASublattice, NotFullRank
+from .exactmat import _integer_inverse, eval_at_power_table, power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import parse_int_poly
@@ -492,8 +493,85 @@ def _power_ring(field, table) -> Order:
     """{g(b) : g(X) integral} for ``table = power_table(X)``, X the
     b-action on some lattice basis (or its transpose): g(X) = sum c_k X^k
     is integral exactly when c pairs integrally with every entry vector
-    (X^0[i][j], ..., X^(n-1)[i][j]), so the ring is their dual."""
-    return Order._proven(_dual_lattice(field, [list(e) for row in table for e in row]))
+    (X^0[i][j], ..., X^(n-1)[i][j]), so the ring is the dual of the
+    lattice W they span.
+
+    W is found modulo a Krylov determinant.  The entry vectors of column
+    j are the rows of K_j = [e_j, X·e_j, ..., X^(n-1)·e_j], so they span
+    a sublattice of W of index |det K_j| in Zⁿ, and [Zⁿ : W] divides
+    m = gcd_j det K_j.  X has the irreducible char poly p, so Qⁿ is a
+    simple Q[X]-module, every u ≠ 0 generates it and m ≠ 0.  m = 1 means
+    W = Zⁿ and the ring is Z[b]; otherwise m·Zⁿ ⊆ W, and W is the span of
+    the m·e_i and the entry vectors reduced mod m: one HNF whose entries
+    stay below m.
+    """
+    n = field.n
+    m = 0
+    for j in range(n):
+        m = math.gcd(m, det_bareiss([row[j] for row in table]))
+        if m == 1:
+            break
+    if m == 1:
+        ring = zbeta(field)
+    else:
+        gens = [[m * (r == i) for r in range(n)] for i in range(n)]
+        gens += ([e % m for e in entry] for row in table for entry in row)
+        ring = Order._proven(_dual_lattice(field, gens))
+    if debug_asserts_enabled():
+        plain = _dual_lattice(field, [list(e) for row in table for e in row])
+        assert ring == plain, "Krylov-modular ring != the plain dual"
+    return ring
+
+
+def _krylov_rows(table):
+    """K_u for u = e_j, then u = e_i + e_j (i < j), as lists of rows,
+    K_u = [u, X·u, ..., X^(n-1)·u] for ``table = power_table(X)``: row i
+    of K_(e_j) is the entry vector table[i][j], and K_u is linear in u."""
+    n = len(table)
+    basic = [[row[j] for row in table] for j in range(n)]
+    yield from basic
+    for i, j in itertools.combinations(range(n), 2):
+        yield [list(map(operator.add, a, b)) for a, b in zip(basic[i], basic[j])]
+
+
+def _locally_cyclic(table, ring) -> bool:
+    """True when the ideal I on whose basis b acts by X (``table =
+    power_table(X)``, X itself, not its transpose) is locally principal
+    over the order R, so that [R : I·(R:I)] = 1.  R must lie in
+    {g : g(X) integral}; see ``_in_power_ring``.  False means only that
+    the test did not answer.
+
+    Proof.  For u ≠ 0 the map g -> g(X)·u is injective on K, so
+    [R·u : Z[b]·u] = [R : Z[b]], and Z[b]·u is spanned by the columns of
+    K_u, of index |det K_u| in Zⁿ; with R·u ⊆ Zⁿ,
+    [Zⁿ : R·u] = |det K_u| / [R : Z[b]].  If a prime ℓ does not divide
+    that index, I_ℓ = R_ℓ·u at the localisation at ℓ, and
+    I_ℓ·(R_ℓ : I_ℓ) = u·R_ℓ·u⁻¹·R_ℓ = R_ℓ.  Colons and products commute
+    with localisation, so ℓ does not divide [R : I·(R:I)].  When the gcd
+    of the indices over the u of ``_krylov_rows`` is 1, no prime divides
+    it, and the index is 1.  The set of u is fixed.
+    """
+    n = len(table)
+    index = ring.denom**n // math.prod(ring.cols[k][k] for k in range(n))
+    g = 0
+    for rows in _krylov_rows(table):
+        q, rem = divmod(det_bareiss(rows), index)
+        assert not rem, "[R : Z[b]] does not divide det K_u: R is not in C(I)"
+        g = math.gcd(g, q)
+        if g == 1:
+            return True
+    return False
+
+
+def _in_power_ring(table, ring) -> bool:
+    """R ⊆ {g : g(X) integral} for ``table = power_table(X)``: g(X) is
+    integral for each basis element g of R."""
+    try:
+        for c in ring.cols:
+            eval_at_power_table(table, ring.denom, c)
+    except NonIntegralResult:
+        return False
+    return True
 
 
 def coefficient_ring(ideal) -> Order:
@@ -585,8 +663,22 @@ def trace_dual(ideal) -> "FractionalIdeal":
 
 def _invertibility_index(ideal, ring) -> int:
     """[R : I·(R:I)] for the order R, 1 exactly when I is invertible over
-    R.  (R:I)·I ⊆ R always, so the index is the ratio of covolumes, read
-    off the HNF diagonals.  For R = Z[b], (R:I) is ``zbeta_colon(I)``."""
+    R.  When R lies in C(I), ``_locally_cyclic`` on the b-action of I
+    answers 1 when it can; the exact ``_colon_index`` runs otherwise."""
+    x = _beta_action(ideal.cols, _beta_columns(ring.field))
+    if x is not None:
+        table = power_table(transpose(x))
+        if _in_power_ring(table, ring) and _locally_cyclic(table, ring):
+            if debug_asserts_enabled():
+                assert _colon_index(ideal, ring) == 1, "locally cyclic, yet not invertible"
+            return 1
+    return _colon_index(ideal, ring)
+
+
+def _colon_index(ideal, ring) -> int:
+    """[R : I·(R:I)] from (R:I) and the product.  (R:I)·I ⊆ R always, so
+    the index is the ratio of covolumes, read off the HNF diagonals.  For
+    R = Z[b], (R:I) is ``zbeta_colon(I)``."""
     dual = zbeta_colon(ideal) if ring == zbeta(ring.field) else colon(ring, ideal)
     inner = product(ideal, dual)
     n = ring.n

@@ -33,6 +33,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .config import debug_asserts_enabled
 from .errors import (
+    BudgetExceeded,
     CharPolyMismatch,
     DegeneratePeriod,
     FactorizationIncomplete,
@@ -57,7 +58,8 @@ from .ideals import (
     ZLattice,
     _beta_action,
     _beta_columns,
-    _invertibility_index,
+    _colon_index,
+    _locally_cyclic,
     _power_ring,
     coefficient_ring,
     is_invertible,
@@ -442,6 +444,23 @@ def _cyclic_remainders(p, bound):
         yield tuple(r)
 
 
+REFUTE_SHELL_BUDGET = 1_000_000  # max-norm shell points generated, at most
+
+
+def _shell(radius, n):
+    """The integer n-tuples of max-norm ``radius`` in lexicographic order,
+    without drawing the (2·radius - 1)^n tuples inside the shell: a
+    first coordinate of modulus ``radius`` frees the rest, any other
+    leaves the rest on the shell."""
+    if n == 0:
+        return
+    box = range(-radius, radius + 1)
+    for c in box:
+        rests = itertools.product(box, repeat=n - 1) if abs(c) == radius else _shell(radius, n - 1)
+        for rest in rests:
+            yield (c,) + rest
+
+
 def _refutation_candidates(p, rings, bound):
     """The documented candidate list, deduplicated mod p.
 
@@ -456,7 +475,9 @@ def _refutation_candidates(p, rings, bound):
     coefficient rings (a g that is integral on one side only refutes
     through integrality alone), then every g(beta) with power-basis
     coordinates in max-norm shells 1..bound, first nonzero coordinate
-    positive, constants skipped (they never distinguish).  Only the
+    positive, constants skipped (they never distinguish).  Every shell
+    point generated counts against REFUTE_SHELL_BUDGET: BudgetExceeded
+    when one more is due.  Only the
     cyclic candidates need reducing; the other two kinds already have
     degree < deg p.  ``rings`` holds the coefficient rings of both
     matrices (``_matrix_ring``), and is empty when p is reducible or of
@@ -479,10 +500,15 @@ def _refutation_candidates(p, rings, bound):
             d, r = _scaled_coords(z.coords, n)
             if d != 1 and fresh(d, r):
                 yield d, r, z.coords
+    generated = 0
     for radius in range(1, bound + 1):
-        for tup in itertools.product(range(-radius, radius + 1), repeat=n):
-            if max(abs(c) for c in tup) != radius:
-                continue
+        for tup in _shell(radius, n):
+            generated += 1
+            if generated > REFUTE_SHELL_BUDGET:
+                raise BudgetExceeded(
+                    f"bf_refute: the shells up to bound {bound} exceed "
+                    f"{REFUTE_SHELL_BUDGET} candidates"
+                )
             if not any(tup[1:]):
                 continue  # constants (and zero) never distinguish
             first = next(c for c in tup if c)
@@ -510,15 +536,23 @@ def _group_or_none(table, d, r):
         return None
 
 
-def _matrix_invertibility_index(field, ring, a):
-    """[R : I·(R:I)] for the ideal I of ``a`` and R = C(I), taken as 1
-    without forming I when R = Z[beta]: Z[beta] is Gorenstein, so every
-    ideal whose coefficient ring it is is invertible over it."""
-    gorenstein = ring == zbeta(field)
-    if gorenstein and not debug_asserts_enabled():
+def _matrix_invertibility_index(field, ring, a, table):
+    """[R : I·(R:I)] for the ideal I of ``a`` and R = C(I), ``table =
+    power_table(a)``, taken as 1 without forming I in two cases.  When R
+    = Z[beta]: Z[beta] is Gorenstein, so every ideal whose coefficient
+    ring it is is invertible over it.  When ``ideals._locally_cyclic``
+    answers: beta acts on I by A in the coordinates c -> v.c, and R =
+    C(I) = {g : g(A) integral} by construction."""
+    if ring == zbeta(field):
+        shortcut = "an ideal with ring Z[beta] is not invertible"
+    elif _locally_cyclic(table, ring):
+        shortcut = "a locally cyclic ideal is not invertible"
+    else:
+        shortcut = None
+    if shortcut and not debug_asserts_enabled():
         return 1
-    index = _invertibility_index(_ideal_in(field, a, char_poly_adjugate(a)[1]), ring)
-    assert index == 1 or not gorenstein, "an ideal with ring Z[beta] is not invertible"
+    index = _colon_index(_ideal_in(field, a, char_poly_adjugate(a)[1]), ring)
+    assert index == 1 or shortcut is None, shortcut
     return index
 
 
@@ -567,16 +601,24 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
        with g(A) not integral is not integral on either side; so the
        verdict is inconclusive at once.  When R = Z[beta], N = 1 needs
        no computing: Z[beta] is Gorenstein, so every ideal whose
-       coefficient ring it is is invertible over it.  When the rings
-       differ, a basis element of one that is not in the other is a
-       candidate integral on one side only, and the search runs with
-       the skip of step 1.
+       coefficient ring it is is invertible over it.  Otherwise N = 1
+       is read off Krylov determinants from the powers of A whenever I
+       is locally cyclic over R (``ideals._locally_cyclic``):
+       |det[u, A.u, ..., A^(n-1).u]| / [R : Z[beta]] is the index of
+       R.u in Z^n, and gcd 1 over a fixed set of u makes every I_l
+       principal.  Only when that test does not answer are I, (R:I)
+       and their product formed.  When the rings differ, a basis
+       element of one that is not in the other is a candidate integral
+       on one side only, and the search runs with the skip of step 1.
 
     Candidates with denominators, and every candidate of a reducible
     p, are always evaluated.  A skipped candidate never distinguishes,
     so the witness and its groups are those of the unpruned search.
     With debug assertions on, an answer of step 2 without a search is
-    checked against the full search.
+    checked against the full search.  The max-norm shells raise
+    BudgetExceeded past REFUTE_SHELL_BUDGET generated points (see
+    ``_refutation_candidates``); a witness found before that is
+    returned as usual.
     """
     p = _require_same_char_poly(a, b)
     bound = operator.index(bound)
@@ -597,8 +639,8 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     if field is not None:
         rings = tuple(_matrix_ring(field, table) for table in tables)
         if rings[0] == rings[1]:
-            f = _matrix_invertibility_index(field, rings[0], a)
-            f *= _matrix_invertibility_index(field, rings[0], b)
+            f = _matrix_invertibility_index(field, rings[0], a, tables[0])
+            f *= _matrix_invertibility_index(field, rings[0], b, tables[1])
             if f == 1:
                 verdict = EquivalenceVerdict("inconclusive", bound=bound)
                 if debug_asserts_enabled():

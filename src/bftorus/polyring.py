@@ -408,7 +408,7 @@ def _trial_division(n, bound):
     return out, n
 
 
-def factorint(n, trial_bound=TRIAL_DIVISION_BOUND):
+def factorint(n):
     """Full factorization of |n| as a dict prime -> exponent.
 
     Raises FactorizationIncomplete when the remaining cofactor resists
@@ -418,7 +418,7 @@ def factorint(n, trial_bound=TRIAL_DIVISION_BOUND):
     n = abs(int(n))
     if n == 0:
         raise ValueError("cannot factor 0")
-    out, n = _trial_division(n, trial_bound)
+    out, n = _trial_division(n, TRIAL_DIVISION_BOUND)
     if n == 1:
         return out
     stack = [n]
@@ -599,28 +599,71 @@ def _int_divmod_monic(a, b):
 IRREDUCIBILITY_SEARCH_BUDGET = 50_000  # factor values tried at most
 
 
-def _signed_divisors(n, pollard=False):
+def _signed_divisors(n):
     """Every divisor of the nonzero integer n, both signs, smallest first;
-    None when n does not split.  Trial division up to 10^4 must leave 1
-    or a proven prime, or with ``pollard`` ``factorint`` (the same trial
-    division, then Pollard-Brent within its rounds) must finish: the one
-    value of the root test may take that time, the 2n+1 values of the
-    factor search may not."""
+    None when n does not split: trial division up to 10^4 must leave 1
+    or a proven prime."""
     try:
-        if pollard:
-            fac = factorint(n, trial_bound=10**4)
-        else:
-            fac, m = _trial_division(abs(n), 10**4)
-            if m > 1:
-                if not _is_prime(m):
-                    return None
-                fac[m] = 1
+        fac, m = _trial_division(abs(n), 10**4)
+        if m > 1:
+            if not _is_prime(m):
+                return None
+            fac[m] = 1
     except FactorizationIncomplete:
         return None
     divs = [1]
     for q, e in fac.items():
         divs = [d * q**i for d in divs for i in range(e + 1)]
     return [s * d for d in sorted(divs) for s in (1, -1)]
+
+
+def _root_or_repeated_factor(p):
+    """True when the monic p of degree >= 2 with p(0) ≠ 0 has an integer
+    root or a repeated factor, found q-adically, without factoring p(0).
+
+    Take the primes q = 2, 3, 5, ... in turn.  At the first q where
+    every root r of p mod q is simple (p'(r) ≢ 0), Newton's step lifts
+    each r to the unique root mod q^(2^k) above it (Hensel).  An integer
+    root s divides p(0) and has |s| <= 1 + max |p_i| (Cauchy); with B
+    the smaller bound, s reduces to a root mod q, so once q^(2^k) > 2B
+    it is the symmetric residue of one lift, and each lift is checked
+    exactly.  A prime with a multiple root mod q divides
+    disc(p) = ±Res(p, p').  Hadamard's bound on the rows of the
+    Sylvester matrix gives |disc(p)| <= ||p||^(n-1)·||p'||^n, so once
+    the product of such primes exceeds it, disc(p) = 0: p has a
+    repeated factor.  The local Horner loop spares building p' as an
+    IntPoly, which doubles the cost of a unit cubic.
+    """
+    c = p.coeffs
+
+    def at(coeffs, x):
+        out = 0
+        for e in reversed(coeffs):
+            out = out * x + e
+        return out
+
+    multiple = 1
+    q = 1
+    while True:
+        q += 1
+        if not _is_prime(q):
+            continue
+        roots = [x for x in range(q) if at(c, x) % q == 0]
+        if not roots:
+            return False
+        dc = [k * e for k, e in enumerate(c)][1:]
+        if any(at(dc, r) % q == 0 for r in roots):
+            multiple *= q
+            n = p.degree
+            if multiple**2 > sum(e * e for e in c) ** (n - 1) * sum(e * e for e in dc) ** n:
+                return True
+            continue
+        bound = min(abs(c[0]), 1 + max(map(abs, c[:-1])))
+        mod = q
+        while mod <= 2 * bound:
+            mod *= mod
+            roots = [(r - at(c, r) * pow(at(dc, r), -1, mod)) % mod for r in roots]
+        return any(at(c, r if 2 * r <= mod else r - mod) == 0 for r in roots)
 
 
 def _kronecker_points(p, k):
@@ -687,17 +730,16 @@ def _kronecker_factor(p, k, tried):
 def is_irreducible(p):
     """Exact irreducibility of a monic integer polynomial over Q.
 
-    Degree <= 3 falls to the rational root theorem, whose candidate
-    roots are the divisors of p(0) from ``factorint`` (trial division
-    up to 10^4, then Pollard-Brent).  Higher degrees are first attacked
+    Degree <= 3 falls to the integer roots, lifted from roots modulo a
+    prime (``_root_or_repeated_factor``).  Higher degrees are first attacked
     by factor-degree patterns modulo several primes; once no root is
     found, the possible factor degrees start at 2..n-2.  If every prime
     leaves a possible proper factor degree, Kronecker's search for a
     monic integer factor of each such degree (``_kronecker_factor``)
     settles the question.  The answer is always a proof, never a
-    probability; when p(0) does not factor, or a search would try more
-    than IRREDUCIBILITY_SEARCH_BUDGET factor values, BudgetExceeded is
-    raised instead.
+    probability; when too few values of p factor, or a search would try
+    more than IRREDUCIBILITY_SEARCH_BUDGET factor values, BudgetExceeded
+    is raised instead.
     """
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
@@ -710,12 +752,10 @@ def is_irreducible(p):
         return True
     if p.coeffs[0] == 0:
         return False  # x divides
-    # Rational (hence integer) roots.  Up to degree 3 a repeated factor
-    # is linear, so this also catches every p that is not squarefree.
-    roots = _signed_divisors(p.coeffs[0], pollard=True)
-    if roots is None:
-        raise BudgetExceeded(f"{p}: the constant term does not factor for the root test")
-    if any(p(r) == 0 for r in roots):
+    # A rational root of a monic integer p is an integer, and for n >= 2
+    # a root or a repeated factor makes p reducible.  Up to degree 3 a
+    # factor is linear, so that settles it.
+    if _root_or_repeated_factor(p):
         return False
     if n <= 3:
         return True

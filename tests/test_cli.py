@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import bftorus.invariants
 import bftorus.polyring
 from bftorus import cli
 
@@ -354,6 +355,15 @@ class TestEquiv:
         code, out, _ = run_cli("equiv", "--matrix", mats["A"], other)
         assert code == 2
         assert "CharPolyMismatch" in out
+
+    def test_shell_budget_exit_2(self, tmp_path, monkeypatch):
+        # (x-1)(x-2) is reducible, so every shell candidate is evaluated,
+        # and a matrix never separates from itself
+        monkeypatch.setattr(bftorus.invariants, "REFUTE_SHELL_BUDGET", 100)
+        a = write_matrix(tmp_path, "a.txt", [[1, 1], [0, 2]])
+        code, out, _ = run_cli("equiv", "--matrix", a, a, "--bound", "5")
+        assert code == 2
+        assert "BudgetExceeded" in out
 
     def test_quartic_pair(self, mats):
         code, out, _ = run_cli(

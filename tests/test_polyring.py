@@ -1,5 +1,6 @@
 """Integer/rational polynomial arithmetic and the number-theory helpers."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bftorus.polyring
-from bftorus.errors import BudgetExceeded, FactorizationIncomplete, NotMonic
+from bftorus.errors import BudgetExceeded, NotMonic
 from bftorus.polyring import (
     IntPoly,
     RatPoly,
     _gf_mul,
     _gf_radical,
+    _is_prime,
     discriminant,
     factorint,
     format_poly,
@@ -223,28 +225,55 @@ class TestIrreducibility:
         assert time.perf_counter() - start < 2
 
     def test_root_test_with_a_large_constant_term(self):
-        # p(0) = 10^14+31 is prime: its divisors come from the bounded
-        # factoring, not from trial division up to 10^7
+        # p(0) = 10^14+31 is prime: no integer root, read off roots
+        # modulo a small prime rather than off the divisors of p(0)
         start = time.perf_counter()
         assert is_irreducible(IntPoly([10**14 + 31, 1, 0, 0, 1]))
         assert time.perf_counter() - start < 0.1
         assert not is_irreducible(IntPoly([-(10**14 + 31), 10**14 + 30, 1]))  # root 1
 
     def test_constant_term_with_two_large_prime_factors(self):
-        # both above the trial-division bound 10^4: Pollard-Brent splits p(0)
+        # both above the trial-division bound 10^4
         start = time.perf_counter()
         assert is_irreducible(IntPoly([10007 * 10009, 1, 0, 1]))
         assert time.perf_counter() - start < 0.1
         # (x - 10007)(x^2 + x + 10009)
         assert not is_irreducible(IntPoly(_poly_mul([-10007, 1], [10009, 1, 1])))
 
-    def test_constant_term_that_does_not_factor_exceeds_the_budget(self, monkeypatch):
-        def give_up(n, trial_bound=None):
-            raise FactorizationIncomplete(f"failed to split composite {n}")
+    def test_root_test_does_not_factor_the_constant_term(self, monkeypatch):
+        # p(0) = p·q with p ≈ 10^15 and q ≈ 3·10^15 prime, which
+        # Pollard-Brent needs tens of seconds to split
+        def refuse(*args, **kwargs):
+            raise AssertionError("the root test factored p(0)")
 
-        monkeypatch.setattr(bftorus.polyring, "factorint", give_up)
-        with pytest.raises(BudgetExceeded, match="constant term"):
-            is_irreducible(IntPoly([10007 * 10009, 1, 0, 1]))
+        monkeypatch.setattr(bftorus.polyring, "factorint", refuse)
+        big_p, big_q = (next(m for m in itertools.count(x) if _is_prime(m))
+                        for x in (10**15, 3 * 10**15))
+        start = time.perf_counter()
+        assert is_irreducible(IntPoly([big_p * big_q, 1, 0, 1]))
+        assert is_irreducible(IntPoly([10007 * 10009, 1, 0, 1]))
+        # (x + big_p)(x^2 - big_p·x + big_q), a root far beyond p(0)'s
+        # trial division
+        assert not is_irreducible(IntPoly(_poly_mul([big_p, 1], [big_q, -big_p, 1])))
+        assert time.perf_counter() - start < 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-(10**12), 10**12),
+        st.lists(st.integers(-50, 50), min_size=1, max_size=3),
+    )
+    def test_root_test_finds_every_integer_root(self, root, cofactor):
+        # (x - root)·h, h monic: reducible whatever the size of the root;
+        # a double root when h(root) = 0 as well
+        p = IntPoly(_poly_mul([-root, 1], cofactor + [1]))
+        if p.coeffs[0]:
+            assert not is_irreducible(p)
+
+    def test_repeated_factor_without_a_simple_root_mod_small_primes(self):
+        # (x - 1)^2·(x + 2): every prime sees the double root 1, so the
+        # product of the primes passes Hadamard's bound on disc(p) = 0
+        assert bftorus.polyring._root_or_repeated_factor(IntPoly(_poly_mul([1, -2, 1], [2, 1])))
+        assert not bftorus.polyring._root_or_repeated_factor(IntPoly([1, 7, -23, 1]))
 
     def test_factor_degrees_start_at_two_after_the_root_test(self, monkeypatch):
         # x^4+x+1 mod 3 is (x-1)(x^3+x^2+x+2): with no rational root the

@@ -11,6 +11,7 @@ work really is skipped.
 """
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -45,6 +46,8 @@ from util import (
     EX1_C,
     EX2_M,
     EX2_MP,
+    I48,
+    R48,
     companion,
     mat_mul,
     oracle_bf_refute,
@@ -154,6 +157,39 @@ def test_irreducibility_budget_is_not_a_factorization_fallback(monkeypatch):
         bf_refute(phi16, phi16, 1)
 
 
+def test_shell_budget(monkeypatch):
+    # (x-1)(x-2) is reducible, so every shell candidate is evaluated, and
+    # a matrix never separates from itself.  The shells up to bound 3
+    # hold 8 + 16 + 24 points.
+    a = [[1, 1], [0, 2]]
+    monkeypatch.setattr(inv, "REFUTE_SHELL_BUDGET", 48)
+    assert bf_refute(a, a, 3) == oracle_bf_refute(a, a, 3)
+    monkeypatch.setattr(inv, "REFUTE_SHELL_BUDGET", 47)
+    with pytest.raises(BudgetExceeded, match="bound 3"):
+        bf_refute(a, a, 3)
+    # The witness x of this reducible pair is (0, 1), the fifth point of
+    # the first shell: found with a budget of five, not with four.
+    a, b = [[-2, -4], [0, -4]], [[0, 1], [-8, -6]]
+    expected = oracle_bf_refute(a, b, 2)
+    assert expected.witness == "x"
+    monkeypatch.setattr(inv, "REFUTE_SHELL_BUDGET", 5)
+    assert bf_refute(a, b, 2) == expected
+    monkeypatch.setattr(inv, "REFUTE_SHELL_BUDGET", 4)
+    with pytest.raises(BudgetExceeded):
+        bf_refute(a, b, 2)
+    # witnesses ahead of the shells need no budget at all
+    monkeypatch.setattr(inv, "REFUTE_SHELL_BUDGET", 0)
+    for x, y in ((EX1_A, EX1_B), (EX1_B, EX1_C), (EX2_M, EX2_MP), (R48, I48)):
+        assert bf_refute(x, y, 4) == oracle_bf_refute(x, y, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shells_in_lexicographic_order(n):
+    for radius in (1, 2, 3):
+        cube = itertools.product(range(-radius, radius + 1), repeat=n)
+        assert list(inv._shell(radius, n)) == [t for t in cube if max(map(abs, t)) == radius]
+
+
 def test_square_free_discriminant_answers_at_once(monkeypatch):
     counters = {}
     for name in ("coefficient_ring", "matrix_to_ideal", "_matrix_ring", "snf_diag"):
@@ -209,11 +245,6 @@ def test_ring_from_powers_is_the_coefficient_ring(seed, n):
 
 # ---------------------------------------------------------------------
 # equal coefficient rings
-
-# The order R = <1, b, b^2/2, b^3/4> of x^4-48 and a non-invertible
-# ideal over it: the pair is L-equivalent, and yet (1/2)x^2 separates it.
-R48 = [[0, 0, 0, 12], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]]
-I48 = [[0, -2, -2, 3], [2, -2, 0, 1], [0, 4, 2, 0], [0, 0, 2, 0]]
 
 # Fields with a non-Gorenstein order: its trace dual has the same
 # coefficient ring and is not invertible over it.

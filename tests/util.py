@@ -12,10 +12,11 @@ exception: it is the library's former algorithm and keeps its candidate
 filters (triangular solves and the checks of ``Order``), while its
 containments and edges come from Fraction solves.  So are the Round 2
 fixed point, the per-element walk of local orders, the distinct-degree
-radical mod ℓ and the Faddeev-LeVerrier dual lattice: former library
-paths built on its own steps, which stand in for the shortcuts that
-replaced them (Dedekind's seed and the index bound, one ring per cyclic
-subgroup, squarefree decomposition, the triangular inverse).
+radical mod ℓ, the Faddeev-LeVerrier dual lattice and the plain dual of
+the power ring: former library paths built on its own steps, which
+stand in for the shortcuts that replaced them (Dedekind's seed and the
+index bound, one ring per cyclic subgroup, squarefree decomposition,
+the triangular inverse, the Krylov modulus).
 """
 
 import itertools
@@ -35,6 +36,7 @@ from bftorus.ideals import (
     coefficient_ring,
     colon,
     lattice_from_generators,
+    product,
     zbeta,
 )
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
@@ -82,6 +84,12 @@ J7_COLS = [[2, 0, 0], [1, 1, 0], [1, 0, 1]]
 R7_DENOM, R7_COLS = 2, [[2, 0, 0], [0, 2, 0], [1, 0, 1]]
 
 P_QUAD = [1, -34, 1]  # x^2 - 34x + 1, discriminant 24^2 * 2
+
+# The order R = <1, b, b^2/2, b^3/4> of x^4-48 (R48 is its b-action)
+# and a non-invertible ideal over it (I48): the pair is L-equivalent,
+# and yet (1/2)x^2 separates it.
+R48 = [[0, 0, 0, 12], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]]
+I48 = [[0, -2, -2, 3], [2, -2, 0, 1], [0, 4, 2, 0], [0, 0, 2, 0]]
 
 
 def companion(p):
@@ -785,6 +793,17 @@ def oracle_dual_lattice(field, vecs, scale=1):
     h, _ = hnf_cols(vecs)
     m, d = _integer_inverse([c for c in h if any(c)])
     return ZLattice(field, abs(d), [[scale * e for e in c] for c in zip(*m)])
+
+
+def oracle_power_ring(field, table):
+    """``ideals._power_ring`` as the plain dual of all n² entry vectors of
+    ``table = power_table(X)``, with no Krylov modulus."""
+    return oracle_dual_lattice(field, [list(e) for row in table for e in row])
+
+
+def oracle_invertibility_index(ideal, ring):
+    """[R : I·(R:I)] from the Fraction-solve colon and the product."""
+    return product(ideal, oracle_colon(ring, ideal)).index_in(ring)
 
 
 # ---------------------------------------------------------------------------
