@@ -1,4 +1,4 @@
-"""Seeded golden digests of the lattice layer's canonical outputs.
+"""Seeded golden digests of the canonical outputs.
 
 Each section renders a fixed, seeded battery of results as text and
 compares its SHA-256 with a recorded value, so a refactor that shifts a
@@ -16,6 +16,11 @@ The batteries:
 * ``lattice``: the order lattices of fixed quadratic and cubic fields
   and of seeded cubics with small index bound: nodes (denominator and
   basis), edges, discriminants and conductors.
+* ``periodic``: for worked and seeded matrices (n = 0..5, unit and
+  non-unit determinants, singular and nilpotent A, reducible char
+  polys), mat_pow for k = 0..300, bf_k and periodic_structure, and
+  bf_group and eval_poly_at_matrix of rational g, with the text of
+  every NonIntegralResult and DegeneratePeriod.
 
 Each section runs twice, with debug assertions off and on
 (``bftorus.config.set_debug_asserts``), so the internal cross-checks
@@ -29,11 +34,13 @@ script from the repository root and paste what it prints:
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from bftorus.config import debug_asserts_enabled, set_debug_asserts
-from bftorus.exactmat import char_poly
+from bftorus.errors import DegeneratePeriod, NonIntegralResult
+from bftorus.exactmat import char_poly, eval_poly_at_matrix, mat_pow
 from bftorus.ideals import (
     coefficient_ring,
     colon,
@@ -43,14 +50,17 @@ from bftorus.ideals import (
 )
 from bftorus.invariants import (
     bf_certify,
+    bf_group,
+    bf_k,
     bf_refute,
     ideal_to_matrix,
     l_equivalent,
     matrix_to_ideal,
+    periodic_structure,
 )
 from bftorus.numberfield import NumberField
 from bftorus.orders import conductor, enumerate_order_lattice, order_discriminant
-from bftorus.polyring import IntPoly, discriminant, square_part
+from bftorus.polyring import IntPoly, RatPoly, discriminant, square_part
 
 from util import (
     EX1_A,
@@ -73,6 +83,7 @@ GOLDEN = {
     "dictionary": "7fdc7e18116011e47e8bd9ed4c0ac11fc788870ea3f07195f5e5d5e5968de464",
     "verdicts": "14715813040eaaa6b9062b871bbfc31b048cdbc56000a08df2fd5430635ad543",
     "lattice": "a06a2ca187c0d0437c24698110073d77d9adb979bae0aca84f3de4103cd32894",
+    "periodic": "3b308ec3bf4ff3ecbae297b14195dda8de8717faa39f06d3265eb0f5333b6cf6",
 }
 
 
@@ -167,10 +178,82 @@ def lattice_lines():
             )
 
 
+def _periodic_matrices(rng):
+    """Worked matrices, then per n = 1..5 random ones (any determinant),
+    and for n > 1 a singular one (a repeated row) and a unimodular one."""
+    out = [
+        [],
+        [[0]],
+        [[1]],
+        [[-1]],
+        [[3]],
+        [[1, 1], [0, 1]],  # unipotent: p = (x-1)^2
+        [[0, 1], [0, 0]],  # nilpotent
+        [[2, 0], [0, 3]],  # p = (x-2)(x-3)
+        [[0, -1], [1, 0]],  # x^2+1: A^4 = I
+        [[1, 2], [2, 4]],  # singular
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # nilpotent of index 3
+        EX1_A,
+        EX2_M,
+    ]
+    for n in range(1, 6):
+        for _ in range(3):
+            out.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            a[-1] = list(a[0])
+            out.append(a)
+            out.append(random_unimodular_pair(rng, n, steps=4)[0])
+    return out
+
+
+def _rational_polys(rng, a):
+    """Random rational g (rarely integral on A), x-1, x^k-1, the char
+    poly, and (p·u)/m + v, which has denominators yet v(A) as its value."""
+    n = len(a)
+    p = char_poly(a)
+    out = [RatPoly([-1, 1]), RatPoly(IntPoly.cyclic(5).coeffs), p.to_rat()]
+    for _ in range(3):
+        out.append(RatPoly([
+            Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+            for _ in range(rng.randint(0, n + 3))
+        ]))
+    u = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+    v = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, n + 1))])
+    out.append(RatPoly((p * u).coeffs) * Fraction(1, rng.choice((2, 3, 5))) + v)
+    return out
+
+
+def _or_error(f, *args):
+    try:
+        return str(f(*args))
+    except (NonIntegralResult, DegeneratePeriod) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def periodic_lines():
+    rng = random.Random(SEED + 3)
+    for a in _periodic_matrices(rng):
+        ks = [0, 1, 2, 3, 12, rng.randint(4, 300), 300]
+        yield f"A={a} " + " ".join(f"A^{k}={mat_pow(a, k)}" for k in ks)
+        yield "  " + " ".join(f"BF_{k}={bf_k(a, k)}" for k in ks[1:])
+        for k in (1, 2, 6):
+            yield f"  Per_{k}={_or_error(periodic_structure, a, k)}"
+        for g in _rational_polys(rng, a):
+            yield " ".join(
+                [
+                    f"  g={g}",
+                    f"BF={_or_error(bf_group, a, g)}",
+                    f"g(A)={_or_error(eval_poly_at_matrix, g, a)}",
+                ]
+            )
+
+
 SECTIONS = {
     "dictionary": dictionary_lines,
     "verdicts": verdict_lines,
     "lattice": lattice_lines,
+    "periodic": periodic_lines,
 }
 
 
