@@ -4,8 +4,14 @@ Matrices are plain lists of rows with ``int`` entries (arbitrary
 precision; nothing here ever overflows or rounds).  They act on column
 vectors from the left.  The two normal-form results carry their
 unimodular transforms so callers can recover generators, not just
-diagonal data.  A rational result (an inverse, g(A) for rational g) is
-formed as an integer matrix over one denominator.
+diagonal data.
+
+Everything polynomial in A comes from one ``power_table``, the powers
+A^0..A^(n-1).  By Cayley-Hamilton g(A) = r(A) for r = g mod p, so the
+char poly p is read off the traces of the powers (Newton's
+identities), A⁻¹ is a combination of them over p(0), A^k is
+(x^k mod p)(A), and a rational g(A) is an integer matrix over one
+denominator.
 """
 
 import math
@@ -16,7 +22,7 @@ from typing import List, NamedTuple
 from .config import debug_asserts_enabled
 from .errors import NonIntegralResult, SingularMatrix
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_rows
-from .polyring import IntPoly, RatPoly
+from .polyring import IntPoly, RatPoly, _cleared, _int_divmod_monic
 
 IntMatrix = List[List[int]]
 
@@ -58,75 +64,79 @@ def mat_vec(a, v):
     return [sum(e * x for e, x in zip(row, v)) for row in a]
 
 
-def mat_pow(a, k) -> IntMatrix:
-    """A**k for k >= 0 by repeated squaring."""
-    if k < 0:
-        raise ValueError("negative matrix power")
-    n = len(a)
-    out = identity_matrix(n)
-    base = copy_matrix(a)
-    while k:
-        if k & 1:
-            out = mat_mul_rows(out, base)
-        k >>= 1
-        if k:
-            base = mat_mul_rows(base, base)
-    return out
-
-
 def det(a) -> int:
     return det_bareiss(copy_matrix(a))
 
 
-def char_poly_adjugate(a):
-    """(p, [B_0, ..., B_{n-1}]) with p = det(xI - A) and
-    adj(xI - A) = sum_k x^k B_k, by the Faddeev-LeVerrier recurrence.
+def power_table(a):
+    """Entry (i, j) holds the tuple (A^0[i][j], ..., A^(n-1)[i][j]): the
+    only place the powers of a matrix are formed.  By Cayley-Hamilton each
+    g(A) is r(A) for r = g mod p, an integer combination of the entries
+    (``eval_at_power_table``)."""
+    a = copy_matrix(a)
+    powers = [identity_matrix(len(a)), a][:len(a)]
+    while len(powers) < len(a):
+        powers.append(mat_mul_rows(powers[-1], a))
+    return [list(zip(*rows)) for rows in zip(*powers)]
 
-    B_{n-1} = I and B_{k-1} = A.B_k + c_k.I, where c_k is the x^k
-    coefficient of p; everything is integer and the trace divisions are
-    exact.  With debug assertions enabled the Cayley-Hamilton identity
-    p(A) = 0 is verified on every call.
+
+def eval_at_power_table(table, d, r) -> IntMatrix:
+    """g(A) = (sum_k r_k A^k)/d from ``table = power_table(A)``, for a
+    positive integer d and integers r_0..r_(n-1) (missing ones are 0);
+    NonIntegralResult when some entry is not divisible by d."""
+    out = [[sum(map(operator.mul, r, e)) for e in row] for row in table]
+    if d == 1:
+        return out
+    if any(e % d for row in out for e in row):
+        raise NonIntegralResult("g(A) is not integral")
+    return [[e // d for e in row] for row in out]
+
+
+def _adjugate_b0(table, p):
+    """B_0 = sum_t c_(t+1)·A^t for p = sum_t c_t·x^t the char poly of A:
+    A·B_0 = p(A) - c_0·I = -c_0·I, so B_0 = adj(-A)."""
+    return eval_at_power_table(table, 1, p.coeffs[1:])
+
+
+def powers_and_char_poly(a):
+    """(``power_table(A)``, det(xI - A)), the char poly read off the table.
+
+    Newton's identities give the coefficients c_k of p from the power
+    sums s_k = tr A^k: k·c_(n-k) = -sum_(i=1..k) c_(n-k+i)·s_i, with
+    c_n = 1, every division exact.  The table holds s_1..s_(n-1), and
+    s_n = tr(A^(n-1)·A) = sum_(i,j) A^(n-1)[i][j]·A[j][i] needs no
+    further product.  With debug assertions enabled Cayley-Hamilton is
+    verified as A·B_0 = -c_0·I (see ``_adjugate_b0``).
     """
     a = copy_matrix(a)
     n = len(a)
-    if n == 0:
-        return IntPoly([1]), []
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = identity_matrix(n)
-    adj = [m]
+    table = power_table(a)
+    s = [sum(t) for t in zip(*(table[i][i] for i in range(n)))]
+    s.append(sum(e[n - 1] * x for row, col in zip(table, zip(*a)) for e, x in zip(row, col)))
+    c = [0] * n + [1]
     for k in range(1, n + 1):
-        am = mat_mul_rows(a, m)
-        tr = sum(am[i][i] for i in range(n))
-        c, rem = divmod(-tr, k)
+        c[n - k], rem = divmod(-sum(c[n - k + i] * s[i] for i in range(1, k + 1)), k)
         if rem:
-            raise AssertionError("Faddeev-LeVerrier division was not exact")
-        coeffs[n - k] = c
-        for i in range(n):
-            am[i][i] += c
-        m = am
-        adj.append(m)
-    p = IntPoly(coeffs)
+            raise AssertionError("Newton's identities: division was not exact")
+    p = IntPoly(c)
     if debug_asserts_enabled():
-        z = eval_poly_at_matrix(p, a)
-        assert all(all(e == 0 for e in row) for row in z), "p(A) != 0"
-    # adj holds B_{n-1}, ..., B_0 and then A.B_0 + c_0.I = p(A) = 0.
-    return p, adj[n - 1::-1]
+        want = [[-c[0] * (i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul_rows(a, _adjugate_b0(table, p)) == want, "p(A) != 0"
+    return table, p
 
 
 def char_poly(a) -> IntPoly:
-    """det(xI - A), all integer (see ``char_poly_adjugate``)."""
-    return char_poly_adjugate(a)[0]
+    """det(xI - A), all integer (see ``powers_and_char_poly``)."""
+    return powers_and_char_poly(a)[1]
 
 
 def _integer_inverse(a):
-    """(M, D) with A⁻¹ = M/D, M integral: with p and B_0 = adj(-A) from
-    ``char_poly_adjugate``, (-A)·B_0 = p(0)·I, so M = B_0 and D = -p(0).
-    SingularMatrix when det A = 0."""
-    p, adj = char_poly_adjugate(a)
+    """(M, D) with A⁻¹ = M/D, M integral: M = B_0 and D = -p(0), as
+    A·B_0 = -p(0)·I (``_adjugate_b0``).  SingularMatrix when det A = 0."""
+    table, p = powers_and_char_poly(a)
     if not p.coeffs[0]:
         raise SingularMatrix("matrix is singular over Q")
-    return (adj[0] if adj else []), -p.coeffs[0]
+    return _adjugate_b0(table, p), -p.coeffs[0]
 
 
 def rational_inverse(a):
@@ -135,66 +145,51 @@ def rational_inverse(a):
     return [[Fraction(e, d) for e in row] for row in m]
 
 
-def _divided(m, d):
-    """m/d entrywise for a positive integer d, or None on a remainder."""
-    if d == 1:
-        return m
-    if any(e % d for row in m for e in row):
-        return None
-    return [[e // d for e in row] for row in m]
+def _x_power_mod(k, p):
+    """x^k mod the monic integer p (coefficients constant first), by
+    squaring: each step squares a polynomial of degree < deg p, and a set
+    bit of k shifts the square by one degree before the reduction."""
+    n = len(p) - 1
+    r = [1] if n else []
+    for bit in bin(k)[2:]:
+        shift = bit == "1"
+        sq = [0] * (2 * n)
+        for i, ri in enumerate(r):
+            if ri:
+                sq[2 * i + shift] += ri * ri
+                for j in range(i + 1, len(r)):
+                    sq[i + j + shift] += 2 * ri * r[j]
+        r = _int_divmod_monic(sq, p)[1]
+    return r
+
+
+def mat_pow(a, k) -> IntMatrix:
+    """A^k for k >= 0 as r(A), r = x^k mod p (Cayley-Hamilton): the
+    squarings act on the n coefficients of r, not on n² matrix entries."""
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError("negative matrix power")
+    table, p = powers_and_char_poly(a)
+    return eval_at_power_table(table, 1, _x_power_mod(k, p.coeffs))
 
 
 def eval_poly_at_matrix(g, a) -> IntMatrix:
     """g(A) for g over Q, exact; NonIntegralResult unless g(A) is integral.
 
-    With d the least common denominator of g, Horner forms (d·g)(A) in
-    integers and every entry must then be divisible by d.  Integrality
-    of g(A) depends only on the conjugacy class of A, so a failure here
-    is meaningful: g lies outside the ring of polynomials that are
-    integral on this class.
+    With d the least common denominator of g, (d·g)(A) = r(A) for the
+    integer remainder r of d·g by the monic p, and every entry of r(A)
+    must then be divisible by d.  Integrality of g(A) depends only on
+    the conjugacy class of A, so a failure here is meaningful: g lies
+    outside the ring of polynomials that are integral on this class.
     """
-    a = copy_matrix(a)
-    n = len(a)
+    table, p = powers_and_char_poly(a)
     if not isinstance(g, RatPoly):
         g = g.to_rat() if isinstance(g, IntPoly) else RatPoly(g)
-    d = math.lcm(*(c.denominator for c in g.coeffs))
-    out = [[0] * n for _ in range(n)]
-    for c in reversed(g.coeffs):
-        out = mat_mul_rows(out, a)
-        ci = c.numerator * (d // c.denominator)
-        for i in range(n):
-            out[i][i] += ci
-    out = _divided(out, d)
-    if out is None:
-        raise NonIntegralResult(f"{g} evaluated at the matrix is not integral")
-    return out
-
-
-def power_table(a):
-    """Entry (i, j) holds the tuple (A^0[i][j], ..., A^(n-1)[i][j]).
-
-    By Cayley-Hamilton every g(A) is a polynomial in A of degree < n,
-    so with the powers formed once, each g(A) is an integer linear
-    combination of them (see ``eval_at_power_table``).
-    """
-    a = copy_matrix(a)
-    n = len(a)
-    powers = [identity_matrix(n), a][:n]
-    while len(powers) < n:
-        powers.append(mat_mul_rows(powers[-1], a))
-    return [[tuple(pk[i][j] for pk in powers) for j in range(n)] for i in range(n)]
-
-
-def eval_at_power_table(table, d, r) -> IntMatrix:
-    """g(A) = (sum_k r_k A^k)/d from ``table = power_table(A)``.
-
-    ``d`` is a positive integer and ``r`` an integer vector of length n;
-    NonIntegralResult when some entry is not divisible by d.
-    """
-    out = _divided([[sum(map(operator.mul, r, e)) for e in row] for row in table], d)
-    if out is None:
-        raise NonIntegralResult("g(A) is not integral")
-    return out
+    d, dg = _cleared(g.coeffs)
+    try:
+        return eval_at_power_table(table, d, _int_divmod_monic(dg, p.coeffs)[1])
+    except NonIntegralResult:
+        raise NonIntegralResult(f"{g} evaluated at the matrix is not integral") from None
 
 
 def smith_normal_form(a) -> SmithDecomposition:

@@ -44,13 +44,12 @@ from .exactmat import (
     IntMatrix,
     _integer_inverse,
     char_poly,
-    char_poly_adjugate,
     copy_matrix,
     det,
     eval_at_power_table,
     eval_poly_at_matrix,
     mat_pow,
-    power_table,
+    powers_and_char_poly,
 )
 from .ideals import (
     AbelianGroup,
@@ -59,6 +58,7 @@ from .ideals import (
     _beta_action,
     _beta_columns,
     _colon_index,
+    _dual_basis,
     _locally_cyclic,
     _power_ring,
     coefficient_ring,
@@ -66,11 +66,12 @@ from .ideals import (
     zbeta,
     zbeta_colon,
 )
-from .kernels import det_bareiss, mat_mul_rows, snf_diag, snf_rows
-from .numberfield import NumberField, _mult_columns
+from .kernels import det_bareiss, snf_diag, snf_rows
+from .numberfield import NumberField
 from .polyring import (
     IntPoly,
     RatPoly,
+    _cleared,
     discriminant,
     format_poly,
     parse_rat_poly,
@@ -89,11 +90,13 @@ def _as_rat_poly(g):
     return RatPoly(g)
 
 
-def _require_same_char_poly(a, b):
-    pa, pb = char_poly(a), char_poly(b)
+def _same_char_poly(a, b):
+    """(p, (power_table(A), power_table(B))); CharPolyMismatch unless A
+    and B share the char poly p."""
+    (table_a, pa), (table_b, pb) = powers_and_char_poly(a), powers_and_char_poly(b)
     if pa != pb:
         raise CharPolyMismatch(f"characteristic polynomials differ: {pa} vs {pb}")
-    return pa
+    return pa, (table_a, table_b)
 
 
 # ---------------------------------------------------------------------
@@ -119,9 +122,9 @@ def bf_group(a, g) -> AbelianGroup:
 
 
 def bf_k(a, k) -> AbelianGroup:
-    """BF_k(A) = Z^n/(A^k - I)Z^n, the group of k-periodic points,
-    with A^k formed by repeated squaring.  When det(A^k - I) ≠ 0 the
-    Smith diagonal is taken modulo the gcd of the determinant and
+    """BF_k(A) = Z^n/(A^k - I)Z^n, the group of k-periodic points, with
+    A^k = (x^k mod p)(A) (``exactmat.mat_pow``).  When det(A^k - I) ≠ 0
+    the Smith diagonal is taken modulo the gcd of the determinant and
     (n-1)-minors (``kernels.snf_diag``), so the elimination works on
     entries below that modulus rather than on those of A^k."""
     k = operator.index(k)
@@ -137,8 +140,7 @@ def _scaled_coords(coeffs, n):
     """(d, r) with d the least positive integer making d.g integral and
     r = d.g as n integer coordinates; g given by its Fraction
     coefficients, of degree < n."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    r = [c.numerator * (d // c.denominator) for c in coeffs]
+    d, r = _cleared(coeffs)
     return d, tuple(r + [0] * (n - len(r)))
 
 
@@ -154,9 +156,8 @@ class BFProfile:
 
     def __init__(self, a):
         self.matrix = copy_matrix(a)
-        self.p = char_poly(a)
+        self._powers, self.p = powers_and_char_poly(self.matrix)
         self._p_rat = self.p.to_rat()
-        self._powers = power_table(self.matrix)
         self.entries: Dict[RatPoly, AbelianGroup] = {}
 
     def reduce(self, g) -> RatPoly:
@@ -221,26 +222,6 @@ def periodic_structure(a, k) -> PeriodicStructure:
 # ---------------------------------------------------------------------
 # the matrix <-> ideal dictionary
 
-def _row_eigenvector(field, a, adj):
-    """Row 0 of adj(beta.I - A): a nonzero v (entries in K) with v.A = beta.v,
-    each entry given by its integer power-basis coordinates.
-
-    ``adj`` is [B_0, ..., B_{n-1}] with adj(xI - A) = sum_k x^k B_k (see
-    ``exactmat.char_poly_adjugate``).  Since adj(beta.I - A)(beta.I - A)
-    = p(beta).I = 0, each row is a row eigenvector; entry j of row 0
-    has the integer power-basis coordinates (B_k[0][j])_k, and entry 0
-    has beta^(n-1)-coordinate 1 because B_{n-1} = I, so v != 0.
-    """
-    n = field.n
-    vec = [[adj[k][0][j] for k in range(n)] for j in range(n)]
-    if debug_asserts_enabled():
-        v = [field.element(c) for c in vec]
-        for i in range(n):
-            lhs = sum((v[j] * a[j][i] for j in range(n)), field.zero())
-            assert lhs == v[i] * field.beta(), "v.A != beta.v"
-    return vec
-
-
 def matrix_to_ideal(a) -> FractionalIdeal:
     """The ideal of A: the Z-span of the entries of a row eigenvector.
 
@@ -254,9 +235,8 @@ def matrix_to_ideal(a) -> FractionalIdeal:
     any order), and round-trips through ideal_to_matrix agree up to
     this normalization in general.
     """
-    a = copy_matrix(a)
-    p, adj = char_poly_adjugate(a)
-    return _ideal_in(_dictionary_field(p), a, adj)
+    table, p = powers_and_char_poly(a)
+    return _ideal_in(_dictionary_field(p), table)
 
 
 def _dictionary_field(p):
@@ -272,17 +252,28 @@ def _dictionary_field(p):
         ) from None
 
 
-def _ideal_in(field, a, adj):
-    """``matrix_to_ideal(a)`` in the field of its char poly, from the
-    adjugate coefficients of ``exactmat.char_poly_adjugate(a)``."""
-    vec = _row_eigenvector(field, a, adj)
-    # Every entry is nonzero (a zero entry would cap the span at rank
-    # n-1), so dividing by the first one picks a canonical point on the
-    # K-line of eigenvectors: v_j/v_0 = Mult(v_0)^-1.v_j, the integer
-    # vector adj(Mult(v_0)).v_j over a scalar the rescale absorbs.  Fed
-    # columns as rows, _integer_inverse gives the transposed adjugate.
-    adj_t, _ = _integer_inverse(_mult_columns(field, vec[0]))
-    raw = ZLattice(field, 1, mat_mul_rows(vec, adj_t))
+def _ideal_in(field, table):
+    """``matrix_to_ideal(A)`` in the field of its char poly, from ``table =
+    power_table(A)``: the dual of the Krylov lattice of e_0, rescaled.
+
+    Let K = [e_0, A·e_0, ..., A^(n-1)·e_0]; its rows are the entry
+    vectors table[i][0].  p is irreducible, so e_0 is a cyclic vector and
+    K is invertible, with A·K = K·C for the companion matrix C of p.
+    The row x = (1, b, ..., b^(n-1))·K⁻¹ then satisfies x·A = b·x, as
+    (1, b, ..., b^(n-1))·C = b·(1, b, ..., b^(n-1)), and x_0 = 1 since
+    K·e_0 = e_0: x is the row eigenvector divided by its first entry.
+    The coordinates of x_i are column i of K⁻¹, so the entries of x span
+    the dual of the lattice of the rows of K, one ``_dual_basis``.
+    """
+    n = field.n
+    krylov = [list(row[0]) for row in table]
+    raw = ZLattice(field, *_dual_basis(krylov, n))
+    if debug_asserts_enabled():
+        m, d = _integer_inverse(krylov)
+        x = [field.element([Fraction(m[k][i], d) for k in range(n)]) for i in range(n)]
+        for i in range(n):
+            lhs = sum((x[j] * table[j][i][1] for j in range(n)), field.zero())
+            assert lhs == field.beta() * x[i], "x.A != beta.x"
     # The first HNF column spans the intersection with Q; rescale it to Z.
     return FractionalIdeal._proven(ZLattice(field, raw.cols[0][0], raw.cols))
 
@@ -409,9 +400,9 @@ def l_equivalent(a, b) -> EquivalenceVerdict:
     invariant, so this is well defined.  Both rings come from the
     powers of the matrices (``_matrix_ring``), in one number field.
     """
-    field = _dictionary_field(_require_same_char_poly(a, b))
-    ring_a = _matrix_ring(field, power_table(a))
-    ring_b = _matrix_ring(field, power_table(b))
+    p, tables = _same_char_poly(a, b)
+    field = _dictionary_field(p)
+    ring_a, ring_b = (_matrix_ring(field, table) for table in tables)
     if ring_a == ring_b:
         return EquivalenceVerdict(
             "L-equivalent", witness=f"common coefficient ring ({_basis_str(ring_a)})"
@@ -445,6 +436,7 @@ def _cyclic_remainders(p, bound):
 
 
 REFUTE_SHELL_BUDGET = 1_000_000  # max-norm shell points generated, at most
+CONJUGACY_BUDGET = 1_000_000  # candidate matrices m^(n^2) of conjugate_mod, at most
 
 
 def _shell(radius, n):
@@ -536,9 +528,9 @@ def _group_or_none(table, d, r):
         return None
 
 
-def _matrix_invertibility_index(field, ring, a, table):
-    """[R : I·(R:I)] for the ideal I of ``a`` and R = C(I), ``table =
-    power_table(a)``, taken as 1 without forming I in two cases.  When R
+def _matrix_invertibility_index(field, ring, table):
+    """[R : I·(R:I)] for the ideal I of A and R = C(I), ``table =
+    power_table(A)``, taken as 1 without forming I in two cases.  When R
     = Z[beta]: Z[beta] is Gorenstein, so every ideal whose coefficient
     ring it is is invertible over it.  When ``ideals._locally_cyclic``
     answers: beta acts on I by A in the coordinates c -> v.c, and R =
@@ -551,7 +543,7 @@ def _matrix_invertibility_index(field, ring, a, table):
         shortcut = None
     if shortcut and not debug_asserts_enabled():
         return 1
-    index = _colon_index(_ideal_in(field, a, char_poly_adjugate(a)[1]), ring)
+    index = _colon_index(_ideal_in(field, table), ring)
     assert index == 1 or shortcut is None, shortcut
     return index
 
@@ -620,7 +612,12 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     ``_refutation_candidates``); a witness found before that is
     returned as usual.
     """
-    p = _require_same_char_poly(a, b)
+    return _refute(*_same_char_poly(a, b), bound)
+
+
+def _refute(p, tables, bound):
+    """``bf_refute`` of the two matrices whose power tables are ``tables``,
+    p their common char poly."""
     bound = operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -635,12 +632,11 @@ def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
             f = _index_multiple(p)
             if f == 1:
                 return EquivalenceVerdict("inconclusive", bound=bound)
-    tables = (power_table(a), power_table(b))
     if field is not None:
         rings = tuple(_matrix_ring(field, table) for table in tables)
         if rings[0] == rings[1]:
-            f = _matrix_invertibility_index(field, rings[0], a, tables[0])
-            f *= _matrix_invertibility_index(field, rings[0], b, tables[1])
+            f = _matrix_invertibility_index(field, rings[0], tables[0])
+            f *= _matrix_invertibility_index(field, rings[0], tables[1])
             if f == 1:
                 verdict = EquivalenceVerdict("inconclusive", bound=bound)
                 if debug_asserts_enabled():
@@ -701,7 +697,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
       5. degree <= 3: L-equivalence already decides BF-equivalence.
     Anything else is inconclusive (bound 0: no search was involved).
     """
-    p = _require_same_char_poly(a, b)
+    p, tables = _same_char_poly(a, b)
     n = p.degree
     if n < 2:
         raise ReduciblePolynomial("certificates need degree >= 2")
@@ -717,8 +713,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
                 "polynomial share every BF_g"
             ),
         )
-    ideal_a = _ideal_in(field, a, char_poly_adjugate(a)[1])
-    ideal_b = _ideal_in(field, b, char_poly_adjugate(b)[1])
+    ideal_a, ideal_b = (_ideal_in(field, table) for table in tables)
     ring_a = coefficient_ring(ideal_a)
     ring_b = coefficient_ring(ideal_b)
     if ring_a != ring_b:
@@ -766,7 +761,8 @@ def conjugate_mod(a, b, m) -> bool:
     """Is there P with P.A = B.P (mod m) and det(P) a unit mod m?
 
     Exhaustive over all m^(n^2) candidate matrices - strictly a
-    small-case oracle.  Strong BF-equivalence forces conjugacy mod
+    small-case oracle: BudgetExceeded when m^(n^2) is above
+    CONJUGACY_BUDGET.  Strong BF-equivalence forces conjugacy mod
     every m, so a single failing modulus is a refutation.
     """
     m = operator.index(m)
@@ -779,6 +775,10 @@ def conjugate_mod(a, b, m) -> bool:
     n = len(a)
     if len(b) != n:
         raise ValueError("matrix sizes differ")
+    if m ** (n * n) > CONJUGACY_BUDGET:
+        raise BudgetExceeded(
+            f"conjugate_mod: {m}^{n * n} candidate matrices exceed {CONJUGACY_BUDGET}"
+        )
     am = [[e % m for e in row] for row in a]
     bm = [[e % m for e in row] for row in b]
     for flat in itertools.product(range(m), repeat=n * n):
@@ -808,8 +808,8 @@ def strong_bf_refute(a, b, bound=4) -> EquivalenceVerdict:
     conjugacy search is combinatorially out of reach and deliberately
     not attempted.
     """
-    p = _require_same_char_poly(a, b)
-    first = bf_refute(a, b, bound)
+    p, tables = _same_char_poly(a, b)
+    first = _refute(p, tables, bound)
     if first.kind == "BF-distinguished":
         return EquivalenceVerdict(
             "strong-BF-refuted", witness=first.witness, groups=first.groups

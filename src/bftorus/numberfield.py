@@ -8,7 +8,6 @@ silent coercion between fields would quietly corrupt every lattice
 computation built on top of this module.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import ReduciblePolynomial, ZeroInverse
@@ -17,6 +16,7 @@ from .kernels import det_bareiss
 from .polyring import (
     IntPoly,
     RatPoly,
+    _cleared,
     format_poly,
     is_irreducible,
     parse_int_poly,
@@ -220,7 +220,7 @@ class FieldElement:
         denominator, from the integer inverse of M(d·z) (as ``norm``)."""
         if self.is_zero():
             raise ZeroInverse("0 has no inverse in the field")
-        d, scaled = self._cleared()
+        d, scaled = _cleared(self.coords)
         # Fed the columns of M(d·z) as rows, _integer_inverse inverts the
         # transpose: M(d·z)⁻¹ = mᵗ/den, whose column 0 is row 0 of m.
         m, den = _integer_inverse(_mult_columns(self.field, scaled))
@@ -251,14 +251,9 @@ class FieldElement:
         s = self.field._power_sums
         return sum((c * s[i] for i, c in enumerate(self.coords)), Fraction(0))
 
-    def _cleared(self):
-        """(d, d·coords), d the least common denominator of the coordinates."""
-        d = math.lcm(*(c.denominator for c in self.coords))
-        return d, [c.numerator * (d // c.denominator) for c in self.coords]
-
     def norm(self):
         """det of multiplication by self, as det(M(d·self))/d^n."""
-        d, scaled = self._cleared()
+        d, scaled = _cleared(self.coords)
         return Fraction(det_bareiss(_mult_columns(self.field, scaled)), d**self.field.n)
 
     def minimal_polynomial(self):
@@ -266,7 +261,7 @@ class FieldElement:
 
         chi = det(d·x·I - M(d·self))/d^n, the char poly of self, is m^k
         for the minimal polynomial m, so m = chi/gcd(chi, chi')."""
-        d, scaled = self._cleared()
+        d, scaled = _cleared(self.coords)
         chi_d = char_poly(_mult_columns(self.field, scaled)).coeffs
         chi = RatPoly([Fraction(c, d ** (self.field.n - k)) for k, c in enumerate(chi_d)])
         m = divmod(chi, poly_gcd(chi, chi.derivative()))[0]

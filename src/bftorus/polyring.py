@@ -22,6 +22,13 @@ def _strip(coeffs):
     return coeffs
 
 
+def _cleared(coeffs):
+    """(d, d·c) for Fraction coefficients c, d their least common
+    denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
 def _as_int(c):
     if isinstance(c, Fraction):
         if c.denominator != 1:

@@ -1,13 +1,20 @@
-"""Exact integer matrix operations: SNF/HNF wrappers, char poly, dets."""
+"""Exact integer matrix operations: SNF/HNF wrappers, char poly, dets,
+and everything read off one power table, against the former algorithms
+(Faddeev-LeVerrier, Horner, repeated squaring) kept as oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bftorus.config as config
 from bftorus.errors import NonIntegralResult, SingularMatrix
 from bftorus.exactmat import (
+    _adjugate_b0,
+    _integer_inverse,
     char_poly,
-    char_poly_adjugate,
     det,
     eval_at_power_table,
     eval_poly_at_matrix,
@@ -17,6 +24,7 @@ from bftorus.exactmat import (
     mat_pow,
     mat_vec,
     power_table,
+    powers_and_char_poly,
     rational_inverse,
     smith_normal_form,
     transpose,
@@ -30,8 +38,13 @@ from util import (
     oracle_adjugate,
     oracle_char_poly,
     oracle_det,
+    oracle_faddeev_leverrier,
+    oracle_horner,
+    oracle_inverse,
+    oracle_mat_pow_squaring,
     random_unimodular_pair,
 )
+from util import mat_pow as oracle_mat_pow
 
 
 def test_snf_of_a_minus_identity():
@@ -117,16 +130,20 @@ def test_char_poly_adjugate_against_cofactors(rng):
     for _ in range(25):
         n = rng.randint(1, 4)
         a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        p, adj = char_poly_adjugate(a)
-        assert list(p.coeffs) == oracle_char_poly(a)
+        p, adj = oracle_faddeev_leverrier(a)
+        assert p == oracle_char_poly(a)
         assert len(adj) == n and adj[n - 1] == identity_matrix(n)
         sign = (-1) ** (n - 1)
         assert adj[0] == [[sign * e for e in row] for row in oracle_adjugate(a)]
         for k in range(1, n):
             step = mat_mul(a, adj[k])
             for i in range(n):
-                step[i][i] += p.coeffs[k]
+                step[i][i] += p[k]
             assert step == adj[k - 1]
+        # the library reads p and B_0 = adj(-A) off the power table
+        table, got = powers_and_char_poly(a)
+        assert list(got.coeffs) == p
+        assert _adjugate_b0(table, got) == adj[0]
 
 
 def test_power_table_matches_horner(rng):
@@ -140,12 +157,15 @@ def test_power_table_matches_horner(rng):
         r = tuple(rng.randint(-9, 9) * rng.choice((1, d)) for _ in range(n))
         g = RatPoly([Fraction(c, d) for c in r])
         try:
-            want = eval_poly_at_matrix(g, a)
+            want = oracle_horner(g.coeffs, a)
         except NonIntegralResult:
             with pytest.raises(NonIntegralResult):
                 eval_at_power_table(table, d, r)
+            with pytest.raises(NonIntegralResult):
+                eval_poly_at_matrix(g, a)
             continue
         assert eval_at_power_table(table, d, r) == want
+        assert eval_poly_at_matrix(g, a) == want
 
 
 def test_eval_poly_rational_coefficients():
@@ -209,3 +229,102 @@ def test_non_integer_entries_rejected(entry):
 def test_kernel_mod_m_rejects_non_integer_modulus(m):
     with pytest.raises(TypeError):
         kernel_mod_m([[1, 2], [3, 4]], m)
+
+
+# ---------------------------------------------------------------------
+# one power table: properties against the former algorithms
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _sample(rng, n):
+    """A random n x n matrix, often singular, nilpotent or with a
+    reducible char poly: block triangular, strictly upper triangular,
+    or with a repeated row."""
+    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 1 and n > 1:
+        a[-1] = list(a[0])
+    elif kind == 2:
+        a = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(a)]
+    elif kind == 3 and n > 1:
+        k = rng.randint(1, n - 1)
+        for i in range(k, n):
+            a[i][:k] = [0] * k
+    return a
+
+
+@pytest.fixture(params=[False, True], ids=["plain", "debug"])
+def debug_mode(request, monkeypatch):
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", request.param)
+
+
+@settings(max_examples=120, deadline=None)
+@given(SEEDS, st.integers(0, 6))
+def test_newton_char_poly_against_cofactors(seed, n):
+    a = _sample(random.Random(seed), n)
+    want = oracle_char_poly(a) if n else [1]
+    assert list(char_poly(a).coeffs) == want
+    if n:
+        assert oracle_faddeev_leverrier(a)[0] == want
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_char_poly_with_cayley_hamilton_check(n, debug_mode):
+    rng = random.Random(n)
+    for _ in range(10):
+        a = _sample(rng, n)
+        assert list(char_poly(a).coeffs) == (oracle_char_poly(a) if n else [1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(SEEDS, st.integers(0, 5), st.integers(0, 40))
+def test_mat_pow_against_oracles(seed, n, k):
+    a = _sample(random.Random(seed), n)
+    got = mat_pow(a, k)
+    assert got == oracle_mat_pow(a, k)
+    assert got == oracle_mat_pow_squaring(a, k)
+
+
+def test_mat_pow_edge_cases():
+    assert mat_pow([], 0) == mat_pow([], 7) == []
+    assert mat_pow([[3]], 0) == [[1]] and mat_pow([[-3]], 5) == [[-243]]
+    assert mat_pow([[0]], 0) == [[1]] and mat_pow([[0]], 3) == [[0]]
+    assert mat_pow([[0, 1], [0, 0]], 0) == [[1, 0], [0, 1]]
+    assert mat_pow([[0, 1], [0, 0]], 2) == [[0, 0], [0, 0]]
+    a = [[2, 1, 0], [1, 1, 1], [0, 1, -1]]
+    assert mat_pow(a, 300) == oracle_mat_pow_squaring(a, 300)
+    with pytest.raises(ValueError, match="negative matrix power"):
+        mat_pow(a, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 5))
+def test_integer_inverse_against_gauss_jordan(seed, n):
+    rng = random.Random(seed)
+    a = random_unimodular_pair(rng, n)[0] if n > 1 and rng.random() < 0.5 else _sample(rng, n)
+    if n and oracle_det(a) == 0:
+        with pytest.raises(SingularMatrix):
+            _integer_inverse(a)
+        return
+    m, d = _integer_inverse(a)
+    assert all(type(e) is int for row in m for e in row) and d != 0
+    assert [[Fraction(e, d) for e in row] for row in m] == oracle_inverse(a)
+    if n:
+        p, adj = oracle_faddeev_leverrier(a)
+        assert (m, d) == (adj[0], -p[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 5))
+def test_eval_poly_at_matrix_against_horner(seed, n):
+    rng = random.Random(seed)
+    a = _sample(rng, n)
+    coeffs = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(0, 9))]
+    try:
+        want = oracle_horner(coeffs, a)
+    except NonIntegralResult:
+        with pytest.raises(NonIntegralResult, match="evaluated at the matrix is not integral"):
+            eval_poly_at_matrix(RatPoly(coeffs), a)
+    else:
+        assert eval_poly_at_matrix(RatPoly(coeffs), a) == want

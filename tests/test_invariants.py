@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bftorus.exactmat as exactmat
+import bftorus.invariants as invariants
 from bftorus.config import debug_asserts_enabled, set_debug_asserts
 from bftorus.errors import (
+    BudgetExceeded,
     CharPolyMismatch,
     DegeneratePeriod,
     NonIntegralResult,
     ReduciblePolynomial,
 )
-from bftorus.exactmat import char_poly, char_poly_adjugate, det, eval_poly_at_matrix
+from bftorus.exactmat import char_poly, det, eval_poly_at_matrix, power_table
 from bftorus.ideals import (
     AbelianGroup,
     FractionalIdeal,
@@ -27,7 +30,7 @@ from bftorus.ideals import (
 from bftorus.invariants import (
     BFProfile,
     EquivalenceVerdict,
-    _row_eigenvector,
+    _ideal_in,
     bf_certify,
     bf_group,
     bf_k,
@@ -62,8 +65,10 @@ from util import (
     mat_mul,
     mat_pow,
     oracle_abelianization,
+    oracle_adjugate_row,
     oracle_char_poly,
     oracle_det,
+    oracle_faddeev_leverrier,
     oracle_irreducible,
     oracle_row_eigenvector,
     random_admissible_poly,
@@ -278,9 +283,9 @@ class TestDictionary:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
     def test_adjugate_row_matches_elimination(self, seed, n):
         a = random_irreducible_matrix(random.Random(seed), n)
-        p, adj = char_poly_adjugate(a)
-        field = NumberField(p)
-        v = [field.element(c) for c in _row_eigenvector(field, a, adj)]
+        p, adj = oracle_faddeev_leverrier(a)
+        field = NumberField(IntPoly(p))
+        v = oracle_adjugate_row(field, adj)
         w = oracle_row_eigenvector(field, a)
         # one K-line of row eigenvectors
         assert all(v[j] * w[0] == w[j] * v[0] for j in range(n))
@@ -303,11 +308,10 @@ class TestDictionary:
             assert l_equivalent(EX2_M, EX2_MP).kind == "not-L-equivalent"
             assert bf_refute(EX1_B, EX1_C).witness == "x^2-1"
             assert bf_refute(EX2_M, EX2_MP).groups == {"A": "non-integral", "B": "Z4"}
-            # the check is live: EX1_B shares EX1_A's char poly, but its
-            # adjugate row is not an eigenvector of EX1_A
-            _, adj_b = char_poly_adjugate(EX1_B)
-            with pytest.raises(AssertionError, match="v.A != beta.v"):
-                _row_eigenvector(NumberField(IntPoly(P_CUBIC)), EX1_A, adj_b)
+            # the check is live: in the field of another char poly the
+            # Krylov-dual basis of EX1_A is no eigenvector
+            with pytest.raises(AssertionError, match="x.A != beta.x"):
+                _ideal_in(NumberField(IntPoly([-1, 0, 1, 1])), power_table(EX1_A))
         finally:
             set_debug_asserts(saved)
 
@@ -515,6 +519,17 @@ class TestVerdicts:
             for m in (2, 3, 4):
                 assert conjugate_mod(a, b, m)
 
+    def test_conjugate_mod_budget(self, monkeypatch):
+        # strong_bf_refute's moduli on n <= 2 stay far below the budget
+        assert max(invariants._CONJUGACY_MODULI) ** 4 <= invariants.CONJUGACY_BUDGET
+        # 5^9 ≈ 1.95·10^6 candidates mod 5 for a 3x3 pair: refused before
+        # the first candidate is tried
+        tried = []
+        monkeypatch.setattr(invariants, "det", lambda m: tried.append(m) or 1)
+        with pytest.raises(BudgetExceeded, match=r"5\^9 candidate matrices exceed 1000000"):
+            conjugate_mod(EX1_A, EX1_B, 5)
+        assert tried == []
+
     def test_verdict_objects(self):
         v = EquivalenceVerdict("inconclusive", bound=4)
         assert not v.conclusive
@@ -582,8 +597,18 @@ class TestSuspension:
         lambda: bf_refute([[2, 1], [1, 1]], [[1, 1], [1, 2]], bound=2.9),
         lambda: strong_bf_refute([[2, 1], [1, 1]], [[1, 1], [1, 2]], bound=Fraction(2)),
         lambda: conjugate_mod([[2, 1], [1, 1]], [[1, 1], [1, 2]], 4.0),
+        lambda: exactmat.mat_pow([[2, 1], [1, 1]], 2.0),
+        lambda: eval_poly_at_matrix(RatPoly([0, 1]), [[2, 1], [1.0, 1]]),
     ],
-    ids=["bf_k", "periodic_structure", "bf_refute", "strong_bf_refute", "conjugate_mod"],
+    ids=[
+        "bf_k",
+        "periodic_structure",
+        "bf_refute",
+        "strong_bf_refute",
+        "conjugate_mod",
+        "mat_pow",
+        "eval_poly_at_matrix",
+    ],
 )
 def test_non_integer_counts_rejected(call):
     # never truncated: bf_k(A, 2.7) must not answer for k = 2

@@ -1,8 +1,9 @@
 """Rational results from integer kernels, against Fraction oracles.
 
-``rational_inverse`` is the Faddeev-LeVerrier adjugate over p(0),
-``eval_poly_at_matrix`` evaluates d·g by integer Horner and divides by
-d, and ``FieldElement.minimal_polynomial`` is the square-free part of a
+``rational_inverse`` is B_0 = Σ c_(t+1)·A^t over -p(0), read off the
+power table, ``eval_poly_at_matrix`` evaluates the remainder of d·g by
+p on the same table and divides by d, and
+``FieldElement.minimal_polynomial`` is the square-free part of a
 rescaled integer char poly.  The oracles in util redo each in Fraction
 arithmetic: Gauss-Jordan for the inverse, Fraction Horner for g(A), and
 the first linear dependence among the powers of an element for the

@@ -22,6 +22,7 @@ import bftorus.config as config
 import bftorus.invariants as inv
 import bftorus.polyring as polyring
 from bftorus.errors import BudgetExceeded, FactorizationIncomplete
+from bftorus.exactmat import power_table
 from bftorus.ideals import (
     _invertibility_index,
     coefficient_ring,
@@ -214,7 +215,7 @@ def test_witness_after_a_skipped_candidate(monkeypatch):
     # second on the list, after x-1; only the witness took Smith forms
     p = inv.char_poly(F6_A)
     field = inv.NumberField(p)
-    rings = [inv._matrix_ring(field, inv.power_table(m)) for m in (F6_A, F6_B)]
+    rings = [inv._matrix_ring(field, power_table(m)) for m in (F6_A, F6_B)]
     listed = inv._refutation_candidates(p, rings, 4)
     assert [inv.format_poly(c) for _, _, c in listed][:2] == ["x-1", "x^2-1"]
     assert smith.calls == 2
@@ -238,7 +239,7 @@ def test_ring_from_powers_is_the_coefficient_ring(seed, n):
         p = inv.char_poly(a)
         if is_irreducible(p):
             break
-    ring = inv._matrix_ring(inv.NumberField(p), inv.power_table(a))
+    ring = inv._matrix_ring(inv.NumberField(p), power_table(a))
     expected = inv.coefficient_ring(inv.matrix_to_ideal(a))
     assert (ring.denom, ring.cols) == (expected.denom, expected.cols)
 
@@ -344,7 +345,7 @@ def test_zbeta_rings_answer_without_a_search(monkeypatch, p):
     b = _transpose(_conjugate(rng, a))
     field = NumberField(inv.char_poly(a))
     assert inv._index_multiple(inv.char_poly(a)) > 1
-    assert inv._matrix_ring(field, inv.power_table(b)) == zbeta(field)
+    assert inv._matrix_ring(field, power_table(b)) == zbeta(field)
     expected = oracle_bf_refute(a, b, 3)
     # debug checks rerun the full search and form the ideals on purpose
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)

@@ -16,7 +16,10 @@ radical mod ℓ, the Faddeev-LeVerrier dual lattice and the plain dual of
 the power ring: former library paths built on its own steps, which
 stand in for the shortcuts that replaced them (Dedekind's seed and the
 index bound, one ring per cyclic subgroup, squarefree decomposition,
-the triangular inverse, the Krylov modulus).
+the triangular inverse, the Krylov modulus).  Faddeev-LeVerrier with
+its adjugate row eigenvector, integer Horner evaluation and matrix
+repeated squaring are the library's former char poly, ideal of A,
+g(A) and A^k, which now all come from one power table.
 """
 
 import itertools
@@ -25,7 +28,6 @@ import random
 from fractions import Fraction
 
 from bftorus.errors import NonIntegralResult, ReduciblePolynomial
-from bftorus.exactmat import _integer_inverse
 from bftorus.ideals import (
     AbelianGroup,
     Order,
@@ -108,7 +110,7 @@ def companion(p):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
     return [
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)
     ]
@@ -119,6 +121,21 @@ def mat_pow(a, k):
     out = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(k):
         out = mat_mul(out, a)
+    return out
+
+
+def oracle_mat_pow_squaring(a, k):
+    """A^k by repeated squaring of the matrix (the library's former
+    ``mat_pow``)."""
+    n = len(a)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    base = a
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return out
 
 
@@ -214,6 +231,47 @@ def oracle_char_poly(rows):
     out = out + [0] * (n + 1 - len(out))
     assert out[n] == 1
     return out
+
+
+def oracle_faddeev_leverrier(rows):
+    """(p, [B_0, ..., B_(n-1)]) with p = det(xI - A) as a coefficient
+    list (constant first) and adj(xI - A) = sum_k x^k B_k, by the
+    Faddeev-LeVerrier recurrence (the library's former char poly):
+    B_(n-1) = I, B_(k-1) = A·B_k + c_k·I with c_(n-k) = -tr(A·B_(n-k))/k,
+    every division exact."""
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    adj = [m]
+    for k in range(1, n + 1):
+        am = mat_mul(rows, m)
+        c, rem = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert not rem, "Faddeev-LeVerrier division was not exact"
+        coeffs[n - k] = c
+        for i in range(n):
+            am[i][i] += c
+        m = am
+        adj.append(m)
+    # adj holds B_(n-1), ..., B_0 and then A·B_0 + c_0·I = p(A) = 0.
+    assert all(not any(row) for row in adj[n]), "p(A) != 0"
+    return coeffs, adj[:n][::-1]
+
+
+def oracle_horner(coeffs, a):
+    """g(A) by integer Horner on d·g, then divided by d, d the least
+    common denominator of g (the library's former evaluation);
+    NonIntegralResult unless g(A) is integral."""
+    n = len(a)
+    coeffs = [Fraction(c) for c in coeffs]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = mat_mul(out, a)
+        for i in range(n):
+            out[i][i] += int(c * d)
+    if any(e % d for row in out for e in row):
+        raise NonIntegralResult("g(A) is not integral")
+    return [[e // d for e in row] for row in out]
 
 
 def oracle_invariant_factors(rows):
@@ -378,8 +436,21 @@ def oracle_adjugate(rows):
 
 
 # ---------------------------------------------------------------------------
-# the row eigenvector over K, by elimination
+# the row eigenvector over K, by elimination and from the adjugate
 # ---------------------------------------------------------------------------
+
+
+def oracle_adjugate_row(field, adj):
+    """Row 0 of adj(beta.I - A) as field elements, ``adj`` from
+    ``oracle_faddeev_leverrier(A)`` (the library's former eigenvector).
+
+    adj(beta.I - A)(beta.I - A) = p(beta).I = 0, so each row is a row
+    eigenvector; entry j of row 0 has the power-basis coordinates
+    (B_k[0][j])_k, and entry 0 has beta^(n-1)-coordinate 1 because
+    B_(n-1) = I, so the row is nonzero.
+    """
+    n = field.n
+    return [field.element([adj[k][0][j] for k in range(n)]) for j in range(n)]
 
 
 def oracle_row_eigenvector(field, a):
@@ -789,9 +860,12 @@ def oracle_local_orders(top):
 
 def oracle_dual_lattice(field, vecs, scale=1):
     """``ideals._dual_lattice`` by the Faddeev-LeVerrier inverse of the
-    transposed HNF basis, (Hᵗ)⁻¹ = M/D."""
-    h, _ = hnf_cols(vecs)
-    m, d = _integer_inverse([c for c in h if any(c)])
+    transposed HNF basis, (Hᵗ)⁻¹ = M/D with M = B_0 and D = -p(0)."""
+    h = [c for c in hnf_cols(vecs)[0] if any(c)]
+    if len(h) != field.n:
+        raise ValueError("the vectors span rank below n")
+    p, adj = oracle_faddeev_leverrier(h)
+    m, d = adj[0], -p[0]
     return ZLattice(field, abs(d), [[scale * e for e in c] for c in zip(*m)])
 
 
