@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bftorus.config as config
+import bftorus.exactmat as exactmat
 from bftorus.errors import NonIntegralResult, SingularMatrix
 from bftorus.exactmat import (
     _adjugate_b0,
@@ -275,6 +276,15 @@ def test_char_poly_with_cayley_hamilton_check(n, debug_mode):
     for _ in range(10):
         a = _sample(rng, n)
         assert list(char_poly(a).coeffs) == (oracle_char_poly(a) if n else [1])
+
+
+def test_cayley_hamilton_check_is_live(monkeypatch):
+    # a char poly whose x coefficient is off by one gives B_0 + I, and
+    # A·(B_0 + I) = -c_0·I + A is caught
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    monkeypatch.setattr(exactmat, "IntPoly", lambda c: IntPoly([c[0], c[1] + 1, *c[2:]]))
+    with pytest.raises(AssertionError, match=r"p\(A\) != 0"):
+        char_poly(EX1_A)
 
 
 @settings(max_examples=120, deadline=None)
