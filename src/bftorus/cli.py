@@ -157,10 +157,6 @@ def _group_json(g):
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "pretty": str(g)}
 
 
-def _basis_strs(lattice):
-    return [str(z) for z in lattice.basis_elements()]
-
-
 def _matrix_text(rows):
     lines = [str(len(rows))]
     lines.extend(" ".join(str(e) for e in row) for row in rows)
@@ -244,7 +240,7 @@ def _cmd_lattice(ns):
             tag = "  (= Z[b])"
         elif idx == lat.max_index:
             tag = "  (maximal order)"
-        lines.append(f"  {name} (index {idx}): " + ", ".join(_basis_strs(node)) + tag)
+        lines.append(f"  {name} (index {idx}): " + node.basis_text() + tag)
     lines.append("levels (top = maximal):")
     for idx in sorted(set(indices), reverse=True):
         members = " ".join(n for n, i in zip(names, indices) if i == idx)
@@ -272,7 +268,7 @@ def _cmd_ideal(ns):
             ideal = matrix_to_ideal(read_matrix_file(path))
             lines = [
                 f"ideal of {path} over Q[x]/({ideal.field.p}):",
-                "  basis: " + ", ".join(_basis_strs(ideal)),
+                "  basis: " + ideal.basis_text(),
             ]
             reports.append(
                 (
@@ -299,7 +295,7 @@ def _cmd_coeffring(ns):
         idx = zbeta(ideal.field).index_in(ring)
         text = (
             f"C(I) for {path}: "
-            + ", ".join(_basis_strs(ring))
+            + ring.basis_text()
             + f"  (index {idx} over Z[b])"
         )
         reports.append(
@@ -335,7 +331,7 @@ def _cmd_invertible(ns):
         }
         if ok:
             inv = colon(ring, ideal).as_ideal()
-            lines.append("  inverse basis: " + ", ".join(_basis_strs(inv)))
+            lines.append("  inverse basis: " + inv.basis_text())
             obj["inverse"] = inv.to_json_dict()
         reports.append(("\n".join(lines), obj))
     return reports
@@ -345,7 +341,7 @@ def _cmd_dual(ns):
     reports = []
     for path, ideal in _load_ideals(ns):
         dual = trace_dual(ideal)
-        text = f"trace dual of {path}: " + ", ".join(_basis_strs(dual))
+        text = f"trace dual of {path}: " + dual.basis_text()
         reports.append(
             (text, {"op": "dual", "input": path, "dual": dual.to_json_dict()})
         )

@@ -6,13 +6,16 @@ power table (``exactmat.powers_and_char_poly``); U·A·V = D and A·T = H
 with unimodular transforms; the Smith diagonal of every BF group
 (``snf_diag``, modulo the (n-1)-minor gcd) against that of the
 independent transform loop ``snf_rows``; k-periodicity of the
-periodic-point generators; x·A = b·x for the Krylov-dual basis of
-``matrix_to_ideal``; the char poly of ``ideal_to_matrix``; (M : N)·N ⊆ M
-for every colon; ``zbeta_colon`` from Euler's dual basis, and with it
-every ``conductor``, against ``colon(zbeta, L)``; the coefficient ring
-from the b-action against ``colon(I, I)``; every ring taken modulo the
-gcd of its Krylov determinants (``ideals._power_ring``) against the
-plain dual of all the entry vectors; every answer of the Krylov test
+periodic-point generators; every factor pattern of ``is_irreducible``
+read off a root count and Stickelberger's parity against distinct-degree
+factorisation (``polyring._factor_pattern_mod``); x·A = b·x for the
+Krylov-dual basis of ``matrix_to_ideal``; the char poly of
+``ideal_to_matrix``; (M : N)·N ⊆ M for every colon; ``zbeta_colon`` from
+Euler's dual basis, and with it every ``conductor``, against
+``colon(zbeta, L)``; the coefficient ring from the b-action against
+``colon(I, I)``; every ring taken modulo the gcd of its Krylov
+determinants (``ideals._power_ring``) against the plain dual of all the
+entry vectors; every answer of the Krylov test
 ``ideals._locally_cyclic``, in ``bf_refute`` and in
 ``_invertibility_index``, against the exact [R : I·(R:I)]; the
 trace-dual involution; the two characterizations of invertibility; the

@@ -12,7 +12,6 @@ module is a ring", "I·I⁻¹ = R" — reduces to that exactness.
 """
 
 import itertools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .errors import NonIntegralResult, NotASublattice, NotFullRank
 from .exactmat import _integer_inverse, eval_at_power_table, power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
-from .polyring import parse_int_poly
+from .polyring import format_poly, parse_int_poly
 
 
 def _lcm(a, b):
@@ -271,9 +270,17 @@ class ZLattice:
     def __hash__(self):
         return hash(self._key())
 
+    def basis_text(self):
+        """The basis elements as ``str(FieldElement)`` prints them, read
+        off the integer columns over d: a Fraction only where d ∤ e."""
+        d = self.denom
+        return ", ".join(
+            format_poly([e // d if e % d == 0 else Fraction(e, d) for e in col], "b")
+            for col in self.cols
+        )
+
     def __repr__(self):
-        basis = ", ".join(str(v) for v in self.basis_elements())
-        return f"{type(self).__name__}[{basis}]"
+        return f"{type(self).__name__}[{self.basis_text()}]"
 
     # -- serialization ---------------------------------------------------
 
@@ -283,9 +290,6 @@ class ZLattice:
             "denom": self.denom,
             "basis_columns": [list(c) for c in self.cols],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data, field=None):

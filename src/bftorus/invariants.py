@@ -386,10 +386,6 @@ class EquivalenceVerdict:
         return f"EquivalenceVerdict({self})"
 
 
-def _basis_str(lattice):
-    return ", ".join(str(z) for z in lattice.basis_elements())
-
-
 # ---------------------------------------------------------------------
 # L-equivalence and the BF engines
 
@@ -405,13 +401,13 @@ def l_equivalent(a, b) -> EquivalenceVerdict:
     ring_a, ring_b = (_matrix_ring(field, table) for table in tables)
     if ring_a == ring_b:
         return EquivalenceVerdict(
-            "L-equivalent", witness=f"common coefficient ring ({_basis_str(ring_a)})"
+            "L-equivalent", witness=f"common coefficient ring ({ring_a.basis_text()})"
         )
     return EquivalenceVerdict(
         "not-L-equivalent",
         witness=(
-            f"coefficient rings differ: ({_basis_str(ring_a)}) vs "
-            f"({_basis_str(ring_b)})"
+            f"coefficient rings differ: ({ring_a.basis_text()}) vs "
+            f"({ring_b.basis_text()})"
         ),
     )
 
@@ -720,8 +716,8 @@ def bf_certify(a, b) -> EquivalenceVerdict:
         return EquivalenceVerdict(
             "not-L-equivalent",
             witness=(
-                f"coefficient rings differ: ({_basis_str(ring_a)}) vs "
-                f"({_basis_str(ring_b)}); L-equivalence is necessary for "
+                f"coefficient rings differ: ({ring_a.basis_text()}) vs "
+                f"({ring_b.basis_text()}); L-equivalence is necessary for "
                 "BF-equivalence, so the pair is BF-inequivalent as well"
             ),
         )
@@ -730,7 +726,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
             "strong-BF-certified",
             witness=(
                 "both ideals are invertible over the common coefficient ring "
-                f"({_basis_str(ring_a)}); each is strongly BF-equivalent to "
+                f"({ring_a.basis_text()}); each is strongly BF-equivalent to "
                 "that ring, hence to the other"
             ),
         )

@@ -16,7 +16,9 @@ from .kernels import det_bareiss
 from .polyring import (
     IntPoly,
     RatPoly,
+    _as_fraction,
     _cleared,
+    _power_sums,
     format_poly,
     is_irreducible,
     parse_int_poly,
@@ -46,7 +48,8 @@ class NumberField:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", p.degree)
         object.__setattr__(self, "_powers", self._build_powers())
-        object.__setattr__(self, "_power_sums", self._build_power_sums())
+        # s_k = Tr(b^k) for k = 0..n-1, the Newton power sums of p
+        object.__setattr__(self, "_power_sums", tuple(_power_sums(p.coeffs, p.degree)))
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
@@ -69,27 +72,13 @@ class NumberField:
             cur = nxt
         return tuple(rows)
 
-    def _build_power_sums(self):
-        # s_k = Tr(b^k) for k = 0..n-1 via Newton's identities.
-        n = self.n
-        a = self.p.coeffs  # constant first, a[n] = 1
-        s = [0] * n
-        if n:
-            s[0] = n
-        for k in range(1, n):
-            acc = k * a[n - k]
-            for j in range(1, k):
-                acc += a[n - j] * s[k - j]
-            s[k] = -acc
-        return tuple(s)
-
     # -- constructors ------------------------------------------------
 
     def element(self, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
+        z = FieldElement(self, coords)
+        if len(z.coords) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(z.coords)}")
+        return z
 
     def zero(self):
         return self.element([0] * self.n)
@@ -140,7 +129,7 @@ class FieldElement:
 
     def __init__(self, field, coords):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        object.__setattr__(self, "coords", tuple(map(_as_fraction, coords)))
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")

@@ -1,6 +1,6 @@
 """Univariate polynomials over Z and Q, plus the number-theoretic
-utilities built on them: resultants, discriminants, square parts, and
-an exact irreducibility test over Q.
+utilities built on them: Newton power sums, discriminants, square parts,
+and an exact irreducibility test over Q.
 
 Coefficients are stored constant-term first with no trailing zeros, so
 the zero polynomial is the empty tuple and ``degree`` of zero is -1.
@@ -11,6 +11,7 @@ import operator
 import re
 from fractions import Fraction
 
+from .config import debug_asserts_enabled
 from .errors import BudgetExceeded, FactorizationIncomplete, NotMonic
 from .kernels import det_bareiss
 
@@ -27,6 +28,24 @@ def _cleared(coeffs):
     denominator."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _as_fraction(c):
+    """An int or Fraction coefficient as a Fraction; a float raises
+    TypeError (``operator.index``), as matrix entries do in copy_matrix."""
+    return c if isinstance(c, Fraction) else Fraction(operator.index(c))
+
+
+def _horner(coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _rat(a):
+    """An IntPoly as a RatPoly; anything else as it is."""
+    return a.to_rat() if isinstance(a, IntPoly) else a
 
 
 def _as_int(c):
@@ -107,16 +126,13 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return _horner(self.coeffs, x)
 
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def to_rat(self):
-        return RatPoly([Fraction(c) for c in self.coeffs])
+        return RatPoly(self.coeffs)
 
     def __repr__(self):
         return f"IntPoly({format_poly(self.coeffs)!r})"
@@ -131,7 +147,7 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_strip([Fraction(c) for c in coeffs])))
+        object.__setattr__(self, "coeffs", tuple(_strip([_as_fraction(c) for c in coeffs])))
 
     def __setattr__(self, *a):
         raise AttributeError("RatPoly is immutable")
@@ -147,17 +163,14 @@ class RatPoly:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __eq__(self, other):
-        if isinstance(other, IntPoly):
-            other = other.to_rat()
+        other = _rat(other)
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(("RatPoly", self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, IntPoly):
-            other = other.to_rat()
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _rat(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -169,13 +182,10 @@ class RatPoly:
         return RatPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, IntPoly):
-            other = other.to_rat()
-        return self + (-other)
+        return self + (-_rat(other))
 
     def __mul__(self, other):
-        if isinstance(other, IntPoly):
-            other = other.to_rat()
+        other = _rat(other)
         if isinstance(other, (int, Fraction)):
             return RatPoly([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
@@ -200,8 +210,7 @@ class RatPoly:
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __divmod__(self, other):
-        if isinstance(other, IntPoly):
-            other = other.to_rat()
+        other = _rat(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = list(self.coeffs)
@@ -244,10 +253,7 @@ class RatPoly:
 
 def poly_gcd(a, b):
     """Monic gcd over Q (inputs IntPoly or RatPoly)."""
-    if isinstance(a, IntPoly):
-        a = a.to_rat()
-    if isinstance(b, IntPoly):
-        b = b.to_rat()
+    a, b = _rat(a), _rat(b)
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
@@ -255,11 +261,7 @@ def poly_gcd(a, b):
 
 def poly_xgcd(a, b):
     """Extended gcd over Q: (g, s, t) with s*a + t*b = g, g monic."""
-    if isinstance(a, IntPoly):
-        a = a.to_rat()
-    if isinstance(b, IntPoly):
-        b = b.to_rat()
-    r0, r1 = a, b
+    r0, r1 = _rat(a), _rat(b)
     s0, s1 = RatPoly([1]), RatPoly()
     t0, t1 = RatPoly(), RatPoly([1])
     while not r1.is_zero():
@@ -276,41 +278,29 @@ def poly_xgcd(a, b):
 
 def poly_mod(g, p):
     """Unique representative of g modulo p with degree < deg p."""
-    if isinstance(g, IntPoly):
-        g = g.to_rat()
-    return g % p
+    return _rat(g) % p
 
 
-def resultant(a, b):
-    """Resultant of two integer polynomials via the Sylvester matrix.
-
-    Sign convention: resultant(x - s, x - t) = s - t, i.e.
-    Res(a, b) = lc(a)^deg(b) * prod b(root) over the roots of a.
-    """
-    if isinstance(a, RatPoly):
-        a = a.to_int_poly()
-    if isinstance(b, RatPoly):
-        b = b.to_int_poly()
-    m, n = a.degree, b.degree
-    if m < 0 or n < 0:
-        return 0
-    if m == 0:
-        return a.coeffs[0] ** n
-    if n == 0:
-        return b.coeffs[0] ** m
-    size = m + n
-    rows = []
-    ac = list(reversed(a.coeffs))  # leading first
-    bc = list(reversed(b.coeffs))
-    for i in range(n):
-        rows.append([0] * i + ac + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + bc + [0] * (size - n - 1 - i))
-    return det_bareiss(rows)
+def _power_sums(coeffs, count):
+    """Newton power sums s_0 .. s_(count-1) of the roots of the monic
+    polynomial with these coefficients (constant first), by Newton's
+    identities: s_k = -(k·a_(n-k) + Σ_(j=1)^(min(k-1, n)) a_(n-j)·s_(k-j)),
+    the first term only for k <= n."""
+    n = len(coeffs) - 1
+    s = [n]
+    for k in range(1, count):
+        acc = k * coeffs[n - k] if k <= n else 0
+        for j in range(1, min(k, n + 1)):
+            acc += coeffs[n - j] * s[k - j]
+        s.append(-acc)
+    return s[:count]
 
 
 def discriminant(p):
-    """disc(p) = (-1)^(n(n-1)/2) * Res(p, p') for monic p, deg >= 2."""
+    """disc(p) = Π_(i<j) (r_i - r_j)² = (-1)^(n(n-1)/2)·Res(p, p') for
+    monic p of degree n >= 2.  For the Vandermonde matrix V = (r_j^i) of
+    the roots, disc(p) = det(V)² = det(V·Vᵀ), and V·Vᵀ is the Hankel
+    matrix (s_(i+j)) of the Newton power sums: one n×n determinant."""
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
     if not p.is_monic():
@@ -318,8 +308,8 @@ def discriminant(p):
     n = p.degree
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative())
+    s = _power_sums(p.coeffs, 2 * n - 1)
+    return det_bareiss([s[i:i + n] for i in range(n)])
 
 
 # --------------------------------------------------------------------
@@ -581,6 +571,33 @@ def _factor_degrees_mod(p, q):
     return degrees
 
 
+def _factor_pattern_mod(p, q, disc):
+    """Ascending factor degrees of p mod the odd prime q ∤ disc = disc(p).
+
+    p is squarefree mod q, so its k roots mod q, counted by evaluation,
+    are its linear factors; the rest, of degree m = n - k, has none and
+    is irreducible for m <= 3.  For m in {4, 5} it is one factor or two
+    (2 + 2, 2 + 3): by Stickelberger's theorem (disc/q) = (-1)^(n-r), r
+    the number of factors mod q (Swan, Pacific J. Math. 12, 1962), it is
+    one exactly when (disc/q) = (-1)^(m-1).  Only m >= 6 runs
+    ``_factor_degrees_mod``, which debug assertions check every shortcut
+    against.
+    """
+    c = [e % q for e in p.coeffs]
+    k = sum(1 for x in range(q) if _horner(c, x) % q == 0)
+    m = p.degree - k
+    if m >= 6:
+        return _factor_degrees_mod(p, q)
+    if m >= 4 and (pow(disc, (q - 1) // 2, q) == 1) != (m % 2 == 1):
+        rest = [2, m - 2]
+    else:
+        rest = [m] if m else []
+    degrees = [1] * k + rest
+    if debug_asserts_enabled():
+        assert degrees == _factor_degrees_mod(p, q), "Stickelberger pattern != DDF"
+    return degrees
+
+
 def _subset_sums(degrees, total):
     mask = 1
     for d in degrees:
@@ -638,28 +655,21 @@ def _root_or_repeated_factor(p):
     disc(p) = ±Res(p, p').  Hadamard's bound on the rows of the
     Sylvester matrix gives |disc(p)| <= ||p||^(n-1)·||p'||^n, so once
     the product of such primes exceeds it, disc(p) = 0: p has a
-    repeated factor.  The local Horner loop spares building p' as an
-    IntPoly, which doubles the cost of a unit cubic.
+    repeated factor.  Horner on coefficient lists (``_horner``) spares
+    building p' as an IntPoly, which doubles the cost of a unit cubic.
     """
     c = p.coeffs
-
-    def at(coeffs, x):
-        out = 0
-        for e in reversed(coeffs):
-            out = out * x + e
-        return out
-
     multiple = 1
     q = 1
     while True:
         q += 1
         if not _is_prime(q):
             continue
-        roots = [x for x in range(q) if at(c, x) % q == 0]
+        roots = [x for x in range(q) if _horner(c, x) % q == 0]
         if not roots:
             return False
         dc = [k * e for k, e in enumerate(c)][1:]
-        if any(at(dc, r) % q == 0 for r in roots):
+        if any(_horner(dc, r) % q == 0 for r in roots):
             multiple *= q
             n = p.degree
             if multiple**2 > sum(e * e for e in c) ** (n - 1) * sum(e * e for e in dc) ** n:
@@ -669,8 +679,8 @@ def _root_or_repeated_factor(p):
         mod = q
         while mod <= 2 * bound:
             mod *= mod
-            roots = [(r - at(c, r) * pow(at(dc, r), -1, mod)) % mod for r in roots]
-        return any(at(c, r if 2 * r <= mod else r - mod) == 0 for r in roots)
+            roots = [(r - _horner(c, r) * pow(_horner(dc, r), -1, mod)) % mod for r in roots]
+        return any(_horner(c, r if 2 * r <= mod else r - mod) == 0 for r in roots)
 
 
 def _kronecker_points(p, k):
@@ -739,14 +749,15 @@ def is_irreducible(p):
 
     Degree <= 3 falls to the integer roots, lifted from roots modulo a
     prime (``_root_or_repeated_factor``).  Higher degrees are first attacked
-    by factor-degree patterns modulo several primes; once no root is
-    found, the possible factor degrees start at 2..n-2.  If every prime
-    leaves a possible proper factor degree, Kronecker's search for a
-    monic integer factor of each such degree (``_kronecker_factor``)
-    settles the question.  The answer is always a proof, never a
-    probability; when too few values of p factor, or a search would try
-    more than IRREDUCIBILITY_SEARCH_BUDGET factor values, BudgetExceeded
-    is raised instead.
+    by factor-degree patterns modulo several primes q ∤ disc(p), read off
+    root counts and Stickelberger's parity (``_factor_pattern_mod``);
+    once no root is found, the possible factor degrees start at 2..n-2.
+    If every prime leaves a possible proper factor degree, Kronecker's
+    search for a monic integer factor of each such degree
+    (``_kronecker_factor``) settles the question.  The answer is always
+    a proof, never a probability; when too few values of p factor, or a
+    search would try more than IRREDUCIBILITY_SEARCH_BUDGET factor
+    values, BudgetExceeded is raised instead.
     """
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
@@ -767,7 +778,7 @@ def is_irreducible(p):
     if n <= 3:
         return True
 
-    disc = resultant(p, p.derivative())
+    disc = discriminant(p)
     if disc == 0:
         return False  # a repeated factor
     # No rational roots, so no linear factor and no degree n-1 cofactor.
@@ -777,7 +788,7 @@ def is_irreducible(p):
         if used >= 8:
             break
         if _is_prime(prime) and disc % prime:
-            possible &= _subset_sums(_factor_degrees_mod(p, prime), n)
+            possible &= _subset_sums(_factor_pattern_mod(p, prime, disc), n)
             used += 1
             if not possible:
                 return True

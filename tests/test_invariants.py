@@ -616,6 +616,37 @@ def test_non_integer_counts_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bf_group([[2, 1], [1, 1]], [0.5, 1]),
+        lambda: BFProfile([[2, 1], [1, 1]]).group([1, 0.1]),
+        lambda: eval_poly_at_matrix([0.5, 1], [[2, 1], [1, 1]]),
+        lambda: RatPoly([1, 2.0]),
+        lambda: NumberField("x^2-2").element([0.5, 1]),
+        lambda: FieldElement(NumberField("x^2-2"), [1, 0.25]),
+    ],
+    ids=["bf_group", "BFProfile.group", "eval_poly_at_matrix", "RatPoly", "element", "FieldElement"],
+)
+def test_float_coefficients_rejected(call):
+    # never read as the binary fraction: [0.5, 1] is not x+(1/2)
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_int_and_fraction_coefficients_unchanged():
+    a = [[2, 1], [1, 1]]
+    assert bf_group(a, [1, 1]) == bf_group(a, [Fraction(1), Fraction(1)])
+    assert str(bf_group(a, [1, 1])) == "Z5"
+    with pytest.raises(NonIntegralResult, match=r"x\+\(1/2\)"):
+        bf_group(a, [Fraction(1, 2), 1])
+    assert RatPoly([True, 2, Fraction(1, 3)]).coeffs == (1, 2, Fraction(1, 3))
+    field = NumberField("x^2-2")
+    z = field.element([Fraction(1, 2), 3])
+    assert z.coords == (Fraction(1, 2), Fraction(3)) and str(z) == "3b+(1/2)"
+    assert FieldElement(field, (1, 0)) == field.one()
+
+
 @pytest.mark.parametrize("engine", [bf_certify, l_equivalent])
 def test_one_irreducibility_test_per_verdict(engine, monkeypatch):
     import bftorus.config as config

@@ -5,14 +5,17 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bftorus.config
 import bftorus.polyring
 from bftorus.errors import BudgetExceeded, NotMonic
 from bftorus.polyring import (
     IntPoly,
     RatPoly,
+    _factor_degrees_mod,
+    _factor_pattern_mod,
     _gf_mul,
     _gf_radical,
     _is_prime,
@@ -25,7 +28,6 @@ from bftorus.polyring import (
     poly_gcd,
     poly_mod,
     poly_xgcd,
-    resultant,
     square_part,
 )
 
@@ -36,6 +38,7 @@ from util import (
     oracle_box_irreducible,
     oracle_gf_radical,
     oracle_irreducible,
+    oracle_resultant,
 )
 
 
@@ -100,8 +103,8 @@ def test_poly_gcd_and_xgcd():
 
 def test_resultant_of_linear_factors():
     # Res(x - s, x - t) = s - t
-    assert resultant(IntPoly([-3, 1]), IntPoly([-11, 1])) == -8
-    assert resultant(IntPoly([11, 1]), IntPoly([-2, 1])) == -13
+    assert oracle_resultant(IntPoly([-3, 1]), IntPoly([-11, 1])) == -8
+    assert oracle_resultant(IntPoly([11, 1]), IntPoly([-2, 1])) == -13
 
 
 def test_resultant_multiplicative(rng):
@@ -109,7 +112,7 @@ def test_resultant_multiplicative(rng):
         a = IntPoly([rng.randint(-5, 5) for _ in range(3)] + [1])
         b = IntPoly([rng.randint(-5, 5) for _ in range(2)] + [1])
         c = IntPoly([rng.randint(-5, 5) for _ in range(2)] + [1])
-        assert resultant(a, b * c) == resultant(a, b) * resultant(a, c)
+        assert oracle_resultant(a, b * c) == oracle_resultant(a, b) * oracle_resultant(a, c)
 
 
 class TestDiscriminant:
@@ -280,11 +283,41 @@ class TestIrreducibility:
         # degree pattern {1, 3} leaves no factor of degree 2, so the first
         # prime decides
         calls = []
-        patterns = bftorus.polyring._factor_degrees_mod
-        monkeypatch.setattr(bftorus.polyring, "_factor_degrees_mod",
-                            lambda p, q: calls.append(q) or patterns(p, q))
+        patterns = bftorus.polyring._factor_pattern_mod
+        monkeypatch.setattr(bftorus.polyring, "_factor_pattern_mod",
+                            lambda p, q, disc: calls.append(q) or patterns(p, q, disc))
         assert is_irreducible(IntPoly([1, 1, 0, 0, 1]))
         assert calls == [3]
+
+    def test_degree_five_and_below_need_no_distinct_degree_factorisation(self, monkeypatch, rng):
+        # a root count and a Legendre symbol fix every pattern when the
+        # rootless part has degree <= 5; x^4+1 and (x^2-4x+15)(x^2+3x-16)
+        # run through every sieve prime and reach Kronecker's search
+        def refuse(p, q):
+            raise AssertionError(f"{p} reached _factor_degrees_mod at {q}")
+
+        monkeypatch.setattr(bftorus.config, "_DEBUG_ASSERTS", False)
+        monkeypatch.setattr(bftorus.polyring, "_factor_degrees_mod", refuse)
+        assert is_irreducible(IntPoly([1, 1, 0, 0, 1]))
+        assert is_irreducible(IntPoly([1, 0, 0, 0, 1]))
+        assert not is_irreducible(IntPoly(_poly_mul([15, -4, 1], [-16, 3, 1])))
+        for _ in range(200):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.choice((4, 5)))] + [1]
+            is_irreducible(IntPoly(coeffs))
+
+    def test_stickelberger_needs_the_signed_discriminant(self, monkeypatch):
+        # (x^2-2)(x^4-3x^3-4x^2-2x+3) is (x-2)(x^2+1)(x^3+x^2+2) mod 3.
+        # Res(p, p') = -disc(p) in degree 6, and 3 ≡ 3 mod 4, so the
+        # unsigned resultant flips Stickelberger's parity to (x-2)·(quintic),
+        # which would leave no factor of degree 2..4 and call p irreducible.
+        monkeypatch.setattr(bftorus.config, "_DEBUG_ASSERTS", False)  # -disc on purpose
+        p = IntPoly(_poly_mul([-2, 0, 1], [3, -2, -4, -3, 1]))
+        disc = discriminant(p)
+        assert disc == -oracle_resultant(p, p.derivative())
+        assert _factor_degrees_mod(p, 3) == [1, 2, 3]
+        assert _factor_pattern_mod(p, 3, disc) == [1, 2, 3]
+        assert _factor_pattern_mod(p, 3, -disc) == [1, 5]
+        assert not is_irreducible(p)
 
     def test_reducible_mod_every_prime_yet_irreducible(self):
         # The coefficient box would hold about 4·10^7 quartics for x^8+1.
@@ -335,6 +368,28 @@ RANDOM = st.integers(4, 5).flatmap(_monic)
 @given(st.one_of(PRODUCTS, RANDOM).filter(lambda c: c[0] != 0))
 def test_kronecker_against_the_coefficient_box(coeffs):
     assert is_irreducible(IntPoly(coeffs)) == oracle_box_irreducible(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+    st.sampled_from([q for q in range(3, 60, 2) if _is_prime(q)]),
+)
+def test_factor_pattern_against_distinct_degrees(coeffs, q):
+    # the root count and Stickelberger's parity give the same multiset of
+    # factor degrees as distinct-degree factorisation, at odd q ∤ disc(p)
+    p = IntPoly(coeffs + [1])
+    disc = discriminant(p)
+    assume(disc % q)
+    assert _factor_pattern_mod(p, q, disc) == _factor_degrees_mod(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+def test_hankel_discriminant_against_the_resultant(coeffs):
+    p = IntPoly(coeffs + [1])
+    n = p.degree
+    assert discriminant(p) == (-1) ** (n * (n - 1) // 2) * oracle_resultant(p, p.derivative())
 
 
 @st.composite

@@ -4,9 +4,10 @@ The worked matrices and lattices live here once, so every test file
 agrees on them.  The oracles deliberately avoid the library's own
 kernels: determinants come from fraction Gaussian elimination,
 characteristic polynomials from cofactor expansion over coefficient
-lists, invariant factors from gcds of k x k minors, periodic points
-from brute-force grid enumeration, irreducibility from a search over
-every monic factor in a coefficient box.  Slow but transparently
+lists, resultants from Sylvester matrices, invariant factors from gcds
+of k x k minors, periodic points from brute-force grid enumeration,
+irreducibility from a search over every monic factor in a coefficient
+box.  Slow but transparently
 correct at the sizes the tests use.  The order-lattice walk is the
 exception: it is the library's former algorithm and keeps its candidate
 filters (triangular solves and the checks of ``Order``), while its
@@ -201,6 +202,23 @@ def _poly_add(a, b):
     for i, y in enumerate(b):
         out[i] += y
     return out
+
+
+def oracle_resultant(a, b):
+    """Res(a, b) = lc(a)^deg(b)·Π b(r) over the roots r of a, for
+    IntPolys a and b, as the determinant of their Sylvester matrix; so
+    Res(x - s, x - t) = s - t.  The library's former discriminant,
+    (-1)^(n(n-1)/2)·Res(p, p'), which is now a Hankel determinant of
+    power sums."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    m, n = len(a) - 1, len(b) - 1
+    if m < 0 or n < 0:
+        return 0
+    if m == 0 or n == 0:
+        return a[0] ** n if m == 0 else b[0] ** m
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return oracle_det(rows)
 
 
 def oracle_char_poly(rows):
