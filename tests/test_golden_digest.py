@@ -13,6 +13,11 @@ The batteries:
   dual, and ideal_to_matrix of the ideal, its ring and its dual.
 * ``verdicts``: l_equivalent, bf_refute (bound 2) and bf_certify on
   (A, PAP^-1), (A, companion of p) and (A, A^t) pairs.
+* ``certify``: the same three verdicts, as JSON, on conjugated pairs
+  over every order R of the fields of ``util.NON_GORENSTEIN_FIELDS``,
+  each side R, its trace dual or a seeded two-generated ideal that is
+  not invertible over R (``util.noninvertible_ideal``): equal rings
+  where one or both ideals are not invertible.
 * ``lattice``: the order lattices of fixed quadratic and cubic fields
   and of seeded cubics with small index bound: nodes (denominator and
   basis), edges, discriminants and conductors.
@@ -33,6 +38,8 @@ script from the repository root and paste what it prints:
 """
 
 import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -68,10 +75,12 @@ from util import (
     EX1_C,
     EX2_M,
     EX2_MP,
+    NON_GORENSTEIN_FIELDS,
     P_CUBIC,
     P_QUAD,
     companion,
     mat_mul,
+    noninvertible_ideal,
     oracle_char_poly,
     oracle_irreducible,
     random_unimodular_pair,
@@ -82,6 +91,7 @@ SEED = 20031
 GOLDEN = {
     "dictionary": "7fdc7e18116011e47e8bd9ed4c0ac11fc788870ea3f07195f5e5d5e5968de464",
     "verdicts": "14715813040eaaa6b9062b871bbfc31b048cdbc56000a08df2fd5430635ad543",
+    "certify": "cf8bae9b4addd405fc8bec515344565d75d1590738ca61734ded99fa0ce60ccd",
     "lattice": "a06a2ca187c0d0437c24698110073d77d9adb979bae0aca84f3de4103cd32894",
     "periodic": "3b308ec3bf4ff3ecbae297b14195dda8de8717faa39f06d3265eb0f5333b6cf6",
 }
@@ -130,6 +140,11 @@ def dictionary_lines():
         )
 
 
+def _conjugate(rng, a):
+    p, q = random_unimodular_pair(rng, len(a))
+    return mat_mul(mat_mul(p, a), q)
+
+
 def verdict_lines():
     rng = random.Random(SEED + 1)
     pairs = [(EX1_A, EX1_B), (EX1_A, EX1_C), (EX1_B, EX1_C), (EX2_M, EX2_MP)]
@@ -148,6 +163,24 @@ def verdict_lines():
                 f"C={bf_certify(a, b).to_json_dict()}",
             ]
         )
+
+
+def certify_lines():
+    rng = random.Random(SEED + 4)
+    for poly in NON_GORENSTEIN_FIELDS:
+        for ring in enumerate_order_lattice(NumberField(poly)).nodes:
+            ideal = ring.as_ideal()
+            sides = [ideal, trace_dual(ideal), noninvertible_ideal(rng, ring)]
+            yield f"p={poly} R={_lat(ring)} sides={[_lat(x) for x in sides[1:]]}"
+            for x, y in itertools.combinations_with_replacement(sides, 2):
+                a, b = (_conjugate(rng, ideal_to_matrix(z)) for z in (x, y))
+                verdicts = {
+                    "L": l_equivalent(a, b),
+                    "R": bf_refute(a, b, bound=2),
+                    "C": bf_certify(a, b),
+                }
+                text = json.dumps({k: v.to_json_dict() for k, v in verdicts.items()}, sort_keys=True)
+                yield f"  A={a} B={b} {text}"
 
 
 def _lattice_fields():
@@ -252,6 +285,7 @@ def periodic_lines():
 SECTIONS = {
     "dictionary": dictionary_lines,
     "verdicts": verdict_lines,
+    "certify": certify_lines,
     "lattice": lattice_lines,
     "periodic": periodic_lines,
 }

@@ -25,8 +25,6 @@ from bftorus.errors import BudgetExceeded, FactorizationIncomplete
 from bftorus.exactmat import power_table
 from bftorus.ideals import (
     _invertibility_index,
-    coefficient_ring,
-    lattice_sum,
     trace_dual,
     zbeta,
 )
@@ -48,9 +46,11 @@ from util import (
     EX2_M,
     EX2_MP,
     I48,
+    NON_GORENSTEIN_FIELDS,
     R48,
     companion,
     mat_mul,
+    noninvertible_ideal,
     oracle_bf_refute,
     oracle_char_poly,
     random_unimodular_pair,
@@ -247,10 +247,6 @@ def test_ring_from_powers_is_the_coefficient_ring(seed, n):
 # ---------------------------------------------------------------------
 # equal coefficient rings
 
-# Fields with a non-Gorenstein order: its trace dual has the same
-# coefficient ring and is not invertible over it.
-NON_GORENSTEIN_FIELDS = ("x^4-48", "x^4-8", "x^3-54", "x^3-3x^2-24x-1")
-
 
 @functools.lru_cache(maxsize=None)
 def _non_gorenstein_orders(poly):
@@ -261,25 +257,6 @@ def _non_gorenstein_orders(poly):
             out.append(ring)
     assert out
     return out
-
-
-def _noninvertible_ideal(rng, ring):
-    """The trace dual of ``ring``, or a random two-generated ideal
-    alpha·R + gamma·R whose ring is R and which is not invertible."""
-    ideal = ring.as_ideal()
-    els = ring.basis_elements()
-
-    def element():
-        return sum((e * rng.randint(-3, 3) for e in els), ring.field.zero())
-
-    for _ in range(rng.randint(0, 20)):
-        a, c = element(), element()
-        if a.is_zero() or c.is_zero():
-            continue
-        got = lattice_sum(ideal.scaled(a), ideal.scaled(c)).as_ideal()
-        if coefficient_ring(got) == ring and _invertibility_index(got, ring) > 1:
-            return got
-    return trace_dual(ideal)
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,7 +270,7 @@ def test_equal_rings_with_a_noninvertible_ideal(poly, seed, bound, swap):
     rng = random.Random(seed)
     ring = rng.choice(_non_gorenstein_orders(poly))
     a = _conjugate(rng, ideal_to_matrix(ring))
-    b = _conjugate(rng, ideal_to_matrix(_noninvertible_ideal(rng, ring)))
+    b = _conjugate(rng, ideal_to_matrix(noninvertible_ideal(rng, ring)))
     if swap:
         a, b = b, a
     expected = oracle_bf_refute(a, b, bound)
@@ -320,7 +297,7 @@ def test_certificates_are_never_refuted(poly, seed):
     rng = random.Random(seed)
     ring = rng.choice(_orders(poly))
     a, b = (
-        _conjugate(rng, ideal_to_matrix(rng.choice((ring, _noninvertible_ideal(rng, ring)))))
+        _conjugate(rng, ideal_to_matrix(rng.choice((ring, noninvertible_ideal(rng, ring)))))
         for _ in range(2)
     )
     verdict = bf_certify(a, b)

@@ -39,7 +39,9 @@ from bftorus.ideals import (
     coefficient_ring,
     colon,
     lattice_from_generators,
+    lattice_sum,
     product,
+    trace_dual,
     zbeta,
 )
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
@@ -896,6 +898,30 @@ def oracle_power_ring(field, table):
 def oracle_invertibility_index(ideal, ring):
     """[R : I·(R:I)] from the Fraction-solve colon and the product."""
     return product(ideal, oracle_colon(ring, ideal)).index_in(ring)
+
+
+# Fields with a non-Gorenstein order: its trace dual has the same
+# coefficient ring and is not invertible over it.
+NON_GORENSTEIN_FIELDS = ("x^4-48", "x^4-8", "x^3-54", "x^3-3x^2-24x-1")
+
+
+def noninvertible_ideal(rng, ring):
+    """The trace dual of ``ring``, or a random two-generated ideal
+    alpha·R + gamma·R whose ring is R and which is not invertible."""
+    ideal = ring.as_ideal()
+    els = ring.basis_elements()
+
+    def element():
+        return sum((e * rng.randint(-3, 3) for e in els), ring.field.zero())
+
+    for _ in range(rng.randint(0, 20)):
+        a, c = element(), element()
+        if a.is_zero() or c.is_zero():
+            continue
+        got = lattice_sum(ideal.scaled(a), ideal.scaled(c)).as_ideal()
+        if coefficient_ring(got) == ring and oracle_invertibility_index(got, ring) > 1:
+            return got
+    return trace_dual(ideal)
 
 
 # ---------------------------------------------------------------------------
