@@ -515,6 +515,7 @@ def run(argv=None, out=None, err=None):
     except _InputError as exc:
         err.write(f"bftorus: error: {exc}\n")
         return 1
+    saved = config.debug_asserts_enabled()
     if getattr(ns, "debug_assert", False):
         config.set_debug_asserts(True)
     try:
@@ -530,6 +531,8 @@ def run(argv=None, out=None, err=None):
         else:
             out.write(f"{name}: {exc}\n")
         return 2
+    finally:
+        config.set_debug_asserts(saved)  # --debug-assert holds for this call only
     _emit(reports, ns.format, out)
     return 0
 

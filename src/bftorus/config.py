@@ -16,7 +16,7 @@ Euler's dual basis, and with it every ``conductor``, against
 ``colon(I, I)``; every ring taken modulo the gcd of its Krylov
 determinants (``ideals._power_ring``) against the plain dual of all the
 entry vectors; every answer of the Krylov test
-``ideals._locally_cyclic``, in ``bf_refute`` and in
+``ideals._locally_cyclic``, in ``bf_refute``, ``bf_certify`` and
 ``_invertibility_index``, against the exact [R : I·(R:I)]; the
 trace-dual involution; the two characterizations of invertibility; the
 coefficient rings formed from the powers of A against

@@ -43,6 +43,7 @@ from .errors import (
 from .exactmat import (
     IntMatrix,
     _integer_inverse,
+    _x_power_mod,
     char_poly,
     copy_matrix,
     det,
@@ -62,9 +63,7 @@ from .ideals import (
     _locally_cyclic,
     _power_ring,
     coefficient_ring,
-    is_invertible,
     zbeta,
-    zbeta_colon,
 )
 from .kernels import det_bareiss, snf_diag, snf_rows
 from .numberfield import NumberField
@@ -136,14 +135,6 @@ def bf_k(a, k) -> AbelianGroup:
     return _cokernel(m)
 
 
-def _scaled_coords(coeffs, n):
-    """(d, r) with d the least positive integer making d.g integral and
-    r = d.g as n integer coordinates; g given by its Fraction
-    coefficients, of degree < n."""
-    d, r = _cleared(coeffs)
-    return d, tuple(r + [0] * (n - len(r)))
-
-
 class BFProfile:
     """A cache of BF_g(A) values keyed by g reduced mod the char poly.
 
@@ -167,7 +158,7 @@ class BFProfile:
         key = self.reduce(g)
         got = self.entries.get(key)
         if got is None:
-            d, r = _scaled_coords(key.coeffs, self.p.degree)
+            d, r = _cleared(key.coeffs)
             got = _cokernel(eval_at_power_table(self._powers, d, r))
             self.entries[key] = got
         return got
@@ -412,25 +403,6 @@ def l_equivalent(a, b) -> EquivalenceVerdict:
     )
 
 
-def _cyclic_remainders(p, bound):
-    """x^k - 1 mod p for k = 1..bound as integer coordinate tuples.
-
-    p is monic, so the division is exact over Z: each step multiplies
-    the previous x^(k-1) mod p by x and clears the x^n term with p.
-    """
-    n = p.degree
-    c = p.coeffs
-    cur = [1] + [0] * (n - 1)
-    for _ in range(bound):
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            cur = [e - lead * ci for e, ci in zip(cur, c)]
-        r = list(cur)
-        r[0] -= 1
-        yield tuple(r)
-
-
 REFUTE_SHELL_BUDGET = 1_000_000  # max-norm shell points generated, at most
 CONJUGACY_BUDGET = 1_000_000  # candidate matrices m^(n^2) of conjugate_mod, at most
 
@@ -465,11 +437,12 @@ def _refutation_candidates(p, rings, bound):
     coordinates in max-norm shells 1..bound, first nonzero coordinate
     positive, constants skipped (they never distinguish).  Every shell
     point generated counts against REFUTE_SHELL_BUDGET: BudgetExceeded
-    when one more is due.  Only the
-    cyclic candidates need reducing; the other two kinds already have
-    degree < deg p.  ``rings`` holds the coefficient rings of both
-    matrices (``_matrix_ring``), and is empty when p is reducible or of
-    degree < 2.
+    when one more is due.  Only the cyclic candidates need reducing
+    (``exactmat._x_power_mod``); the other two kinds already have degree
+    < deg p.  ``rings`` holds the coefficient rings of both matrices
+    (``_matrix_ring``), and is empty when p is reducible or of degree
+    < 2; a basis column c/D of a ring is g = r/d with d = D/gcd(D, c)
+    and r = c·d/D.
     """
     seen = set()
 
@@ -479,15 +452,19 @@ def _refutation_candidates(p, rings, bound):
         seen.add((d, r))
         return True
 
-    for k, r in enumerate(_cyclic_remainders(p, bound), start=1):
+    n = p.degree
+    for k in range(1, bound + 1):
+        r = _x_power_mod(k, p.coeffs)  # stripped: pad to n coordinates, subtract 1
+        r = tuple(e - (i == 0) for i, e in enumerate(r + [0] * (n - len(r))))
         if fresh(1, r):
             yield 1, r, IntPoly.cyclic(k).coeffs
-    n = p.degree
     for ring in rings:
-        for z in ring.basis_elements():
-            d, r = _scaled_coords(z.coords, n)
+        for col in ring.cols:
+            g = math.gcd(ring.denom, *col)
+            d = ring.denom // g
+            r = tuple(e // g for e in col)
             if d != 1 and fresh(d, r):
-                yield d, r, z.coords
+                yield d, r, [Fraction(e, d) for e in r]
     generated = 0
     for radius in range(1, bound + 1):
         for tup in _shell(radius, n):
@@ -542,6 +519,19 @@ def _matrix_invertibility_index(field, ring, table):
     index = _colon_index(_ideal_in(field, table), ring)
     assert index == 1 or shortcut is None, shortcut
     return index
+
+
+def _rings_and_index(field, tables):
+    """((C(I), C(J)), N) for the ideals I, J of the matrices whose power
+    tables are ``tables``: both coefficient rings (``_matrix_ring``) and,
+    when they are one ring R, N = [R : I·(R:I)]·[R : J·(R:J)]
+    (``_matrix_invertibility_index``), 1 exactly when both ideals are
+    invertible over R.  N is None when the rings differ."""
+    rings = tuple(_matrix_ring(field, table) for table in tables)
+    if rings[0] != rings[1]:
+        return rings, None
+    index = _matrix_invertibility_index(field, rings[0], tables[0])
+    return rings, index * _matrix_invertibility_index(field, rings[0], tables[1])
 
 
 def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
@@ -618,27 +608,24 @@ def _refute(p, tables, bound):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     rings = ()
-    field = f = None
-    if p.degree >= 2:
-        try:
-            field = NumberField(p)
-        except ReduciblePolynomial:
-            pass
-        else:
-            f = _index_multiple(p)
-            if f == 1:
-                return EquivalenceVerdict("inconclusive", bound=bound)
-    if field is not None:
-        rings = tuple(_matrix_ring(field, table) for table in tables)
-        if rings[0] == rings[1]:
-            f = _matrix_invertibility_index(field, rings[0], tables[0])
-            f *= _matrix_invertibility_index(field, rings[0], tables[1])
-            if f == 1:
-                verdict = EquivalenceVerdict("inconclusive", bound=bound)
-                if debug_asserts_enabled():
-                    full = _search(p, tables, rings, bound, None)
-                    assert full == verdict, "equal invertible ideals were distinguished"
-                return verdict
+    f = None
+    try:
+        field = _dictionary_field(p)
+    except ReduciblePolynomial:
+        pass
+    else:
+        f = _index_multiple(p)
+        if f == 1:
+            return EquivalenceVerdict("inconclusive", bound=bound)
+        rings, index = _rings_and_index(field, tables)
+        if index == 1:
+            verdict = EquivalenceVerdict("inconclusive", bound=bound)
+            if debug_asserts_enabled():
+                full = _search(p, tables, rings, bound, None)
+                assert full == verdict, "equal invertible ideals were distinguished"
+            return verdict
+        if index is not None:
+            f = index
     return _search(p, tables, rings, bound, f)
 
 
@@ -670,13 +657,6 @@ def _search(p, tables, rings, bound, f):
     return EquivalenceVerdict("inconclusive", bound=bound)
 
 
-def _pair_has_invertible(ideal, zb):
-    """At least one of I, (Z[beta]:I) is an invertible Z[beta]-ideal."""
-    if is_invertible(ideal, zb):
-        return True
-    return is_invertible(zbeta_colon(ideal), zb)
-
-
 def bf_certify(a, b) -> EquivalenceVerdict:
     """Apply the sufficient conditions for (strong) BF-equivalence.
 
@@ -688,10 +668,27 @@ def bf_certify(a, b) -> EquivalenceVerdict:
          being necessary) not BF-equivalent either.
       3. both ideals invertible over the common coefficient ring R:
          each is strongly BF-equivalent to R itself, so to each other.
-      4. in each pair (I, (Z[beta]:I)) at least one member invertible
-         over Z[beta]: BF-equivalent.
-      5. degree <= 3: L-equivalence already decides BF-equivalence.
+      4. degree <= 3: L-equivalence already decides BF-equivalence.
     Anything else is inconclusive (bound 0: no search was involved).
+
+    Steps 2 and 3 read the rings and N = [R : I·(R:I)]·[R : J·(R:J)]
+    off the powers of A and B, as ``bf_refute`` does
+    (``_rings_and_index``); I and J are formed only when neither
+    Z[beta] nor the Krylov test of ``_matrix_invertibility_index``
+    answers.
+
+    A further condition - in each pair (I, (Z[beta]:I)) at least one
+    member invertible over Z[beta] - is not tested, as it never holds
+    past step 3.  It would be reached only with C(I) = C(J) = R and I
+    or J not invertible over R.  Z[beta] is Gorenstein: every ideal
+    whose ring it is is invertible over it, so step 3 answers when R =
+    Z[beta], and R ⊋ Z[beta].  If K·(Z[beta]:K) = Z[beta] for a
+    lattice K, then (K:K) ⊆ Z[beta], since z·Z[beta] =
+    z·K·(Z[beta]:K) ⊆ K·(Z[beta]:K) = Z[beta] for z in (K:K).  C(I) =
+    R is not inside Z[beta], so I is not invertible over Z[beta].
+    (Z[beta]:I) = p'(beta)·I^#, with I^# the trace dual, and C(I^#) =
+    C(I) = R, so (Z[beta]:I) is not invertible over Z[beta] either.
+    The same holds for J, so the condition fails on both pairs.
     """
     p, tables = _same_char_poly(a, b)
     n = p.degree
@@ -709,10 +706,8 @@ def bf_certify(a, b) -> EquivalenceVerdict:
                 "polynomial share every BF_g"
             ),
         )
-    ideal_a, ideal_b = (_ideal_in(field, table) for table in tables)
-    ring_a = coefficient_ring(ideal_a)
-    ring_b = coefficient_ring(ideal_b)
-    if ring_a != ring_b:
+    (ring_a, ring_b), index = _rings_and_index(field, tables)
+    if index is None:
         return EquivalenceVerdict(
             "not-L-equivalent",
             witness=(
@@ -721,22 +716,13 @@ def bf_certify(a, b) -> EquivalenceVerdict:
                 "BF-equivalence, so the pair is BF-inequivalent as well"
             ),
         )
-    if is_invertible(ideal_a, ring_a) and is_invertible(ideal_b, ring_b):
+    if index == 1:
         return EquivalenceVerdict(
             "strong-BF-certified",
             witness=(
                 "both ideals are invertible over the common coefficient ring "
                 f"({ring_a.basis_text()}); each is strongly BF-equivalent to "
                 "that ring, hence to the other"
-            ),
-        )
-    zb = zbeta(field)
-    if _pair_has_invertible(ideal_a, zb) and _pair_has_invertible(ideal_b, zb):
-        return EquivalenceVerdict(
-            "BF-certified",
-            witness=(
-                "L-equivalent, and in each pair (I, (Z[beta]:I)) at least one "
-                "member is an invertible Z[beta]-ideal"
             ),
         )
     if n <= 3:

@@ -66,7 +66,9 @@ from typing import List, NamedTuple, Tuple
 from .config import debug_asserts_enabled
 from .errors import BudgetExceeded
 from .exactmat import kernel_mod_m
-from .ideals import FractionalIdeal, Order, ZLattice, colon, lattice_sum, zbeta, zbeta_colon
+from .ideals import (
+    FractionalIdeal, Order, ZLattice, colon, lattice_sum, product, zbeta, zbeta_colon,
+)
 from .kernels import snf_rows, solve_upper_cols
 from .numberfield import NumberField, _mult_columns
 from .polyring import (
@@ -189,18 +191,6 @@ def _local_maximal(field, ell, v, u):
     return order
 
 
-def _join(r, s):
-    """The ring R·S generated by two orders: the span of basis products."""
-    field = r.field
-    n = field.n
-    gens = []
-    for a in r.cols:
-        mult_a = _mult_columns(field, a)
-        for b in s.cols:
-            gens.append([sum(mult_a[j][i] * b[j] for j in range(n)) for i in range(n)])
-    return ZLattice(field, r.denom * s.denom, gens)
-
-
 def _monogenic(field, vec, den):
     """Z[b][g] for g = vec/den ∈ Z_K: the span of b^i·g^j, i, j < n."""
     n = field.n
@@ -255,7 +245,7 @@ def _local_orders(top):
         for s in orders[:i]:
             if r.contains_lattice(s) or s.contains_lattice(r):
                 continue
-            ring = _join(r, s)
+            ring = product(r, s)
             if ring not in seen:
                 seen.add(ring)
                 orders.append(ring)

@@ -7,7 +7,7 @@ import pytest
 
 import bftorus.invariants
 import bftorus.polyring
-from bftorus import cli
+from bftorus import cli, config
 
 from util import EX1_A, EX1_B, EX1_C, EX2_M, EX2_MP, I7_COLS, companion
 
@@ -428,11 +428,31 @@ class TestErrors:
         assert code == 2
         assert "NonIntegralResult" in out
 
-    def test_debug_assert_flag(self, mats):
-        code, out, _ = run_cli(
-            "bf", "--debug-assert", "--matrix", mats["A"], "--poly", "x-1"
-        )
-        assert code == 0 and "Z16" in out
+    def test_debug_assert_flag(self, mats, monkeypatch):
+        # The checks run during the call (the Smith diagonal is checked
+        # against snf_rows), and the flag reads as before after a run
+        # that succeeds, exits 1 or exits 2.
+        checks = []
+        snf_rows = bftorus.invariants.snf_rows
+        monkeypatch.setattr(bftorus.invariants, "snf_rows", lambda m: checks.append(m) or snf_rows(m))
+        missing = str(mats["dir"] / "missing.txt")
+        for before in (False, True):
+            monkeypatch.setattr(config, "_DEBUG_ASSERTS", before)
+            checks.clear()
+            code, out, _ = run_cli(
+                "bf", "--debug-assert", "--matrix", mats["A"], "--poly", "x-1"
+            )
+            assert code == 0 and "Z16" in out
+            assert checks
+            assert config.debug_asserts_enabled() is before
+            code, _, _ = run_cli("bf", "--debug-assert", "--matrix", missing, "--poly", "x-1")
+            assert code == 1
+            assert config.debug_asserts_enabled() is before
+            code, out, _ = run_cli(
+                "bf", "--debug-assert", "--matrix", mats["A"], "--poly", "(1/2)x"
+            )
+            assert code == 2 and "NonIntegralResult" in out
+            assert config.debug_asserts_enabled() is before
 
     @pytest.mark.parametrize(
         "data",

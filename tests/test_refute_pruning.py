@@ -7,7 +7,9 @@ F' = [R : I·(R:I)]·[R : J·(R:J)] takes the place of F, and F' = 1
 answers at once.  These tests check that the verdict, witness, groups
 and bound are those of ``util.oracle_bf_refute``, which evaluates every
 candidate and takes the rings from the ideals, and that the skipped
-work really is skipped.
+work really is skipped.  ``bf_certify`` reads the same rings and
+indices: it forms no ideal where they need none, and the Z[b]-pair
+condition it does not test never holds past its step 3.
 """
 
 import functools
@@ -15,20 +17,24 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bftorus.config as config
+import bftorus.ideals as ideals
 import bftorus.invariants as inv
 import bftorus.polyring as polyring
 from bftorus.errors import BudgetExceeded, FactorizationIncomplete
 from bftorus.exactmat import power_table
 from bftorus.ideals import (
     _invertibility_index,
+    coefficient_ring,
     trace_dual,
     zbeta,
+    zbeta_colon,
 )
 from bftorus.invariants import (
+    EquivalenceVerdict,
     bf_certify,
     bf_refute,
     ideal_to_matrix,
@@ -53,6 +59,7 @@ from util import (
     noninvertible_ideal,
     oracle_bf_refute,
     oracle_char_poly,
+    oracle_invertibility_index,
     random_unimodular_pair,
 )
 
@@ -182,6 +189,19 @@ def test_shell_budget(monkeypatch):
     monkeypatch.setattr(inv, "REFUTE_SHELL_BUDGET", 0)
     for x, y in ((EX1_A, EX1_B), (EX1_B, EX1_C), (EX2_M, EX2_MP), (R48, I48)):
         assert bf_refute(x, y, 4) == oracle_bf_refute(x, y, 4)
+
+
+@pytest.mark.parametrize("a", [[], [[3]]], ids=["0x0", "1x1"])
+def test_degree_zero_and_one_are_inconclusive(a):
+    # p = 1 leaves x^k - 1 mod p with no coordinates; p = x - 3 leaves
+    # the integer 3^k - 1.
+    p = inv.char_poly(a)
+    cyclic = [r for _, r, _ in inv._refutation_candidates(p, (), 3)]
+    assert cyclic == ([()] if a == [] else [(2,), (8,), (26,)])
+    for bound in (1, 2, 3):
+        inconclusive = EquivalenceVerdict("inconclusive", bound=bound)
+        assert bf_refute(a, a, bound) == inconclusive
+        assert strong_bf_refute(a, a, bound) == inconclusive
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -332,3 +352,67 @@ def test_zbeta_rings_answer_without_a_search(monkeypatch, p):
     v = bf_refute(a, b, 3)
     assert v == expected and v.kind == "inconclusive"
     assert {name: c.calls for name, c in counters.items()} == dict.fromkeys(counters, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(NON_GORENSTEIN_FIELDS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(("ring", "dual", "random")), min_size=2, max_size=2),
+)
+def test_zbeta_pairs_hold_no_invertible_member_past_step_3(poly, seed, kinds):
+    # The reason bf_certify has no test "one of I, (Z[b]:I) is invertible
+    # over Z[b]" after step 3: with C(I) = C(J) = R and I or J not
+    # invertible over R, R is not Z[b], and no member of either pair is.
+    rng = random.Random(seed)
+    ring = rng.choice(_orders(poly))
+    make = {
+        "ring": ring.as_ideal,
+        "dual": lambda: trace_dual(ring.as_ideal()),
+        "random": lambda: noninvertible_ideal(rng, ring),
+    }
+    sides = [make[kind]() for kind in kinds]
+    assert all(coefficient_ring(x) == ring for x in sides)
+    assume(max(oracle_invertibility_index(x, ring) for x in sides) > 1)
+    zb = zbeta(ring.field)
+    assert ring != zb
+    for x in sides:
+        assert oracle_invertibility_index(x, zb) > 1
+        assert oracle_invertibility_index(zbeta_colon(x), zb) > 1
+
+
+def _order_matrix(poly, index):
+    """The matrix of the first order of [R : Z[b]] = ``index`` in the
+    field of ``poly``."""
+    for ring in _orders(poly):
+        if 1 / ring.covolume() == index:
+            return ideal_to_matrix(ring)
+    raise LookupError(index)
+
+
+@pytest.mark.parametrize(
+    "poly, index",
+    [
+        ("x^2-34x+1", 1), ("x^4-48", 1), ("x^3-54", 1),
+        ("x^2-34x+1", 12), ("x^4-48", 64), ("x^3-54", 9),
+    ],
+)
+def test_certify_forms_no_ideal(monkeypatch, poly, index):
+    # Ring Z[b] (index 1) needs no computing; the other rings are
+    # proper over-orders whose matrices pass the Krylov test.  Either
+    # way both ideals are invertible over the common ring, read off the
+    # powers of A and B alone.
+    rng = random.Random(0xBF17)
+    a = _order_matrix(poly, index)
+    b = _transpose(_conjugate(rng, a)) if index == 1 else _conjugate(rng, a)
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counters = {}
+    for module, name in (
+        (inv, "_ideal_in"), (inv, "coefficient_ring"), (ideals, "coefficient_ring"),
+        (ideals, "is_invertible"),
+    ):
+        counters[module.__name__, name] = _Counter(getattr(module, name))
+        monkeypatch.setattr(module, name, counters[module.__name__, name])
+    v = bf_certify(a, b)
+    assert v.kind == "strong-BF-certified"
+    assert {key: c.calls for key, c in counters.items()} == dict.fromkeys(counters, 0)

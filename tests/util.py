@@ -36,6 +36,7 @@ from bftorus.ideals import (
     _beta_action,
     _beta_columns,
     _escaping_product,
+    _invertibility_index,
     coefficient_ring,
     colon,
     lattice_from_generators,
@@ -46,7 +47,7 @@ from bftorus.ideals import (
 )
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
 from bftorus.kernels import hnf_cols, snf_rows, solve_upper_cols
-from bftorus.orders import _join, _monogenic, _radical
+from bftorus.orders import _monogenic, _radical
 from bftorus.polyring import (
     RatPoly,
     _gf_divmod,
@@ -871,7 +872,7 @@ def oracle_local_orders(top):
     seen = set(orders)
     for i, r in enumerate(orders):
         for s in orders[:i]:
-            ring = _join(r, s)
+            ring = product(r, s)
             if ring not in seen:
                 seen.add(ring)
                 orders.append(ring)
@@ -919,7 +920,7 @@ def noninvertible_ideal(rng, ring):
         if a.is_zero() or c.is_zero():
             continue
         got = lattice_sum(ideal.scaled(a), ideal.scaled(c)).as_ideal()
-        if coefficient_ring(got) == ring and oracle_invertibility_index(got, ring) > 1:
+        if coefficient_ring(got) == ring and _invertibility_index(got, ring) > 1:
             return got
     return trace_dual(ideal)
 
