@@ -16,19 +16,19 @@ Euler's dual basis, and with it every ``conductor``, against
 ``colon(I, I)``; every ring taken modulo the gcd of its Krylov
 determinants (``ideals._power_ring``) against the plain dual of all the
 entry vectors; every answer of the Krylov test
-``ideals._locally_cyclic``, in ``bf_refute``, ``bf_certify`` and
-``_invertibility_index``, against the exact [R : I·(R:I)]; the
-trace-dual involution; the two characterizations of invertibility; the
-coefficient rings formed from the powers of A against
-``coefficient_ring(matrix_to_ideal(A))``; an inconclusive verdict that
-``bf_refute`` gives without a search, because both ideals are invertible
-over one ring, against the full search; the invertibility of an ideal
-whose ring is Z[b]; every enumerated order through the b-action and
-ring-closure checks of ``Order``; and that one more Round 2 step
-(radical and colon) does not grow an ℓ-maximal order where Round 2
-stopped, at the index bound or the fixed point.  They are controlled by
-the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or programmatically
-via :func:`set_debug_asserts`.
+``ideals._locally_cyclic`` against the exact [R : I·(R:I)], in
+``ideals._invertibility_index``, which ``is_invertible``, ``bf_refute``
+and ``bf_certify`` share; the trace-dual involution; the two
+characterizations of invertibility; the coefficient rings formed from
+the powers of A against ``coefficient_ring(matrix_to_ideal(A))``; an
+inconclusive verdict that ``bf_refute`` gives without a search, because
+both ideals are invertible over one ring, against the full search; the
+invertibility of an ideal whose ring is Z[b]; every enumerated order
+through the b-action and ring-closure checks of ``Order``; and that one
+more Round 2 step (radical and colon) does not grow an ℓ-maximal order
+where Round 2 stopped, at the index bound or the fixed point.  They are
+controlled by the environment variable ``BFTORUS_DEBUG_ASSERT=1`` or
+programmatically via :func:`set_debug_asserts`.
 """
 
 import os

@@ -60,10 +60,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_vec(a, v):
-    return [sum(e * x for e, x in zip(row, v)) for row in a]
-
-
 def det(a) -> int:
     return det_bareiss(copy_matrix(a))
 

@@ -21,7 +21,7 @@ from .errors import NonIntegralResult, NotASublattice, NotFullRank
 from .exactmat import _integer_inverse, eval_at_power_table, power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
-from .polyring import format_poly, parse_int_poly
+from .polyring import _trace_gram, format_poly, parse_int_poly
 
 
 def _lcm(a, b):
@@ -630,33 +630,28 @@ def intersect(i, j):
 
 
 def _trace_dual_lattice(lattice):
-    """The trace dual of (1/d)·C, in integers.
+    """The trace dual L^♯ = {z : Tr(z·w) ∈ Z for all w in L} of
+    L = (1/d)·C, in integers.
 
-    G = Tr(c_i·c_j) is an integer matrix and the Gram matrix of the
-    basis c_j/d is G/d².  The dual basis is w_j = d·Σ_k (G⁻¹)_kj·c_k,
-    so with G⁻¹ = M/D the dual is (1/|D|)·span(d·C·M).
+    With G = ``polyring._trace_gram`` of p, Tr(z·w) = yᵗ·G·c for the
+    coordinates y of z and c of w, so z ∈ L^♯ exactly when G·y lies in
+    the coordinate dual L* = {u : uᵗ·c ∈ Z for all c in L}: L^♯ = G⁻¹·L*.
+    ``_dual_basis`` gives L* = (1/δ)·span(Y), and with G⁻¹ = M/D
+    (``exactmat._integer_inverse``) L^♯ = (1/(δ·|D|))·span(±M·Y), the
+    sign of D carried by the spanning vectors.
     """
     field = lattice.field
-    sums = field._power_sums
-    cols = lattice.cols
-    gram = []
-    for ci in cols:
-        # Tr(c_i·b^k): column k of Mult(c_i) against the power sums
-        traces = [sum(map(operator.mul, sums, col)) for col in _mult_columns(field, ci)]
-        gram.append([sum(map(operator.mul, traces, cj)) for cj in cols])
-    m, den = _integer_inverse(gram)
-    # G and M are symmetric, so row j of M·C^t is column j of C·M.
-    vecs = mat_mul_rows(m, cols)
-    return ZLattice(field, abs(den), [[lattice.denom * e for e in v] for v in vecs])
+    delta, dual = _dual_basis(lattice.cols, field.n, lattice.denom)
+    m, den = _integer_inverse(_trace_gram(field.p.coeffs))
+    # M is symmetric, as G is, so the row y·M is the column M·y.
+    return ZLattice(field, delta * abs(den), mat_mul_rows(dual, m))
 
 
 def trace_dual(ideal) -> "FractionalIdeal":
-    """I* = {z : Tr(z·y) ∈ Z for all y ∈ I}, via the trace Gram inverse.
-
-    The dual basis w_j of the basis v_i satisfies Tr(v_i·w_j) = δ_ij,
-    so w_j = Σ_k (G⁻¹)_kj v_k with G the Gram matrix Tr(v_i·v_j).  The
-    dual of a b-stable lattice is b-stable, as Tr(bz·y) = Tr(z·by); any
-    other lattice is checked."""
+    """I* = {z : Tr(z·y) ∈ Z for all y ∈ I}: G⁻¹ applied to the
+    coordinate dual of I, G the trace Gram matrix of the power basis
+    (``_trace_dual_lattice``).  The dual of a b-stable lattice is
+    b-stable, as Tr(bz·y) = Tr(z·by); any other lattice is checked."""
     out = _trace_dual_lattice(ideal)
     if debug_asserts_enabled():
         assert _trace_dual_lattice(out) == ideal, "trace dual is not an involution"
@@ -665,18 +660,17 @@ def trace_dual(ideal) -> "FractionalIdeal":
     return out.as_ideal()
 
 
-def _invertibility_index(ideal, ring) -> int:
-    """[R : I·(R:I)] for the order R, 1 exactly when I is invertible over
-    R.  When R lies in C(I), ``_locally_cyclic`` on the b-action of I
-    answers 1 when it can; the exact ``_colon_index`` runs otherwise."""
-    x = _beta_action(ideal.cols, _beta_columns(ring.field))
-    if x is not None:
-        table = power_table(transpose(x))
-        if _in_power_ring(table, ring) and _locally_cyclic(table, ring):
-            if debug_asserts_enabled():
-                assert _colon_index(ideal, ring) == 1, "locally cyclic, yet not invertible"
-            return 1
-    return _colon_index(ideal, ring)
+def _invertibility_index(table, ring, ideal) -> int:
+    """[R : I·(R:I)] for an order R inside C(I), 1 exactly when I is
+    invertible over R.  ``table = power_table(X)``, X the b-action of I
+    as ``_locally_cyclic`` takes it, answers 1 when it can; ``ideal()``
+    forms I for the exact ``_colon_index`` otherwise, or to check the
+    Krylov answer under debug assertions."""
+    if not _locally_cyclic(table, ring):
+        return _colon_index(ideal(), ring)
+    if debug_asserts_enabled():
+        assert _colon_index(ideal(), ring) == 1, "locally cyclic, yet not invertible"
+    return 1
 
 
 def _colon_index(ideal, ring) -> int:
@@ -694,8 +688,18 @@ def _colon_index(ideal, ring) -> int:
 
 
 def is_invertible(ideal, ring) -> bool:
-    """True when I·(R:I) = R (I invertible over the order R)."""
-    result = _invertibility_index(ideal, ring) == 1
+    """True when I is invertible over the order R: I is an R-module
+    (R ⊆ C(I)) and I·(R:I) = R.  Then C(I) = R, as z·R = z·I·(R:I) ⊆ R
+    for z in C(I).  The product condition alone would hold for every
+    order I = S ⊊ R, as 1 ∈ S gives S·(R:S) = R.  R ⊆ C(I) is read off
+    the b-action X of I (``_in_power_ring``), and the index off X or the
+    colon (``_invertibility_index``).  NotASublattice when I is not
+    b-stable, as in ``coefficient_ring``."""
+    x = _beta_action(ideal.cols, _beta_columns(ideal.field))
+    if x is None:
+        raise NotASublattice("lattice is not stable under multiplication by b")
+    table = power_table(transpose(x))
+    result = _in_power_ring(table, ring) and _invertibility_index(table, ring, lambda: ideal) == 1
     if debug_asserts_enabled():
         alt = coefficient_ring(ideal) == ring and is_divisorial(ideal, ring)
         assert result == alt, "invertibility characterizations disagree"

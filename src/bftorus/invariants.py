@@ -25,11 +25,12 @@ verdict is an explicit ``inconclusive`` carrying the exhausted search
 bound, never a guess.
 """
 
+import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .config import debug_asserts_enabled
 from .errors import (
@@ -58,9 +59,8 @@ from .ideals import (
     ZLattice,
     _beta_action,
     _beta_columns,
-    _colon_index,
     _dual_basis,
-    _locally_cyclic,
+    _invertibility_index,
     _power_ring,
     coefficient_ring,
     zbeta,
@@ -70,11 +70,9 @@ from .numberfield import NumberField
 from .polyring import (
     IntPoly,
     RatPoly,
-    _cleared,
     discriminant,
     format_poly,
     parse_rat_poly,
-    poly_mod,
     square_part,
 )
 
@@ -133,44 +131,6 @@ def bf_k(a, k) -> AbelianGroup:
     for i in range(len(m)):
         m[i][i] -= 1
     return _cokernel(m)
-
-
-class BFProfile:
-    """A cache of BF_g(A) values keyed by g reduced mod the char poly.
-
-    Cayley-Hamilton makes g(A) depend only on g mod p, so the reduced
-    polynomial is the canonical key, and g(A) is formed as a linear
-    combination of A^0..A^(n-1), computed once per profile.  Only g
-    with g(A) integral are ever stored; a non-integral g raises through
-    ``group``.
-    """
-
-    def __init__(self, a):
-        self.matrix = copy_matrix(a)
-        self._powers, self.p = powers_and_char_poly(self.matrix)
-        self._p_rat = self.p.to_rat()
-        self.entries: Dict[RatPoly, AbelianGroup] = {}
-
-    def reduce(self, g) -> RatPoly:
-        return poly_mod(_as_rat_poly(g), self._p_rat)
-
-    def group(self, g) -> AbelianGroup:
-        key = self.reduce(g)
-        got = self.entries.get(key)
-        if got is None:
-            d, r = _cleared(key.coeffs)
-            got = _cokernel(eval_at_power_table(self._powers, d, r))
-            self.entries[key] = got
-        return got
-
-    def __contains__(self, g):
-        return self.reduce(g) in self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        return f"BFProfile({self.p}, {len(self.entries)} entries)"
 
 
 class PeriodicStructure(NamedTuple):
@@ -501,37 +461,30 @@ def _group_or_none(table, d, r):
         return None
 
 
-def _matrix_invertibility_index(field, ring, table):
-    """[R : I·(R:I)] for the ideal I of A and R = C(I), ``table =
-    power_table(A)``, taken as 1 without forming I in two cases.  When R
-    = Z[beta]: Z[beta] is Gorenstein, so every ideal whose coefficient
-    ring it is is invertible over it.  When ``ideals._locally_cyclic``
-    answers: beta acts on I by A in the coordinates c -> v.c, and R =
-    C(I) = {g : g(A) integral} by construction."""
-    if ring == zbeta(field):
-        shortcut = "an ideal with ring Z[beta] is not invertible"
-    elif _locally_cyclic(table, ring):
-        shortcut = "a locally cyclic ideal is not invertible"
-    else:
-        shortcut = None
-    if shortcut and not debug_asserts_enabled():
-        return 1
-    index = _colon_index(_ideal_in(field, table), ring)
-    assert index == 1 or shortcut is None, shortcut
-    return index
-
-
 def _rings_and_index(field, tables):
     """((C(I), C(J)), N) for the ideals I, J of the matrices whose power
     tables are ``tables``: both coefficient rings (``_matrix_ring``) and,
-    when they are one ring R, N = [R : I·(R:I)]·[R : J·(R:J)]
-    (``_matrix_invertibility_index``), 1 exactly when both ideals are
-    invertible over R.  N is None when the rings differ."""
+    when they are one ring R, N = [R : I·(R:I)]·[R : J·(R:J)], 1 exactly
+    when both ideals are invertible over R.  N is None when the rings
+    differ.  When R = Z[beta], N = 1 needs no computing: Z[beta] is
+    Gorenstein, so every ideal whose coefficient ring it is is
+    invertible over it.  Otherwise each index is
+    ``ideals._invertibility_index`` of the powers of A: beta acts on I by
+    A in the coordinates c -> v.c, and R = C(I) = {g : g(A) integral} by
+    construction.  I is formed (``_ideal_in``) only when the Krylov test
+    does not answer."""
     rings = tuple(_matrix_ring(field, table) for table in tables)
     if rings[0] != rings[1]:
         return rings, None
-    index = _matrix_invertibility_index(field, rings[0], tables[0])
-    return rings, index * _matrix_invertibility_index(field, rings[0], tables[1])
+    ring = rings[0]
+    gorenstein = ring == zbeta(field)
+    if gorenstein and not debug_asserts_enabled():
+        return rings, 1
+    index = 1
+    for table in tables:
+        index *= _invertibility_index(table, ring, functools.partial(_ideal_in, field, table))
+    assert index == 1 or not gorenstein, "an ideal with ring Z[beta] is not invertible"
+    return rings, index
 
 
 def bf_refute(a, b, bound=4) -> EquivalenceVerdict:
@@ -674,7 +627,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
     Steps 2 and 3 read the rings and N = [R : I·(R:I)]·[R : J·(R:J)]
     off the powers of A and B, as ``bf_refute`` does
     (``_rings_and_index``); I and J are formed only when neither
-    Z[beta] nor the Krylov test of ``_matrix_invertibility_index``
+    Z[beta] nor the Krylov test of ``ideals._invertibility_index``
     answers.
 
     A further condition - in each pair (I, (Z[beta]:I)) at least one

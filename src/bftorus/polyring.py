@@ -68,10 +68,6 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
-    def x_power(cls, k, scale=1):
-        return cls([0] * k + [scale])
-
-    @classmethod
     def cyclic(cls, k):
         """x^k - 1."""
         return cls([-1] + [0] * (k - 1) + [1])
@@ -259,28 +255,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-def poly_xgcd(a, b):
-    """Extended gcd over Q: (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = _rat(a), _rat(b)
-    s0, s1 = RatPoly([1]), RatPoly()
-    t0, t1 = RatPoly(), RatPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.leading()
-    inv = 1 / lead
-    return r0.monic(), s0 * inv, t0 * inv
-
-
-def poly_mod(g, p):
-    """Unique representative of g modulo p with degree < deg p."""
-    return _rat(g) % p
-
-
 def _power_sums(coeffs, count):
     """Newton power sums s_0 .. s_(count-1) of the roots of the monic
     polynomial with these coefficients (constant first), by Newton's
@@ -296,11 +270,22 @@ def _power_sums(coeffs, count):
     return s[:count]
 
 
+def _trace_gram(coeffs):
+    """The Hankel matrix G = (s_(i+j)) of the Newton power sums of the
+    monic polynomial with these coefficients (constant first), as rows.
+    In K = Q[x]/(p) with b the class of x, s_k = Tr(b^k), so G is the
+    Gram matrix Tr(b^i·b^j) of the trace form on the power basis: for
+    coordinate vectors y and c, Tr(y(b)·c(b)) = yᵗ·G·c."""
+    n = len(coeffs) - 1
+    s = _power_sums(coeffs, 2 * n - 1)
+    return [s[i:i + n] for i in range(n)]
+
+
 def discriminant(p):
     """disc(p) = Π_(i<j) (r_i - r_j)² = (-1)^(n(n-1)/2)·Res(p, p') for
     monic p of degree n >= 2.  For the Vandermonde matrix V = (r_j^i) of
     the roots, disc(p) = det(V)² = det(V·Vᵀ), and V·Vᵀ is the Hankel
-    matrix (s_(i+j)) of the Newton power sums: one n×n determinant."""
+    matrix ``_trace_gram``: one n×n determinant."""
     if isinstance(p, RatPoly):
         p = p.to_int_poly()
     if not p.is_monic():
@@ -308,8 +293,7 @@ def discriminant(p):
     n = p.degree
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
-    s = _power_sums(p.coeffs, 2 * n - 1)
-    return det_bareiss([s[i:i + n] for i in range(n)])
+    return det_bareiss(_trace_gram(p.coeffs))
 
 
 # --------------------------------------------------------------------

@@ -23,7 +23,6 @@ from bftorus.exactmat import (
     identity_matrix,
     kernel_mod_m,
     mat_pow,
-    mat_vec,
     power_table,
     powers_and_char_poly,
     rational_inverse,
@@ -36,6 +35,7 @@ from util import (
     EX1_A,
     P_CUBIC,
     mat_mul,
+    mat_vec,
     oracle_adjugate,
     oracle_char_poly,
     oracle_det,

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import bftorus.config as config
 import bftorus.ideals
 from bftorus.errors import NotASublattice, NotFullRank
 from bftorus.ideals import (
@@ -33,9 +34,10 @@ from bftorus.ideals import (
 )
 from bftorus.kernels import hnf_cols
 from bftorus.numberfield import NumberField
+from bftorus.orders import enumerate_order_lattice
 from bftorus.polyring import IntPoly
 
-from util import I7_COLS, J7_COLS, P_QUAD, R7_COLS, R7_DENOM
+from util import I7_COLS, J7_COLS, NON_GORENSTEIN_FIELDS, P_QUAD, R7_COLS, R7_DENOM
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +287,25 @@ class TestInvertibility:
         assert is_divisorial(J, zb)
         # ... but J is not divisorial over its own coefficient ring
         assert not is_divisorial(J, R)
+
+    @pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+    @pytest.mark.parametrize("poly", ("x^2-12",) + NON_GORENSTEIN_FIELDS)
+    def test_orders_over_every_order(self, poly, debug, monkeypatch):
+        # An order S is an R-module only when R ⊆ S, so it is invertible
+        # over R only when S = R, though S·(R:S) = R for every S ⊊ R.
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", debug)
+        nodes = enumerate_order_lattice(NumberField(poly)).nodes
+        for s in nodes:
+            for r in nodes:
+                assert is_invertible(s, r) == (s == r)
+
+    def test_lattice_that_is_not_b_stable_raises(self):
+        # span{1, 2b} in Q(b), b² = 12, over Z[b] and over Z[√3] = Z[b/2]
+        field = NumberField("x^2-12")
+        lattice = ZLattice(field, 1, [[1, 0], [0, 2]])
+        for ring in (zbeta(field), Order(field, 2, [[2, 0], [0, 1]])):
+            with pytest.raises(NotASublattice, match="not stable under multiplication by b"):
+                is_invertible(lattice, ring)
 
 
 class TestTraceDual:

@@ -28,7 +28,6 @@ from bftorus.ideals import (
     zbeta,
 )
 from bftorus.invariants import (
-    BFProfile,
     EquivalenceVerdict,
     _ideal_in,
     bf_certify,
@@ -176,17 +175,6 @@ class TestBFGroups:
             assert bf_k([[1, 1], [0, 1]], 3).free_rank == 1
         finally:
             set_debug_asserts(saved)
-
-
-class TestBFProfile:
-    def test_caches_by_reduction(self):
-        prof = BFProfile(EX1_A)
-        g1 = prof.group("x-1")
-        assert "x-1" in prof
-        # p + (x - 1) reduces to the same key as x - 1
-        g2 = prof.group([-2, 8, -23, 1])
-        assert g1 == g2
-        assert len(prof) == 1
 
 
 class TestDictionary:
@@ -620,13 +608,12 @@ def test_non_integer_counts_rejected(call):
     "call",
     [
         lambda: bf_group([[2, 1], [1, 1]], [0.5, 1]),
-        lambda: BFProfile([[2, 1], [1, 1]]).group([1, 0.1]),
         lambda: eval_poly_at_matrix([0.5, 1], [[2, 1], [1, 1]]),
         lambda: RatPoly([1, 2.0]),
         lambda: NumberField("x^2-2").element([0.5, 1]),
         lambda: FieldElement(NumberField("x^2-2"), [1, 0.25]),
     ],
-    ids=["bf_group", "BFProfile.group", "eval_poly_at_matrix", "RatPoly", "element", "FieldElement"],
+    ids=["bf_group", "eval_poly_at_matrix", "RatPoly", "element", "FieldElement"],
 )
 def test_float_coefficients_rejected(call):
     # never read as the binary fraction: [0.5, 1] is not x+(1/2)

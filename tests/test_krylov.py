@@ -5,8 +5,9 @@ m = gcd_j det K_(e_j), K_u = [u, X·u, ..., X^(n-1)·u], and
 ``ideals._locally_cyclic`` answers [R : I·(R:I)] = 1 when the indices
 |det K_u| / [R : Z[b]] have gcd 1.  These tests check the ring against
 the plain dual of every entry vector (``util.oracle_power_ring``) and
-every "locally cyclic" answer against the exact index from the Fraction
-colon (``util.oracle_invertibility_index``).
+every "locally cyclic" answer, and every index of
+``ideals._invertibility_index``, against the exact index from the
+Fraction colon (``util.oracle_invertibility_index``).
 """
 
 import functools
@@ -41,6 +42,12 @@ from util import (
     oracle_power_ring,
     random_unimodular_pair,
 )
+
+
+def _index(ideal, ring):
+    """``_invertibility_index`` of an ideal over an order R inside C(I),
+    from the powers of its b-action matrix."""
+    return _invertibility_index(power_table(ideal_to_matrix(ideal)), ring, lambda: ideal)
 
 
 def _random_matrix(rng, n):
@@ -85,7 +92,7 @@ def test_locally_cyclic_means_invertible(seed, n):
     exact = oracle_invertibility_index(ideal, ring)
     if _locally_cyclic(table, ring):
         assert exact == 1
-    assert _invertibility_index(ideal, ring) == exact
+    assert _index(ideal, ring) == exact
 
 
 def test_r48_is_cyclic_and_i48_is_not(debug_mode):
@@ -97,7 +104,7 @@ def test_r48_is_cyclic_and_i48_is_not(debug_mode):
         assert [str(z) for z in ring.basis_elements()] == ["1", "b", "(1/2)b^2", "(1/4)b^3"]
         assert _locally_cyclic(table, ring) is cyclic
         ideal = matrix_to_ideal(a)
-        assert _invertibility_index(ideal, ring) == index
+        assert _index(ideal, ring) == index
         assert oracle_invertibility_index(ideal, ring) == index
 
 
@@ -108,13 +115,14 @@ def _orders(poly):
 
 @pytest.mark.parametrize("poly", ["x^4-48", "x^3-54", "x^2-12"])
 def test_index_over_orders_that_are_not_the_ring(poly, debug_mode):
-    # [R : S·(R:S)] for every pair of orders: where R is not inside C(S)
-    # = S, the Krylov indices mean nothing and the exact path answers.
+    # [R : S·(R:S)] for every pair of orders with R inside C(S) = S; the
+    # pairs with R not inside S are is_invertible's (test_ideals).
     nodes = _orders(poly)
     for s in nodes:
         for r in nodes:
-            ideal = s.as_ideal()
-            assert _invertibility_index(ideal, r) == oracle_invertibility_index(ideal, r)
+            if s.contains_lattice(r):
+                ideal = s.as_ideal()
+                assert _index(ideal, r) == oracle_invertibility_index(ideal, r)
 
 
 def test_bf_refute_answers_locally_cyclic_pairs_without_the_ideals(monkeypatch):

@@ -10,7 +10,8 @@ rational multiplication matrix).  The dual lattice under the dot
 product, which ``colon``, ``intersect`` and the rings of the b-action
 share, is checked against the Faddeev-LeVerrier inverse.  Inputs are seeded: ideals of random
 irreducible matrices, random lattices with denominators, and every
-node of the order lattices of random fields, n = 2..4.
+node of the order lattices of random fields, n = 2..4; the trace dual
+also in n = 1..6, over discriminants of both signs.
 """
 
 import random
@@ -20,7 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftorus.errors import NonIntegralResult, NotASublattice, NotFullRank
+from bftorus.errors import (
+    BudgetExceeded,
+    NonIntegralResult,
+    NotASublattice,
+    NotFullRank,
+    ReduciblePolynomial,
+)
 from bftorus.ideals import (
     Order,
     ZLattice,
@@ -175,6 +182,27 @@ def test_random_lattices_against_oracles(seed, n):
     _check_dictionary(first)
     # trace_dual itself requires an ideal; the lattice step does not.
     assert _trace_dual_lattice(first) == oracle_trace_dual(first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 6), st.booleans())
+def test_trace_dual_against_oracle_in_degrees_1_to_6(seed, n, negative):
+    # G⁻¹ = M/D for the power-sum Hankel matrix G has D = ±disc(p), the
+    # sign set by n and by the sign of disc(p), which ``negative`` picks
+    # for n >= 2; the lattice is random, its Z[b]-module closure b-stable.
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
+        if coeffs[0] and (n == 1 or (discriminant(IntPoly(coeffs)) < 0) == negative):
+            try:
+                field = NumberField(IntPoly(coeffs))
+                break
+            except (ReduciblePolynomial, BudgetExceeded):
+                pass
+    lattice = _random_lattice(rng, field)
+    ideal = lattice_from_generators(field, lattice.basis_elements(), module_closure=True)
+    assert _trace_dual_lattice(lattice) == oracle_trace_dual(lattice)
+    assert trace_dual(ideal) == oracle_trace_dual(ideal)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,9 +11,9 @@ from bftorus.exactmat import char_poly
 from bftorus.ideals import FractionalIdeal
 from bftorus.invariants import ideal_to_matrix
 from bftorus.numberfield import NumberField, multiplication_matrix
-from bftorus.polyring import IntPoly, RatPoly, parse_int_poly, poly_xgcd
+from bftorus.polyring import IntPoly, RatPoly
 
-from util import I7_COLS, P_CUBIC, oracle_resultant, random_admissible_poly
+from util import I7_COLS, P_CUBIC, oracle_resultant, poly_xgcd, random_admissible_poly
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,8 @@ index bound, one ring per cyclic subgroup, squarefree decomposition,
 the triangular inverse, the Krylov modulus).  Faddeev-LeVerrier with
 its adjugate row eigenvector, integer Horner evaluation and matrix
 repeated squaring are the library's former char poly, ideal of A,
-g(A) and A^k, which now all come from one power table.
+g(A) and A^k, which now all come from one power table.  ``poly_xgcd``
+and ``mat_vec`` are plain helpers the library itself has no use for.
 """
 
 import itertools
@@ -36,9 +37,9 @@ from bftorus.ideals import (
     _beta_action,
     _beta_columns,
     _escaping_product,
-    _invertibility_index,
     coefficient_ring,
     colon,
+    is_invertible,
     lattice_from_generators,
     lattice_sum,
     product,
@@ -118,6 +119,10 @@ def mat_mul(a, b):
     return [
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)
     ]
+
+
+def mat_vec(a, v):
+    return [sum(e * x for e, x in zip(row, v)) for row in a]
 
 
 def mat_pow(a, k):
@@ -205,6 +210,23 @@ def _poly_add(a, b):
     for i, y in enumerate(b):
         out[i] += y
     return out
+
+
+def poly_xgcd(a, b):
+    """Extended gcd over Q of two IntPolys or RatPolys: (g, s, t) with
+    s·a + t·b = g, g monic (or zero when both are)."""
+    r0, r1 = RatPoly(a.coeffs), RatPoly(b.coeffs)
+    s0, s1 = RatPoly([1]), RatPoly()
+    t0, t1 = RatPoly(), RatPoly([1])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = 1 / r0.leading()
+    return r0.monic(), s0 * inv, t0 * inv
 
 
 def oracle_resultant(a, b):
@@ -920,7 +942,7 @@ def noninvertible_ideal(rng, ring):
         if a.is_zero() or c.is_zero():
             continue
         got = lattice_sum(ideal.scaled(a), ideal.scaled(c)).as_ideal()
-        if coefficient_ring(got) == ring and _invertibility_index(got, ring) > 1:
+        if coefficient_ring(got) == ring and not is_invertible(got, ring):
             return got
     return trace_dual(ideal)
 
