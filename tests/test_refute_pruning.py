@@ -364,10 +364,12 @@ def test_zbeta_pairs_hold_no_invertible_member_past_step_3(poly, seed, kinds):
     # The reason bf_certify has no test "one of I, (Z[b]:I) is invertible
     # over Z[b]" after step 3: with C(I) = C(J) = R and I or J not
     # invertible over R, R is not Z[b], and no member of either pair is.
-    # Over a Gorenstein R every ideal with ring R is invertible, so only
-    # the non-Gorenstein orders can pass the assume below.
+    # Over a Gorenstein R every ideal with ring R is invertible, so R is
+    # drawn from the non-Gorenstein orders and Z[b]: a Z[b] draw passes
+    # the assume below only if some ideal with ring Z[b] is not
+    # invertible over it, and then fails ``ring != zb``.
     rng = random.Random(seed)
-    ring = rng.choice(_non_gorenstein_orders(poly))
+    ring = rng.choice(_non_gorenstein_orders(poly) + [zbeta(NumberField(poly))])
     make = {
         "ring": ring.as_ideal,
         "dual": lambda: trace_dual(ring.as_ideal()),
@@ -381,6 +383,22 @@ def test_zbeta_pairs_hold_no_invertible_member_past_step_3(poly, seed, kinds):
     for x in sides:
         assert oracle_invertibility_index(x, zb) > 1
         assert oracle_invertibility_index(zbeta_colon(x), zb) > 1
+
+
+@pytest.mark.parametrize("poly", NON_GORENSTEIN_FIELDS)
+def test_ideals_over_gorenstein_orders_are_invertible(poly):
+    # The converse side of the test above, against the oracle: over each
+    # order the library calls Gorenstein, Z[b] among them, the order, its
+    # trace dual and sampled ideals with that ring are invertible.
+    rng = random.Random(0xBF18)
+    gorenstein = [r for r in _orders(poly) if r not in _non_gorenstein_orders(poly)]
+    assert zbeta(NumberField(poly)) in gorenstein
+    for ring in gorenstein:
+        sides = [ring.as_ideal(), trace_dual(ring.as_ideal())]
+        sides += [noninvertible_ideal(rng, ring) for _ in range(3)]
+        for x in sides:
+            assert coefficient_ring(x) == ring
+            assert oracle_invertibility_index(x, ring) == 1
 
 
 def _order_matrix(poly, index):
