@@ -30,7 +30,9 @@ from fractions import Fraction
 
 from . import config
 from .errors import BFTorusError
-from .ideals import FractionalIdeal, coefficient_ring, colon, is_invertible, trace_dual, zbeta
+from .ideals import (
+    FractionalIdeal, _zbeta_index, coefficient_ring, colon, is_invertible, trace_dual, zbeta,
+)
 from .invariants import (
     bf_certify,
     bf_group,
@@ -229,7 +231,7 @@ def _cmd_lattice(ns):
     field = NumberField(p)
     lat = enumerate_order_lattice(field)
     names = [f"R{i}" for i in range(len(lat.nodes))]
-    indices = [zbeta(field).index_in(node) for node in lat.nodes]
+    indices = [_zbeta_index(node) for node in lat.nodes]
     lines = [
         f"order lattice of Q[x]/(p), p = {field.p}",
         f"{len(lat.nodes)} orders, indices {lat.min_index} .. {lat.max_index}",
@@ -292,12 +294,8 @@ def _cmd_coeffring(ns):
     reports = []
     for path, ideal in _load_ideals(ns):
         ring = coefficient_ring(ideal)
-        idx = zbeta(ideal.field).index_in(ring)
-        text = (
-            f"C(I) for {path}: "
-            + ring.basis_text()
-            + f"  (index {idx} over Z[b])"
-        )
+        idx = _zbeta_index(ring)
+        text = f"C(I) for {path}: {ring.basis_text()}  (index {idx} over Z[b])"
         reports.append(
             (
                 text,

@@ -69,7 +69,11 @@ def power_table(a):
     only place the powers of a matrix are formed.  By Cayley-Hamilton each
     g(A) is r(A) for r = g mod p, an integer combination of the entries
     (``eval_at_power_table``)."""
-    a = copy_matrix(a)
+    return _power_table(copy_matrix(a))
+
+
+def _power_table(a):
+    """``power_table`` of a matrix ``copy_matrix`` has already validated."""
     powers = [identity_matrix(len(a)), a][:len(a)]
     while len(powers) < len(a):
         powers.append(mat_mul_rows(powers[-1], a))
@@ -106,7 +110,7 @@ def powers_and_char_poly(a):
     """
     a = copy_matrix(a)
     n = len(a)
-    table = power_table(a)
+    table = _power_table(a)
     s = [sum(t) for t in zip(*(table[i][i] for i in range(n)))]
     s.append(sum(e[n - 1] * x for row, col in zip(table, zip(*a)) for e, x in zip(row, col)))
     c = [0] * n + [1]

@@ -18,14 +18,10 @@ from fractions import Fraction
 
 from .config import debug_asserts_enabled
 from .errors import NonIntegralResult, NotASublattice, NotFullRank
-from .exactmat import _integer_inverse, eval_at_power_table, power_table, transpose
+from .exactmat import eval_at_power_table, power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import _trace_gram, format_poly, parse_int_poly
-
-
-def _lcm(a, b):
-    return a // math.gcd(a, b) * b
 
 
 def _beta_columns(field):
@@ -168,10 +164,7 @@ class ZLattice:
         h = cols if _is_hnf(cols, n) else [c for c in hnf_cols(cols)[0] if any(c)]
         if len(h) != n:
             raise NotFullRank(f"generators span rank {len(h)} < {n}")
-        g = denom
-        for c in h:
-            for e in c:
-                g = math.gcd(g, e)
+        g = math.gcd(denom, *(e for c in h for e in c))
         if g > 1:
             denom //= g
             h = [[e // g for e in c] for c in h]
@@ -209,10 +202,7 @@ class ZLattice:
 
     def covolume(self):
         """|det of a basis| over the power basis, as a Fraction."""
-        det = 1
-        for i in range(self.n):
-            det *= self.cols[i][i]
-        return Fraction(det, self.denom**self.n)
+        return Fraction(math.prod(self.cols[i][i] for i in range(self.n)), self.denom**self.n)
 
     def contains_element(self, z):
         if z.field != self.field:
@@ -335,6 +325,13 @@ def zbeta(field) -> Order:
     return out
 
 
+def _zbeta_index(ring) -> int:
+    """[R : Z[b]] = d^n / Π diag(C) for an order R = (1/d)·C ⊇ Z[b]."""
+    index, rem = divmod(ring.denom**ring.n, math.prod(c[k] for k, c in enumerate(ring.cols)))
+    assert not rem, "the lattice does not contain Z[b]"
+    return index
+
+
 def _coordinates(big, small):
     """The integer coordinates of the basis of ``small`` in the basis of
     ``big``, as columns, or None when small ⊄ big."""
@@ -355,10 +352,7 @@ def _coordinates(big, small):
 
 def _from_rational_columns(field, vecs, cls=ZLattice):
     """Lattice spanned by rational coordinate vectors (any count >= n)."""
-    denom = 1
-    for v in vecs:
-        for c in v:
-            denom = _lcm(denom, Fraction(c).denominator)
+    denom = math.lcm(*(Fraction(c).denominator for v in vecs for c in v))
     cols = [[int(Fraction(c) * denom) for c in v] for v in vecs]
     return cls(field, denom, cols)
 
@@ -555,8 +549,7 @@ def _locally_cyclic(table, ring) -> bool:
     of the indices over the u of ``_krylov_rows`` is 1, no prime divides
     it, and the index is 1.  The set of u is fixed.
     """
-    n = len(table)
-    index = ring.denom**n // math.prod(ring.cols[k][k] for k in range(n))
+    index = _zbeta_index(ring)
     g = 0
     for rows in _krylov_rows(table):
         q, rem = divmod(det_bareiss(rows), index)
@@ -613,7 +606,7 @@ def product(i, j):
 def lattice_sum(i, j):
     """I + J (smallest lattice containing both)."""
     i._require_same_field(j)
-    d = _lcm(i.denom, j.denom)
+    d = math.lcm(i.denom, j.denom)
     cols = [[e * (d // i.denom) for e in c] for c in i.cols]
     cols += [[e * (d // j.denom) for e in c] for c in j.cols]
     return _joint_class(i, j)(i.field, d, cols)
@@ -633,25 +626,22 @@ def _trace_dual_lattice(lattice):
     """The trace dual L^♯ = {z : Tr(z·w) ∈ Z for all w in L} of
     L = (1/d)·C, in integers.
 
-    With G = ``polyring._trace_gram`` of p, Tr(z·w) = yᵗ·G·c for the
-    coordinates y of z and c of w, so z ∈ L^♯ exactly when G·y lies in
-    the coordinate dual L* = {u : uᵗ·c ∈ Z for all c in L}: L^♯ = G⁻¹·L*.
-    ``_dual_basis`` gives L* = (1/δ)·span(Y), and with G⁻¹ = M/D
-    (``exactmat._integer_inverse``) L^♯ = (1/(δ·|D|))·span(±M·Y), the
-    sign of D carried by the spanning vectors.
+    With G = ``polyring._trace_gram`` of p, Tr(z·w) = yᵗ·(G·c) for the
+    coordinates y of z and c of w, so z ∈ L^♯ exactly when y pairs
+    integrally with every vector of G·L = (1/d)·span(G·C): L^♯ is the
+    coordinate dual of G·L, one ``_dual_lattice`` with no inverse of G.
     """
     field = lattice.field
-    delta, dual = _dual_basis(lattice.cols, field.n, lattice.denom)
-    m, den = _integer_inverse(_trace_gram(field.p.coeffs))
-    # M is symmetric, as G is, so the row y·M is the column M·y.
-    return ZLattice(field, delta * abs(den), mat_mul_rows(dual, m))
+    # G is symmetric, so the row c·G is the column G·c.
+    return _dual_lattice(field, mat_mul_rows(lattice.cols, _trace_gram(field.p.coeffs)),
+                         lattice.denom)
 
 
 def trace_dual(ideal) -> "FractionalIdeal":
-    """I* = {z : Tr(z·y) ∈ Z for all y ∈ I}: G⁻¹ applied to the
-    coordinate dual of I, G the trace Gram matrix of the power basis
-    (``_trace_dual_lattice``).  The dual of a b-stable lattice is
-    b-stable, as Tr(bz·y) = Tr(z·by); any other lattice is checked."""
+    """I* = {z : Tr(z·y) ∈ Z for all y ∈ I}: the coordinate dual of G·I,
+    G the trace Gram matrix of the power basis (``_trace_dual_lattice``).
+    The dual of a b-stable lattice is b-stable, as Tr(bz·y) = Tr(z·by);
+    any other lattice is checked."""
     out = _trace_dual_lattice(ideal)
     if debug_asserts_enabled():
         assert _trace_dual_lattice(out) == ideal, "trace dual is not an involution"

@@ -13,8 +13,18 @@ are an ℓ-group and a q-group, ℓ ≠ q.  For x ∈ O and y ∈ O' with
 O, and 1 = u·ℓ^a + v·q^c puts xy in O + O'.  So a sum of local orders
 is a ring, and R ↦ (R_ℓ)_ℓ is a bijection between the orders and the
 tuples of one local order per prime, inverse to the sum and
-respecting inclusion.  The list of all orders is therefore complete
-once each local list is.
+respecting inclusion both ways.  The list of all orders is therefore
+complete once each local list is.
+
+*The product poset.*  So the orders form the product of the local
+posets, with [R : Z[b]] = Π_ℓ [R_ℓ : Z[b]].  R ⊊ S is a cover exactly
+when R and S differ at one prime ℓ, by a local cover there.  Proof: if
+they differ at ℓ ≠ q, the order with S_ℓ at ℓ and R's parts elsewhere
+lies strictly between them, and if R_ℓ ⊊ T ⊊ S_ℓ, so does the order
+with T at ℓ; conversely, an order between R and S has their common
+parts away from ℓ and R_ℓ or S_ℓ at ℓ.  So the Hasse edges come from
+the local inclusions, and only a node with two or more parts ≠ Z[b]
+needs a sum.
 
 *Round 2* (Cohen, GTM 138, Alg. 6.1.8).  Every local order at ℓ lies
 in the ℓ-maximal order O_ℓ ⊇ Z[b], the ℓ-part of Z_K.  The ℓ-radical
@@ -59,6 +69,7 @@ The enumeration output is the ground truth; no external table is
 consulted.
 """
 
+import functools
 import itertools
 import math
 from typing import List, NamedTuple, Tuple
@@ -67,7 +78,8 @@ from .config import debug_asserts_enabled
 from .errors import BudgetExceeded
 from .exactmat import kernel_mod_m
 from .ideals import (
-    FractionalIdeal, Order, ZLattice, colon, lattice_sum, product, zbeta, zbeta_colon,
+    FractionalIdeal, Order, ZLattice, _coordinates, _zbeta_index, colon, lattice_sum, product,
+    zbeta, zbeta_colon,
 )
 from .kernels import snf_rows, solve_upper_cols
 from .numberfield import NumberField, _mult_columns
@@ -111,14 +123,10 @@ def _index_primes(field):
     """(ℓ, v_ℓ(F), U) for the primes ℓ | F at which Z[b] may fail to be
     ℓ-maximal, those the Dedekind criterion does not clear, with U from
     ``_dedekind_maximal``.  FactorizationIncomplete when disc(p) cannot
-    be fully factored."""
-    big_f, _delta = square_part(discriminant(field.p))
-    out = []
-    for ell, v in sorted(factorint(big_f).items()):
-        u = _dedekind_maximal(field.p, ell)
-        if len(u) <= field.n:
-            out.append((ell, v, u))
-    return out
+    be fully factored.  There are none in degree 1, where Z[b] = Z_K."""
+    big_f = square_part(discriminant(field.p))[0] if field.n > 1 else 1
+    found = [(ell, v, _dedekind_maximal(field.p, ell)) for ell, v in factorint(big_f).items()]
+    return sorted((ell, v, u) for ell, v, u in found if len(u) <= field.n)
 
 
 def _dedekind_order(field, ell, u):
@@ -179,7 +187,7 @@ def _local_maximal(field, ell, v, u):
     """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2 from Dedekind's order
     O₁ of ``_dedekind_order`` up to the index ℓ^v, v = v_ℓ(F)."""
     order = _dedekind_order(field, ell, u)
-    while 1 / order.covolume() < ell**v:  # [O : Z[b]] below the bound
+    while _zbeta_index(order) < ell**v:  # [O : Z[b]] below the bound
         rad = _radical(order, ell)
         bigger = colon(rad, rad)
         if bigger == order:
@@ -205,24 +213,24 @@ def _monogenic(field, vec, den):
 
 
 def _local_orders(top):
-    """Every order between Z[b] and the ℓ-primary order ``top``;
-    BudgetExceeded when top/Z[b] has more than LOCAL_ORDERS_BUDGET
-    elements, before the walk steps through them.
+    """(orders, below, index) for the orders between Z[b] and the
+    ℓ-primary order ``top``: below[j] = {i : orders[i] ⊊ orders[j]},
+    index[j] = [orders[j] : Z[b]].  BudgetExceeded when top/Z[b] has
+    more than LOCAL_ORDERS_BUDGET elements, before the walk steps
+    through them.
 
     With X = d·C⁻¹ the coordinates of the power basis in the basis
     C/d of ``top``, U·X·V = diag(a) gives b-coordinates V_i (column i
     of V) = a_i·w_i for a basis w of ``top``, so top/Z[b] is the sum
     of the cyclic groups generated by w_i = V_i/a_i, of orders a_i.
     The first element met of each cyclic subgroup gives its ring
-    Z[b][g], and its other generators u·g are marked covered.
+    Z[b][g], and its other generators u·g are marked covered.  The join
+    loop tests each pair once, in the one direction the indices allow:
+    S ⊊ R needs [S : Z[b]] to properly divide [R : Z[b]].
     """
     field = top.field
     n = field.n
-    cols = top.cols
-    xcols = [
-        solve_upper_cols(cols, [top.denom if r == j else 0 for r in range(n)])
-        for j in range(n)
-    ]
+    xcols = _coordinates(top, zbeta(field))
     diag, _, v = snf_rows([[xc[i] for xc in xcols] for i in range(n)])
     size = math.prod(diag)
     if size > LOCAL_ORDERS_BUDGET:
@@ -240,65 +248,66 @@ def _local_orders(top):
         orders.append(_monogenic(field, [sum(c * g[r] for c, (_, g) in zip(coeffs, gens)) % big
                                          for r in range(n)], big))
     orders = list(dict.fromkeys(orders))
+    index = [_zbeta_index(r) for r in orders]
+    below = [set() for _ in orders]
     seen = set(orders)
     for i, r in enumerate(orders):  # also visits the joins appended below
-        for s in orders[:i]:
-            if r.contains_lattice(s) or s.contains_lattice(r):
+        for k in range(i):
+            sub, sup = (k, i) if index[k] < index[i] else (i, k)
+            if (index[sub] < index[sup] and index[sup] % index[sub] == 0
+                    and orders[sup].contains_lattice(orders[sub])):
+                below[sup].add(sub)
                 continue
-            ring = product(r, s)
+            ring = product(r, orders[k])
             if ring not in seen:
                 seen.add(ring)
                 orders.append(ring)
-    return orders
+                index.append(_zbeta_index(ring))
+                below.append(set())
+    return orders, below, index
 
 
 def enumerate_order_lattice(field) -> OrderLattice:
-    """All orders between Z[b] and the maximal order, with Hasse edges.
+    """All orders between Z[b] and the maximal order, with Hasse edges:
+    the product of the local posets (see the module doc).
 
     Raises FactorizationIncomplete if disc(p) cannot be fully factored
     (the index bound F needs the exact square part), and BudgetExceeded
     when some O_ℓ/Z[b] has more than LOCAL_ORDERS_BUDGET elements.
     """
     zb = zbeta(field)
-    if field.n == 1:
-        return OrderLattice(field, [zb], [], 1, 1)
     local = [_local_orders(_local_maximal(field, *prime)) for prime in _index_primes(field)]
-    found = []
-    for choice in itertools.product(*local):
-        total = zb
-        for part in choice:
-            total = lattice_sum(total, part)
-        found.append(Order._proven(total))
-    if debug_asserts_enabled():
-        for r in found:
-            assert Order(field, r.denom, r.cols) == r, "a sum of local orders is not an order"
-
-    nodes = sorted(found, key=lambda r: (1 / r.covolume(), r.denom, r.cols))
-    indices = [int(1 / r.covolume()) for r in nodes]
-    # inclusion matrix and its transitive reduction
-    incl = [
-        [i != j and nodes[j].contains_lattice(nodes[i]) for j in range(len(nodes))]
-        for i in range(len(nodes))
-    ]
-    edges = []
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            if incl[i][j] and not any(
-                incl[i][k] and incl[k][j] for k in range(len(nodes))
-            ):
-                edges.append((i, j))
-    top = max(range(len(nodes)), key=lambda i: indices[i])
-    if not all(nodes[top].contains_lattice(r) for r in nodes):
+    # ups[l][i]: the j with orders[i] ⊊ orders[j] a cover at the l-th prime
+    ups = [[[j for j, under in enumerate(below) if i in under
+             and not any(i in below[k] for k in under)] for i in range(len(below))]
+           for _, below, _ in local]
+    found = {}  # choice of one local order per prime -> (index, node)
+    for choice in itertools.product(*(range(len(orders)) for orders, _, _ in local)):
+        parts = [orders[c] for c, (orders, _, index) in zip(choice, local) if index[c] > 1]
+        node = Order._proven(functools.reduce(lattice_sum, parts)) if parts else zb
+        found[choice] = (math.prod(index[c] for c, (_, _, index) in zip(choice, local)), node)
+    choices = sorted(found, key=lambda c: (found[c][0], found[c][1].denom, found[c][1].cols))
+    position = {c: k for k, c in enumerate(choices)}
+    nodes = [found[c][1] for c in choices]
+    edges = sorted((k, position[c[:l] + (j,) + c[l + 1:]])
+                   for k, c in enumerate(choices) for l, up in enumerate(ups) for j in up[c[l]])
+    # the nodes are sorted by index, so a unique top is the last one
+    if not all(nodes[-1].contains_lattice(r) for r in nodes):
         raise AssertionError("order lattice has no unique maximal node")
-    return OrderLattice(field, nodes, sorted(edges), min(indices), max(indices))
+    if debug_asserts_enabled():
+        for r in nodes:
+            assert Order(field, r.denom, r.cols) == r, "a sum of local orders is not an order"
+        m = len(nodes)
+        incl = [[r != s and s.contains_lattice(r) for s in nodes] for r in nodes]
+        assert edges == [(i, j) for i in range(m) for j in range(m) if incl[i][j] and not any(
+            incl[i][k] and incl[k][j] for k in range(m))], "covers != the reduction of containment"
+    return OrderLattice(field, nodes, edges, found[choices[0]][0], found[choices[-1]][0])
 
 
 def maximal_order(field) -> Order:
     """The ring of integers Z_K: the sum of the ℓ-maximal orders O_ℓ
     over the primes ℓ that may divide the index (see the module doc)."""
     total = zbeta(field)
-    if field.n == 1:
-        return total
     for prime in _index_primes(field):
         total = lattice_sum(total, _local_maximal(field, *prime))
     return Order._proven(total)
@@ -311,11 +320,13 @@ def conductor(ring) -> FractionalIdeal:
 
 
 def order_discriminant(ring) -> int:
-    """Discriminant of an order: disc(p)·covolume², since the trace Gram
-    of a basis B is Bᵀ·G·B with det G = disc(p) on the power basis."""
-    d = discriminant(ring.field.p) * ring.covolume() ** 2
-    assert d.denominator == 1
-    return d.numerator
+    """Discriminant of an order: disc(p) / [R : Z[b]]², since the trace
+    Gram of a basis B is Bᵀ·G·B with det G = disc(p) on the power basis;
+    in degree 1, G = [[Tr 1]] = [[1]]."""
+    p = ring.field.p
+    d, rem = divmod(discriminant(p) if p.degree > 1 else 1, _zbeta_index(ring) ** 2)
+    assert not rem
+    return d
 
 
 def non_invertible_primes(field) -> List[FractionalIdeal]:
@@ -324,9 +335,5 @@ def non_invertible_primes(field) -> List[FractionalIdeal]:
     Each is a prime ideal of Z[b] that is not invertible, and every
     non-invertible prime of Z[b] arises from exactly one such cover.
     """
-    lat = enumerate_order_lattice(field)
-    zb_index = next(
-        i for i, r in enumerate(lat.nodes) if r == zbeta(field)
-    )
-    covers = [j for (i, j) in lat.edges if i == zb_index]
-    return [conductor(lat.nodes[j]) for j in sorted(covers)]
+    lat = enumerate_order_lattice(field)  # Z[b], of index 1, is node 0
+    return [conductor(lat.nodes[j]) for i, j in lat.edges if i == 0]

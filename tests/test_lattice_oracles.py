@@ -187,9 +187,9 @@ def test_random_lattices_against_oracles(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.integers(1, 6), st.booleans())
 def test_trace_dual_against_oracle_in_degrees_1_to_6(seed, n, negative):
-    # G⁻¹ = M/D for the power-sum Hankel matrix G has D = ±disc(p), the
-    # sign set by n and by the sign of disc(p), which ``negative`` picks
-    # for n >= 2; the lattice is random, its Z[b]-module closure b-stable.
+    # The power-sum Hankel matrix G has det G = disc(p), whose sign
+    # ``negative`` picks for n >= 2; the lattice is random, its
+    # Z[b]-module closure b-stable.
     rng = random.Random(seed)
     while True:
         coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]

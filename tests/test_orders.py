@@ -56,6 +56,7 @@ from util import (
     J7_COLS,
     P_CUBIC,
     P_QUAD,
+    oracle_hasse_edges,
     oracle_local_maximal,
     oracle_local_orders,
     oracle_order_lattice,
@@ -354,11 +355,65 @@ def test_debug_check_catches_round2_stopped_short(monkeypatch):
 @example(NumberField("x^4-112x^3+14x^2-60x+128"))
 @example(NumberField("x^4+6x^3+16x^2-96x-16"))
 def test_local_orders_match_the_per_element_walk(field):
+    zb = zbeta(field)
     for prime in _index_primes(field):
         top = _local_maximal(field, *prime)
-        got = _local_orders(top)
+        got, below, index = _local_orders(top)
         assert len(set(got)) == len(got)
         assert set(got) == oracle_local_orders(top)
+        assert index == [zb.index_in(r) for r in got]
+        for j, big in enumerate(got):
+            assert below[j] == {i for i, r in enumerate(got) if i != j and big.contains_lattice(r)}
+
+
+@st.composite
+def multi_prime_cubics(draw):
+    """p(x) = m³·g(x/m) for a monic cubic g with small coefficients, so
+    b = m·γ with g(γ) = 0, and Z[b] has index m³ in Z[γ]: each prime of
+    m = 2^i·3^j·5^k divides the index, and F, a multiple of m³, is
+    beyond the transversal walk."""
+    m = draw(st.sampled_from((6, 10, 12, 15, 18, 20, 30)))
+    g = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+    p = IntPoly([g[0] * m**3, g[1] * m**2, g[2] * m, 1])
+    assume(g[0] != 0 and is_irreducible(p))
+    return NumberField(p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(multi_prime_cubics())
+@example(NumberField("x^4+126x^3-168x^2-198x-81"))  # 6 × 9 local orders
+@example(NumberField("x^3-144x^2-84x-16"))
+def test_product_poset_covers_match_the_containment_oracle(field):
+    lat = enumerate_order_lattice(field)
+    assert len(_index_primes(field)) >= 2
+    assert lat.edges == oracle_hasse_edges(lat.nodes)
+    indices = [zbeta(field).index_in(r) for r in lat.nodes]
+    assert (lat.min_index, lat.max_index) == (min(indices), max(indices)) == (1, indices[-1])
+
+
+def test_debug_check_catches_a_dropped_local_cover(monkeypatch, K2):
+    walk = orders._local_orders
+
+    def drop_one_cover(top):
+        found, below, index = walk(top)
+        # an order with Z[b] alone below it covers Z[b]
+        next(under for under in below if len(under) == 1).clear()
+        return found, below, index
+
+    edges = enumerate_order_lattice(K2).edges
+    monkeypatch.setattr(orders, "_local_orders", drop_one_cover)
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    assert enumerate_order_lattice(K2).edges != edges
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    with pytest.raises(AssertionError, match="reduction of containment"):
+        enumerate_order_lattice(K2)
+
+
+def test_degree_one_field_has_one_order_of_discriminant_one():
+    field = NumberField("x-3")
+    lat = enumerate_order_lattice(field)
+    assert lat.nodes == [zbeta(field)]
+    assert order_discriminant(lat.nodes[0]) == 1  # det[[Tr 1]]
 
 
 def test_local_walk_budget(monkeypatch):

@@ -831,17 +831,24 @@ def oracle_order_lattice(field):
                     continue
                 found.append(Order(field, d, cols))
     nodes = sorted(found, key=lambda r: (1 / r.covolume(), r.denom, r.cols))
+    indices = [int(1 / r.covolume()) for r in nodes]
+    return nodes, oracle_hasse_edges(nodes), min(indices), max(indices)
+
+
+def oracle_hasse_edges(nodes):
+    """The covering pairs (i, j), nodes[i] ⊊ nodes[j] with nothing in
+    between, sorted: the transitive reduction of pairwise containment,
+    decided by Fraction solves (``_oracle_contains``).  Cubic in the
+    number of nodes."""
     count = len(nodes)
     incl = [[i != j and _oracle_contains(nodes[j], nodes[i]) for j in range(count)]
             for i in range(count)]
-    edges = [
+    return [
         (i, j)
         for i in range(count)
         for j in range(count)
         if incl[i][j] and not any(incl[i][k] and incl[k][j] for k in range(count))
     ]
-    indices = [int(1 / r.covolume()) for r in nodes]
-    return nodes, edges, min(indices), max(indices)
 
 
 def oracle_local_maximal(field, ell):
