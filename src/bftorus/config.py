@@ -23,12 +23,14 @@ characterizations of invertibility; the coefficient rings formed from
 the powers of A against ``coefficient_ring(matrix_to_ideal(A))``; an
 inconclusive verdict that ``bf_refute`` gives without a search, because
 both ideals are invertible over one ring, against the full search; the
-invertibility of an ideal whose ring is Z[b]; every enumerated order
-through the b-action and ring-closure checks of ``Order``; the Hasse
-edges read off the local covers against the transitive reduction of
-containment; and that one more Round 2 step (radical and colon) does
-not grow an ℓ-maximal order where Round 2 stopped, at the index bound
-or the fixed point.  They are controlled by the environment variable
+invertibility of an ideal whose ring is Z[b]; that the last node of the
+order lattice, of the largest index, contains every node, so the
+lattice has a unique top; every enumerated order through the b-action
+and ring-closure checks of ``Order``; the Hasse edges read off the
+local covers against the transitive reduction of containment; and that
+one more Round 2 step (radical and coefficient ring) does not grow an
+ℓ-maximal order where Round 2 stopped, at the index bound or the fixed
+point.  They are controlled by the environment variable
 ``BFTORUS_DEBUG_ASSERT=1`` or programmatically via :func:`set_debug_asserts`.
 """
 

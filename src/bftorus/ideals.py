@@ -391,38 +391,16 @@ def fractional_ideal(field, gens, module_closure=False) -> FractionalIdeal:
 # colon quotients and everything derived from them
 
 def colon(m, n_lat):
-    """The colon module (M : N) = {z in K : z·N ⊆ M}, in integers only.
+    """The colon module (M : N) = {z in K : z·N ⊆ M} = (N·M^♯)^♯, with
+    ♯ the trace dual of ``_trace_dual_lattice``.
 
-    Each basis vector nu_j of N imposes the condition
-    d_M·B_M⁻¹·Mult(nu_j)·y/d_N ∈ Zⁿ on the coordinate vector y of z.
-    B_M is upper-triangular with positive pivots, so with δ the product
-    of its diagonal δ·B_M⁻¹ = adj(B_M) is integral, and the back
-    substitution X_j = B_M⁻¹·(δ·Mult(nu_j)) stays in the integers.  With
-    g = gcd(d_N·δ, entries of every d_M·X_j), the conditions read
-    S_j·y ∈ s·Zⁿ for s = d_N·δ/g and S_j = d_M·X_j/g, the least common
-    denominator cleared.  Writing D = |det S₁|, every admissible y lies
-    in (s/D)·Zⁿ, and y = (s/D)·k is admissible exactly when k pairs
-    integrally with each e_i and each row of each S_j/D.  So the colon
-    is s·W* for W = span{D·e_i, rows of S_j mod D}: one HNF of n + n²
-    vectors with entries below D, without a transform.
+    Proof.  The trace form is nondegenerate, so (M^♯)^♯ = M, and
+    z·N ⊆ M exactly when Tr(z·y·w) ∈ Z for every y in N and w in M^♯.
+    The trace is additive, so that says Tr(z·x) ∈ Z for every x in the
+    span N·M^♯ of those products, which is z ∈ (N·M^♯)^♯: two trace
+    duals and one ``product``.
     """
-    m._require_same_field(n_lat)
-    field = m.field
-    nn = field.n
-    delta = math.prod(m.cols[i][i] for i in range(nn))
-    md = m.denom * delta
-    xs = []  # xs[j][k]: column k of d_M·X_j
-    for col in n_lat.cols:
-        mult = _mult_columns(field, col)
-        xs.append([solve_upper_cols(m.cols, [md * e for e in c]) for c in mult])
-    g = math.gcd(n_lat.denom * delta, *(e for x in xs for c in x for e in c))
-    rows = [[x[k][i] // g for k in range(nn)] for x in xs for i in range(nn)]
-    d_det = abs(det_bareiss(rows[:nn]))
-    if d_det == 0:
-        raise AssertionError("colon condition matrix must be nonsingular")
-    gens = [[d_det * (r == i) for r in range(nn)] for i in range(nn)]
-    gens += ([e % d_det for e in row] for row in rows)
-    out = _dual_lattice(field, gens, n_lat.denom * delta // g)
+    out = _trace_dual_lattice(product(n_lat, _trace_dual_lattice(m)))
     if debug_asserts_enabled():
         assert m.contains_lattice(product(out, n_lat)), "(M : N)·N is not inside M"
     return out

@@ -624,6 +624,10 @@ def bf_certify(a, b) -> EquivalenceVerdict:
       4. degree <= 3: L-equivalence already decides BF-equivalence.
     Anything else is inconclusive (bound 0: no search was involved).
 
+    Step 1 reads F, disc(p) = F²·Δ, from ``_index_multiple``, as
+    ``bf_refute`` does: when disc(p) cannot be factored it is |disc(p)|,
+    not 1, so step 1 passes on and steps 2-4 answer with no factoring.
+
     Steps 2 and 3 read the rings and N = [R : I·(R:I)]·[R : J·(R:J)]
     off the powers of A and B, as ``bf_refute`` does
     (``_rings_and_index``); I and J are formed only when neither
@@ -648,13 +652,11 @@ def bf_certify(a, b) -> EquivalenceVerdict:
     if n < 2:
         raise ReduciblePolynomial("certificates need degree >= 2")
     field = _dictionary_field(p)
-    disc = discriminant(p)
-    square, _ = square_part(disc)
-    if square == 1 and abs(p.coeffs[0]) == 1:
+    if _index_multiple(p) == 1 and abs(p.coeffs[0]) == 1:
         return EquivalenceVerdict(
             "BF-certified",
             witness=(
-                f"disc(p) = {disc} is square-free and p(0) = {p.coeffs[0]}: "
+                f"disc(p) = {discriminant(p)} is square-free and p(0) = {p.coeffs[0]}: "
                 "Z[beta] is maximal, so all matrices with this characteristic "
                 "polynomial share every BF_g"
             ),

@@ -30,8 +30,9 @@ needs a sum.
 in the ℓ-maximal order O_ℓ ⊇ Z[b], the ℓ-part of Z_K.  The ℓ-radical
 I of an order O is ℓO plus the elements nilpotent mod ℓO, the kernel
 mod ℓ of the linear map x ↦ x^(ℓ^j) on O/ℓO (ℓ^j ≥ n).  The ring of
-multipliers (I : I) contains O, and it equals O exactly when O is
-ℓ-maximal; otherwise O grows to it and the step repeats.
+multipliers (I : I), ``ideals.coefficient_ring`` of I, contains O,
+and it equals O exactly when O is ℓ-maximal; otherwise O grows to it
+and the step repeats.
 
 *Dedekind's seed.*  Let t be the product of the distinct monic
 irreducible factors of p mod ℓ, h = (p mod ℓ)/t, f = (t·h - p)/ℓ
@@ -53,22 +54,37 @@ i ≤ v_ℓ(F).  An order O between Z[b] and O_ℓ of index ℓ^v_ℓ(F)
 therefore has the covolume of O_ℓ and is O_ℓ: Round 2 stops there
 without the radical and colon that would confirm the fixed point.
 
-*Local subgroups.*  The local orders at ℓ are the β-stable, ring-closed
-subgroups of the finite ℓ-group O_ℓ/Z[b], whose generators are read
-off the Smith form of the inclusion Z[b] ⊆ O_ℓ.  Such a subgroup is the
-ring generated by Z[b] and its elements, so each local order is a join
-of the orders Z[b][g] = span{b^i·g^j : i, j < n}, g ∈ O_ℓ, and the
-join of two orders R, S is the ring R·S.  Z[b][g] depends only on the
-cyclic subgroup ⟨g⟩ of O_ℓ/Z[b]: if g has order e there and u is prime
-to e, then u·u' ≡ 1 mod e for some u', so g - u'·(u·g) ∈ Z[b] puts g
-in Z[b][u·g], and u·g lies in Z[b][g].  The walk forms one Z[b][g] per
-cyclic subgroup and closes the set under joins, skipping the join of
-two comparable orders R ⊆ S, which is S.
+*Minimal over-orders.*  The local orders at ℓ are the orders between
+Z[b] and O_ℓ, and the walk reaches each of them from Z[b] through
+covers, the minimal over-orders (Hofmann-Sircana, *On the computation
+of overorders*; Marseglia, arXiv:1805.09671).  Let R ⊊ S ⊆ O_ℓ be a
+cover.  R + ℓ·S is a ring between R and S, and it is not S, since
+ℓ·G ≠ G for the nontrivial ℓ-group G = S/R; so it is R, and ℓ·S ⊆ R.
+For every g ∈ S∖R the ring R[g] = span{r·g^j : r ∈ R, j < n} (g is
+integral of degree n) lies strictly above R, so S = R[g]: every cover
+is an R[g] with g in W = {x ∈ O_ℓ : ℓ·x ∈ R}.  W/R is an F_ℓ-space,
+and R[g] depends only on the line of g in it: for u prime to ℓ and
+u·u' ≡ 1 mod ℓ, g - u'·(u·g) ∈ ℓ·Z·g ⊆ R.  With X the coordinates of
+a basis C/d of R in a basis of O_ℓ, x = (C·z)/(d·ℓ) lies in O_ℓ exactly
+when X·z ≡ 0 mod ℓ, and in R exactly when z ≡ 0 mod ℓ, so W/R is the
+kernel of X mod ℓ, of dimension k, read off one Smith form of X
+(``exactmat.kernel_mod_m``), with (ℓ^k - 1)/(ℓ - 1) lines.  Which
+rings R[g] are covers needs no inclusion test: a ring S = R[g] of index
+[S : R] = ℓ^m is a cover exactly when (ℓ^m - 1)/(ℓ - 1) lines generate
+it.  If S is a cover, S/R ⊆ W/R is an F_ℓ-space of dimension m, as
+ℓ·S ⊆ R, and each of its lines generates S by minimality.  Conversely,
+the lines that generate S lie in (S ∩ W)/R, a space of order at most
+ℓ^m, so that many lines fill it and force S ⊆ W; then every line of
+S/R generates S, and an order T with R ⊊ T ⊆ S contains one of them,
+so T = S.  When [O_ℓ : R] = ℓ, O_ℓ is the only cover and nothing is
+formed.  The walk forms the rings R[g] of every local order R with
+[O_ℓ : R] > ℓ, and ``LOCAL_ORDERS_BUDGET`` bounds their count.
 
 The enumeration output is the ground truth; no external table is
 consulted.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -78,10 +94,10 @@ from .config import debug_asserts_enabled
 from .errors import BudgetExceeded
 from .exactmat import kernel_mod_m
 from .ideals import (
-    FractionalIdeal, Order, ZLattice, _coordinates, _zbeta_index, colon, lattice_sum, product,
+    FractionalIdeal, Order, ZLattice, _coordinates, _zbeta_index, coefficient_ring, lattice_sum,
     zbeta, zbeta_colon,
 )
-from .kernels import snf_rows, solve_upper_cols
+from .kernels import solve_upper_cols
 from .numberfield import NumberField, _mult_columns
 from .polyring import (
     IntPoly,
@@ -95,7 +111,7 @@ from .polyring import (
 )
 
 
-LOCAL_ORDERS_BUDGET = 2**20  # elements of O_ℓ/Z[b] the local walk visits at most
+LOCAL_ORDERS_BUDGET = 2**14  # rings R[g] one local walk forms at most
 
 
 class OrderLattice(NamedTuple):
@@ -188,99 +204,95 @@ def _local_maximal(field, ell, v, u):
     O₁ of ``_dedekind_order`` up to the index ℓ^v, v = v_ℓ(F)."""
     order = _dedekind_order(field, ell, u)
     while _zbeta_index(order) < ell**v:  # [O : Z[b]] below the bound
-        rad = _radical(order, ell)
-        bigger = colon(rad, rad)
+        bigger = coefficient_ring(_radical(order, ell))
         if bigger == order:
             break
         order = bigger
     if debug_asserts_enabled():
-        rad = _radical(order, ell)
-        assert colon(rad, rad) == order, "Round 2 stopped below the ℓ-maximal order"
+        assert coefficient_ring(_radical(order, ell)) == order, (
+            "Round 2 stopped below the ℓ-maximal order")
     return order
 
 
-def _monogenic(field, vec, den):
-    """Z[b][g] for g = vec/den ∈ Z_K: the span of b^i·g^j, i, j < n."""
+def _adjoin(ring, vec, den):
+    """R[g] for g = vec/den ∈ Z_K and the order R = (1/d)·C: the span of
+    r·g^j, r in the basis of R, j < n, scaled by d·den^(n-1), which
+    keeps every generator integral (d·r and den·g are)."""
+    field = ring.field
     n = field.n
-    scale = den ** (n - 1)
     mult_g = _mult_columns(field, vec)
-    power = [scale] + [0] * (n - 1)  # g^j·den^(n-1), integral for j < n
-    gens = _mult_columns(field, power)  # b^i·g^j for i < n, here j = 0
+    power = [[e * den ** (n - 1) for e in c] for c in ring.cols]  # r·g^j·d·den^(n-1), j = 0
+    gens = list(power)
     for _ in range(n - 1):
-        power = [sum(mult_g[j][i] * power[j] for j in range(n)) // den for i in range(n)]
-        gens.extend(_mult_columns(field, power))
-    return ZLattice(field, scale, gens)
+        power = [[sum(mult_g[t][r] * c[t] for t in range(n)) // den for r in range(n)]
+                 for c in power]
+        gens.extend(power)
+    return ZLattice(field, ring.denom * den ** (n - 1), gens)
 
 
-def _local_orders(top):
-    """(orders, below, index) for the orders between Z[b] and the
-    ℓ-primary order ``top``: below[j] = {i : orders[i] ⊊ orders[j]},
-    index[j] = [orders[j] : Z[b]].  BudgetExceeded when top/Z[b] has
-    more than LOCAL_ORDERS_BUDGET elements, before the walk steps
-    through them.
+def _lines(basis, ell):
+    """One vector per line of the F_ℓ-span of the independent vectors
+    ``basis``: the combinations whose first nonzero coefficient is 1."""
+    for lead in range(len(basis)):
+        for rest in itertools.product(range(ell), repeat=len(basis) - 1 - lead):
+            yield [sum(c * e for c, e in zip((1,) + rest, entries)) % ell
+                   for entries in zip(*basis[lead:])]
 
-    With X = d·C⁻¹ the coordinates of the power basis in the basis
-    C/d of ``top``, U·X·V = diag(a) gives b-coordinates V_i (column i
-    of V) = a_i·w_i for a basis w of ``top``, so top/Z[b] is the sum
-    of the cyclic groups generated by w_i = V_i/a_i, of orders a_i.
-    The first element met of each cyclic subgroup gives its ring
-    Z[b][g], and its other generators u·g are marked covered.  The join
-    loop tests each pair once, in the one direction the indices allow:
-    S ⊊ R needs [S : Z[b]] to properly divide [R : Z[b]].
-    """
+
+def _local_orders(top, ell):
+    """(orders, ups, index) for the orders between Z[b] and the
+    ℓ-primary order ``top``, by minimal over-orders from Z[b] (see the
+    module doc): orders[0] is Z[b], orders[1] is ``top``, ups[i] the
+    set of j with orders[j] a cover of orders[i], and index[i] =
+    [orders[i] : Z[b]].  BudgetExceeded before an order's lines are
+    formed, when their rings R[g] would take the count of rings the walk
+    forms past LOCAL_ORDERS_BUDGET."""
     field = top.field
     n = field.n
-    xcols = _coordinates(top, zbeta(field))
-    diag, _, v = snf_rows([[xc[i] for xc in xcols] for i in range(n)])
-    size = math.prod(diag)
-    if size > LOCAL_ORDERS_BUDGET:
-        raise BudgetExceeded(f"{field.p}: the local walk would visit {size} elements")
-    big = diag[-1]
-    gens = [(a, [v[r][i] * (big // a) for r in range(n)]) for i, a in enumerate(diag) if a > 1]
-    orders = []
-    covered = set()
-    for coeffs in itertools.product(*(range(a) for a, _ in gens)):
-        if coeffs in covered:
+    orders = [zbeta(field), top]
+    index = [1, _zbeta_index(top)]
+    position = {r: i for i, r in enumerate(orders)}
+    ups = []
+    formed = 0
+    for i, ring in enumerate(orders):  # also visits the covers appended below
+        if index[1] // index[i] <= ell:  # top itself, or an order whose only cover is top
+            ups.append(set() if i == 1 else {1})
             continue
-        e = max((a // math.gcd(c, a) for c, (a, _) in zip(coeffs, gens)), default=1)
-        covered.update(tuple(u * c % a for c, (a, _) in zip(coeffs, gens))
-                       for u in range(1, e) if math.gcd(u, e) == 1)
-        orders.append(_monogenic(field, [sum(c * g[r] for c, (_, g) in zip(coeffs, gens)) % big
-                                         for r in range(n)], big))
-    orders = list(dict.fromkeys(orders))
-    index = [_zbeta_index(r) for r in orders]
-    below = [set() for _ in orders]
-    seen = set(orders)
-    for i, r in enumerate(orders):  # also visits the joins appended below
-        for k in range(i):
-            sub, sup = (k, i) if index[k] < index[i] else (i, k)
-            if (index[sub] < index[sup] and index[sup] % index[sub] == 0
-                    and orders[sup].contains_lattice(orders[sub])):
-                below[sup].add(sub)
-                continue
-            ring = product(r, orders[k])
-            if ring not in seen:
-                seen.add(ring)
-                orders.append(ring)
-                index.append(_zbeta_index(ring))
-                below.append(set())
-    return orders, below, index
+        # W/R, the ℓ-torsion of top/R, is the kernel mod ℓ of R's coordinates in top
+        basis = kernel_mod_m([list(row) for row in zip(*_coordinates(top, ring))], ell)
+        formed += (ell ** len(basis) - 1) // (ell - 1)
+        if formed > LOCAL_ORDERS_BUDGET:
+            raise BudgetExceeded(f"{field.p}: the local walk would form {formed} rings")
+        den = ring.denom * ell  # g = (C·z)/(d·ℓ), reduced mod Z[b]
+        lines = collections.Counter(
+            _adjoin(ring, [sum(c[r] * e for c, e in zip(ring.cols, z)) % den for r in range(n)],
+                    den)
+            for z in _lines(basis, ell))
+        up = set()
+        for over, count in lines.items():
+            size = _zbeta_index(over)
+            if count * (ell - 1) == size // index[i] - 1:  # a cover
+                if over not in position:
+                    position[over] = len(orders)
+                    orders.append(over)
+                    index.append(size)
+                up.add(position[over])
+        ups.append(up)
+    return orders, ups, index
 
 
 def enumerate_order_lattice(field) -> OrderLattice:
     """All orders between Z[b] and the maximal order, with Hasse edges:
-    the product of the local posets (see the module doc).
+    the product of the local posets, whose covers are the local covers
+    of ``_local_orders`` at one prime (see the module doc).
 
     Raises FactorizationIncomplete if disc(p) cannot be fully factored
     (the index bound F needs the exact square part), and BudgetExceeded
-    when some O_ℓ/Z[b] has more than LOCAL_ORDERS_BUDGET elements.
+    when a local walk would form more than LOCAL_ORDERS_BUDGET rings.
     """
     zb = zbeta(field)
-    local = [_local_orders(_local_maximal(field, *prime)) for prime in _index_primes(field)]
-    # ups[l][i]: the j with orders[i] ⊊ orders[j] a cover at the l-th prime
-    ups = [[[j for j, under in enumerate(below) if i in under
-             and not any(i in below[k] for k in under)] for i in range(len(below))]
-           for _, below, _ in local]
+    local = [_local_orders(_local_maximal(field, *prime), prime[0])
+             for prime in _index_primes(field)]
     found = {}  # choice of one local order per prime -> (index, node)
     for choice in itertools.product(*(range(len(orders)) for orders, _, _ in local)):
         parts = [orders[c] for c, (orders, _, index) in zip(choice, local) if index[c] > 1]
@@ -290,11 +302,12 @@ def enumerate_order_lattice(field) -> OrderLattice:
     position = {c: k for k, c in enumerate(choices)}
     nodes = [found[c][1] for c in choices]
     edges = sorted((k, position[c[:l] + (j,) + c[l + 1:]])
-                   for k, c in enumerate(choices) for l, up in enumerate(ups) for j in up[c[l]])
-    # the nodes are sorted by index, so a unique top is the last one
-    if not all(nodes[-1].contains_lattice(r) for r in nodes):
-        raise AssertionError("order lattice has no unique maximal node")
+                   for k, c in enumerate(choices)
+                   for l, (_, ups, _) in enumerate(local) for j in ups[c[l]])
     if debug_asserts_enabled():
+        # the nodes are sorted by index, so a unique top is the last one
+        assert all(nodes[-1].contains_lattice(r) for r in nodes), (
+            "order lattice has no unique maximal node")
         for r in nodes:
             assert Order(field, r.denom, r.cols) == r, "a sum of local orders is not an order"
         m = len(nodes)

@@ -160,8 +160,12 @@ class TestLattice:
         assert "ReduciblePolynomial" in out
 
     def test_local_walk_budget_exit_2(self):
-        # b = 2^21·sqrt(3): O_2/Z[b] has 2^21 elements, above the budget
+        # b = 2^21·sqrt(3): a chain of 22 orders, 20 rings formed
         code, out, _ = run_cli("lattice", "--poly", f"x^2-{3 * 4**21}")
+        assert code == 0
+        assert f"22 orders, indices 1 .. {2**21}" in out
+        # b = 211·2^(1/4): 44,733 rings at Z[b] alone, above the budget
+        code, out, _ = run_cli("lattice", "--poly", f"x^4-{2 * 211**4}")
         assert code == 2
         assert "BudgetExceeded" in out
 
@@ -334,6 +338,14 @@ class TestEquiv:
         assert code == 0
         assert "verdict: BF-certified" in out
         assert "square-free" in out
+
+    def test_certificate_without_factoring_the_discriminant(self, tmp_path):
+        # disc(p) = 4000000000012000000000013 is a probable prime that
+        # cannot be certified, so F is not known, yet the ring is Z[b]
+        a = write_matrix(tmp_path, "a.txt", [[0, 1], [1, 2000000000003]])
+        code, out, _ = run_cli("equiv", "--matrix", a, a)
+        assert code == 0
+        assert "verdict: strong-BF-certified" in out
 
     def test_strong_flag(self, mats):
         code, out, _ = run_cli(

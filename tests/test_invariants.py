@@ -14,6 +14,7 @@ from bftorus.errors import (
     BudgetExceeded,
     CharPolyMismatch,
     DegeneratePeriod,
+    FactorizationIncomplete,
     NonIntegralResult,
     ReduciblePolynomial,
 )
@@ -45,7 +46,14 @@ from bftorus.invariants import (
     suspension_h1,
 )
 from bftorus.numberfield import FieldElement, NumberField
-from bftorus.polyring import IntPoly, RatPoly, is_irreducible, parse_rat_poly
+from bftorus.polyring import (
+    IntPoly,
+    RatPoly,
+    discriminant,
+    is_irreducible,
+    parse_rat_poly,
+    square_part,
+)
 
 from util import (
     EX1_A,
@@ -461,6 +469,14 @@ class TestVerdicts:
         assert "square-free" in v.witness
         # quartic pair: ring mismatch detected without any search
         assert bf_certify(EX2_M, EX2_MP).kind == "not-L-equivalent"
+
+    def test_certify_without_factoring_the_discriminant(self):
+        # disc = 4000000000012000000000013 is a probable prime above
+        # _MR_LIMIT, so square_part cannot factor it; Z[b] is the ring
+        a = [[0, 1], [1, 2000000000003]]
+        with pytest.raises(FactorizationIncomplete):
+            square_part(discriminant(char_poly(a)))
+        assert bf_certify(a, a).kind == "strong-BF-certified"
 
     def test_certify_requires_irreducible(self):
         with pytest.raises(ReduciblePolynomial):

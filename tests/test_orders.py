@@ -14,8 +14,9 @@ prime-by-prime enumeration on random fields of small F, and two fields
 out of the walk's reach check the time it takes.  Round 2 from
 Dedekind's order up to the index bound is checked against the fixed
 point from Z[b] (``util.oracle_local_maximal``), and the walk over
-cyclic subgroups against the walk over every element
-(``util.oracle_local_orders``).
+minimal over-orders, with its covers, against the walk over every
+element and pairwise joins (``util.oracle_local_orders``) and the
+containment oracle (``util.oracle_hasse_edges``).
 """
 
 import time
@@ -62,8 +63,8 @@ from util import (
     oracle_order_lattice,
 )
 
-# b = 2^12·sqrt(3): O_2/Z[b] is cyclic of order 2^12, so its 4,096
-# elements make 13 cyclic subgroups and the orders form a chain.
+# b = 2^12·sqrt(3): O_2/Z[b] is cyclic of order 2^12, so the orders form
+# a chain of 13, each covered by one ring.
 CYCLIC_4096 = f"x^2-{3 * 4**12}"
 
 
@@ -354,16 +355,17 @@ def test_debug_check_catches_round2_stopped_short(monkeypatch):
 # local orders that are no Z[b][g], only joins of two
 @example(NumberField("x^4-112x^3+14x^2-60x+128"))
 @example(NumberField("x^4+6x^3+16x^2-96x-16"))
+@example(NumberField(f"x^3-{2 * 3**8}"))  # 14 local orders at 3
 def test_local_orders_match_the_per_element_walk(field):
     zb = zbeta(field)
     for prime in _index_primes(field):
         top = _local_maximal(field, *prime)
-        got, below, index = _local_orders(top)
+        got, ups, index = _local_orders(top, prime[0])
+        assert got[:2] == [zb, top]
         assert len(set(got)) == len(got)
         assert set(got) == oracle_local_orders(top)
         assert index == [zb.index_in(r) for r in got]
-        for j, big in enumerate(got):
-            assert below[j] == {i for i, r in enumerate(got) if i != j and big.contains_lattice(r)}
+        assert sorted((i, j) for i, up in enumerate(ups) for j in up) == oracle_hasse_edges(got)
 
 
 @st.composite
@@ -394,11 +396,10 @@ def test_product_poset_covers_match_the_containment_oracle(field):
 def test_debug_check_catches_a_dropped_local_cover(monkeypatch, K2):
     walk = orders._local_orders
 
-    def drop_one_cover(top):
-        found, below, index = walk(top)
-        # an order with Z[b] alone below it covers Z[b]
-        next(under for under in below if len(under) == 1).clear()
-        return found, below, index
+    def drop_one_cover(top, ell):
+        found, ups, index = walk(top, ell)
+        ups[0].pop()  # Z[b] loses one of its covers
+        return found, ups, index
 
     edges = enumerate_order_lattice(K2).edges
     monkeypatch.setattr(orders, "_local_orders", drop_one_cover)
@@ -417,15 +418,50 @@ def test_degree_one_field_has_one_order_of_discriminant_one():
 
 
 def test_local_walk_budget(monkeypatch):
-    # x^2-3·4^16: 65,536 elements stay within the default budget
-    lat = enumerate_order_lattice(NumberField(f"x^2-{3 * 4**16}"))
-    assert len(lat.nodes) == 17
-    monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 2**11)
+    # x^2-3·4^21: a chain of 22 orders, one ring per order below the top
+    lat = enumerate_order_lattice(NumberField(f"x^2-{3 * 4**21}"))
+    assert len(lat.nodes) == 22
+    # b = 211·2^(1/4): O_211/Z[b] is Z/211 + Z/211^2 + Z/211^3, whose
+    # 211-torsion has 1 + 211 + 211^2 = 44,733 lines at Z[b] alone
+    formed = []
+    monkeypatch.setattr(orders, "_adjoin", lambda *args: formed.append(args))
+    with pytest.raises(BudgetExceeded, match="44733 rings"):
+        enumerate_order_lattice(NumberField(f"x^4-{2 * 211**4}"))
+    assert formed == []
+    monkeypatch.undo()
+    # the budget counts the rings of every order the walk visits
     field = NumberField(CYCLIC_4096)
-    with pytest.raises(BudgetExceeded, match="4096 elements"):
+    monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="11 rings"):
         enumerate_order_lattice(field)
-    monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 2**12)
+    monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 11)
     assert len(enumerate_order_lattice(field).nodes) == 13
+
+
+def test_index_two_to_the_forty_is_a_chain_of_41_orders():
+    # beyond the element walk: O_2/Z[b] is cyclic of order 2^40
+    field = NumberField(f"x^2-{3 * 4**40}")
+    lat = enumerate_order_lattice(field)
+    assert [zbeta(field).index_in(r) for r in lat.nodes] == [2**k for k in range(41)]
+    assert lat.edges == [(k, k + 1) for k in range(40)]
+
+
+def test_debug_check_catches_a_second_maximal_node(monkeypatch, K3):
+    walk = orders._local_orders
+
+    def cut_the_top(top, ell):
+        found, _, index = walk(top, ell)
+        # K3's local orders at 2 have indices 1, 2, 4, 4, 8, 16: cut above
+        # 4, leaving the two orders of index 4 maximal (covers dropped)
+        keep = [i for i in range(len(found)) if index[i] <= 4]
+        return [found[i] for i in keep], [set() for _ in keep], [index[i] for i in keep]
+
+    monkeypatch.setattr(orders, "_local_orders", cut_the_top)
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    assert [zbeta(K3).index_in(r) for r in enumerate_order_lattice(K3).nodes] == [1, 2, 4, 4]
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    with pytest.raises(AssertionError, match="no unique maximal node"):
+        enumerate_order_lattice(K3)
 
 
 def test_debug_check_catches_a_wrong_conductor(monkeypatch, K3):

@@ -48,7 +48,8 @@ from bftorus.ideals import (
 )
 from bftorus.invariants import EquivalenceVerdict, bf_group, matrix_to_ideal
 from bftorus.kernels import hnf_cols, snf_rows, solve_upper_cols
-from bftorus.orders import _monogenic, _radical
+from bftorus.numberfield import _mult_columns
+from bftorus.orders import _radical
 from bftorus.polyring import (
     RatPoly,
     _gf_divmod,
@@ -877,6 +878,19 @@ def oracle_gf_radical(f, q):
         g = _gf_gcd(f, _gf_normalize(diff, q), q)
         t = _gf_mul(t, _gf_divmod(g, _gf_gcd(t, g, q), q)[0], q)
     return t
+
+
+def _monogenic(field, vec, den):
+    """Z[b][g] for g = vec/den ∈ Z_K: the span of b^i·g^j, i, j < n."""
+    n = field.n
+    scale = den ** (n - 1)
+    mult_g = _mult_columns(field, vec)
+    power = [scale] + [0] * (n - 1)  # g^j·den^(n-1), integral for j < n
+    gens = _mult_columns(field, power)  # b^i·g^j for i < n, here j = 0
+    for _ in range(n - 1):
+        power = [sum(mult_g[j][i] * power[j] for j in range(n)) // den for i in range(n)]
+        gens.extend(_mult_columns(field, power))
+    return ZLattice(field, scale, gens)
 
 
 def oracle_local_orders(top):
