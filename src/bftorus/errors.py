@@ -34,10 +34,6 @@ class ZeroInverse(BFTorusError):
     """Attempted to invert the zero field element."""
 
 
-class DependentBasis(BFTorusError):
-    """The supplied elements are linearly dependent over Q."""
-
-
 class NotFullRank(BFTorusError):
     """Generators span a proper subspace instead of a full-rank lattice."""
 

@@ -14,9 +14,7 @@ identities), A⁻¹ is a combination of them over p(0), A^k is
 denominator.
 """
 
-import math
 import operator
-from fractions import Fraction
 from typing import List, NamedTuple
 
 from .config import debug_asserts_enabled
@@ -139,12 +137,6 @@ def _integer_inverse(a):
     return _adjugate_b0(table, p), -p.coeffs[0]
 
 
-def rational_inverse(a):
-    """Exact inverse as a Fraction matrix; SingularMatrix on det = 0."""
-    m, d = _integer_inverse(a)
-    return [[Fraction(e, d) for e in row] for row in m]
-
-
 def _x_power_mod(k, p):
     """x^k mod the monic integer p (coefficients constant first), by
     squaring: each step squares a polynomial of degree < deg p, and a set
@@ -220,27 +212,3 @@ def hermite_normal_form(a) -> HermiteBasis:
         assert mat_mul_rows(a, tm) == hm, "A*T != H"
         assert abs(det_bareiss(tm)) == 1
     return HermiteBasis(hm, tm)
-
-
-def kernel_mod_m(a, m):
-    """Generators of {x in (Z/m)^n : A·x = 0 mod m}.
-
-    Computed from the Smith form: with U·A·V = D the kernel is spanned
-    by the columns of V scaled by m/gcd(d_i, m).  Vectors that vanish
-    mod m are dropped; the empty list means the kernel is trivial.
-    """
-    a = copy_matrix(a)
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return []
-    n = len(a)
-    diag, _, v = snf_rows(a)
-    out = []
-    for i in range(n):
-        scale = m // math.gcd(diag[i], m)
-        vec = [v[r][i] * scale % m for r in range(n)]
-        if any(vec):
-            out.append(vec)
-    return out

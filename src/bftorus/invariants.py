@@ -70,7 +70,6 @@ from .numberfield import NumberField
 from .polyring import (
     IntPoly,
     RatPoly,
-    discriminant,
     format_poly,
     parse_rat_poly,
     square_part,
@@ -443,15 +442,14 @@ def _refutation_candidates(p, rings, bound):
                 yield 1, tup, tup
 
 
-def _index_multiple(p):
+def _index_multiple(field):
     """A positive integer divisible by every prime dividing the index
-    [Z_K : Z[beta]] of irreducible p: F from disc(p) = F^2 * Delta with
+    [Z_K : Z[beta]] of the field's p: F from disc(p) = F^2 * Delta with
     Delta square-free, or |disc(p)| when factoring disc(p) fails."""
-    disc = discriminant(p)
     try:
-        return square_part(disc)[0]
+        return square_part(field._disc)[0]
     except FactorizationIncomplete:
-        return abs(disc)
+        return abs(field._disc)
 
 
 def _group_or_none(table, d, r):
@@ -567,7 +565,7 @@ def _refute(p, tables, bound):
     except ReduciblePolynomial:
         pass
     else:
-        f = _index_multiple(p)
+        f = _index_multiple(field)
         if f == 1:
             return EquivalenceVerdict("inconclusive", bound=bound)
         rings, index = _rings_and_index(field, tables)
@@ -652,11 +650,11 @@ def bf_certify(a, b) -> EquivalenceVerdict:
     if n < 2:
         raise ReduciblePolynomial("certificates need degree >= 2")
     field = _dictionary_field(p)
-    if _index_multiple(p) == 1 and abs(p.coeffs[0]) == 1:
+    if _index_multiple(field) == 1 and abs(p.coeffs[0]) == 1:
         return EquivalenceVerdict(
             "BF-certified",
             witness=(
-                f"disc(p) = {discriminant(p)} is square-free and p(0) = {p.coeffs[0]}: "
+                f"disc(p) = {field._disc} is square-free and p(0) = {p.coeffs[0]}: "
                 "Z[beta] is maximal, so all matrices with this characteristic "
                 "polynomial share every BF_g"
             ),

@@ -18,9 +18,10 @@ from .polyring import (
     RatPoly,
     _as_fraction,
     _cleared,
+    _is_irreducible,
     _power_sums,
+    discriminant,
     format_poly,
-    is_irreducible,
     parse_int_poly,
     parse_poly,
     poly_gcd,
@@ -34,7 +35,7 @@ class NumberField:
     gracefully there, which keeps 1x1 matrices on the main code path.
     """
 
-    __slots__ = ("p", "n", "_powers", "_power_sums")
+    __slots__ = ("p", "n", "_powers", "_power_sums", "_disc")
 
     def __init__(self, p):
         if isinstance(p, str):
@@ -43,9 +44,12 @@ class NumberField:
             p = p.to_int_poly()
         if not p.is_monic():
             raise ReduciblePolynomial(f"defining polynomial must be monic: {p}")
-        if not is_irreducible(p):
+        # disc(p), computed once per field: 1 in degree 1, det[[Tr 1]]
+        disc = discriminant(p) if p.degree > 1 else 1
+        if not _is_irreducible(p, disc):
             raise ReduciblePolynomial(f"defining polynomial is reducible: {p}")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_disc", disc)
         object.__setattr__(self, "n", p.degree)
         object.__setattr__(self, "_powers", self._build_powers())
         # s_k = Tr(b^k) for k = 0..n-1, the Newton power sums of p

@@ -41,11 +41,16 @@ Dedekind's criterion (Cohen, Thm 6.1.4) says that
 O₁ = Z[b] + (U(b)/ℓ)·Z[b] is the first Round 2 step from Z[b], of
 index ℓ^deg Z; so Z[b] is ℓ-maximal exactly when deg Z = 0, and such
 primes are skipped.  O₁ is an order with ℓ·O₁ ⊆ Z[b], so O₁ ⊆ O_ℓ
-and Round 2 may start from O₁ instead of Z[b].  t, the radical of
-p mod ℓ, comes from squarefree decomposition (``polyring._gf_radical``):
-p/gcd(p, p') is the product of the factors whose multiplicity is prime
-to ℓ; what is left after they are divided out of the gcd is an ℓ-th
-power g(x^ℓ), whose radical is that of g.
+and Round 2 may start from O₁ instead of Z[b].  gcd(t, h) is the
+product of the repeated factors of p mod ℓ, so it is 1, and with it Z,
+exactly when p mod ℓ is squarefree, that is when h = 1; then f is
+never formed.  (At a prime ℓ | F that does not happen, since ℓ divides
+disc(p), the discriminant of p mod ℓ.)  t, the radical of p mod ℓ,
+comes from squarefree decomposition: p/gcd(p, p') is the product of
+the factors whose multiplicity is prime to ℓ.  When ℓ > deg p that is
+all of them, so t = p/gcd(p, p') and h = gcd(p, p').  Otherwise
+(``polyring._gf_radical``) what is left after they are divided out of
+the gcd is an ℓ-th power g(x^ℓ), whose radical is that of g.
 
 *The index bound.*  disc(p) = [Z_K : Z[b]]²·disc(Z_K) and
 [O_ℓ : Z[b]] is the ℓ-part of [Z_K : Z[b]], so with i = v_ℓ[O_ℓ : Z[b]],
@@ -67,8 +72,8 @@ and R[g] depends only on the line of g in it: for u prime to ℓ and
 u·u' ≡ 1 mod ℓ, g - u'·(u·g) ∈ ℓ·Z·g ⊆ R.  With X the coordinates of
 a basis C/d of R in a basis of O_ℓ, x = (C·z)/(d·ℓ) lies in O_ℓ exactly
 when X·z ≡ 0 mod ℓ, and in R exactly when z ≡ 0 mod ℓ, so W/R is the
-kernel of X mod ℓ, of dimension k, read off one Smith form of X
-(``exactmat.kernel_mod_m``), with (ℓ^k - 1)/(ℓ - 1) lines.  Which
+kernel of X mod ℓ, of dimension k, found by Gauss-Jordan elimination
+over F_ℓ (``_kernel_mod_prime``), with (ℓ^k - 1)/(ℓ - 1) lines.  Which
 rings R[g] are covers needs no inclusion test: a ring S = R[g] of index
 [S : R] = ℓ^m is a cover exactly when (ℓ^m - 1)/(ℓ - 1) lines generate
 it.  If S is a cover, S/R ⊆ W/R is an F_ℓ-space of dimension m, as
@@ -92,23 +97,13 @@ from typing import List, NamedTuple, Tuple
 
 from .config import debug_asserts_enabled
 from .errors import BudgetExceeded
-from .exactmat import kernel_mod_m
 from .ideals import (
     FractionalIdeal, Order, ZLattice, _coordinates, _zbeta_index, coefficient_ring, lattice_sum,
     zbeta, zbeta_colon,
 )
 from .kernels import solve_upper_cols
 from .numberfield import NumberField, _mult_columns
-from .polyring import (
-    IntPoly,
-    _gf_divmod,
-    _gf_gcd,
-    _gf_normalize,
-    _gf_radical,
-    discriminant,
-    factorint,
-    square_part,
-)
+from .polyring import _gf_divmod, _gf_gcd, _gf_normalize, _gf_radical, factorint, square_part
 
 
 LOCAL_ORDERS_BUDGET = 2**14  # rings R[g] one local walk forms at most
@@ -125,14 +120,24 @@ class OrderLattice(NamedTuple):
 def _dedekind_maximal(p, ell):
     """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
     doc), monic with coefficients in [0, ℓ); Z[b] is ℓ-maximal exactly
-    when deg U = deg p.  t is the radical of p mod ℓ from
-    ``_gf_radical``."""
+    when deg U = deg p.  U is p mod ℓ, with f never formed, when p mod ℓ
+    is squarefree (h = 1)."""
+    n = p.degree
     pbar = _gf_normalize(p.coeffs, ell)
-    t = _gf_radical(pbar, ell)
-    h = _gf_divmod(pbar, t, ell)[0]
-    f = [c // ell for c in (IntPoly(t) * IntPoly(h) - p).coeffs]
-    common = _gf_gcd(_gf_gcd(_gf_normalize(f, ell), t, ell), h, ell)
-    return _gf_divmod(pbar, common, ell)[0]
+    if ell > n:  # h = gcd(p, p'), t = p/h
+        h = _gf_gcd(pbar, _gf_normalize([i * c for i, c in enumerate(pbar)][1:], ell), ell)
+        t = _gf_divmod(pbar, h, ell)[0]
+    else:
+        t = _gf_radical(pbar, ell)
+        h = _gf_divmod(pbar, t, ell)[0]
+    if len(h) == 1:
+        return pbar
+    th = [0] * (n + 1)  # t·h over Z, one convolution
+    for i, a in enumerate(t):
+        for j, b in enumerate(h):
+            th[i + j] += a * b
+    f = _gf_normalize([(c - e) // ell for c, e in zip(th, p.coeffs)], ell)
+    return _gf_divmod(pbar, _gf_gcd(_gf_gcd(f, t, ell), h, ell), ell)[0]
 
 
 def _index_primes(field):
@@ -140,7 +145,7 @@ def _index_primes(field):
     ℓ-maximal, those the Dedekind criterion does not clear, with U from
     ``_dedekind_maximal``.  FactorizationIncomplete when disc(p) cannot
     be fully factored.  There are none in degree 1, where Z[b] = Z_K."""
-    big_f = square_part(discriminant(field.p))[0] if field.n > 1 else 1
+    big_f = square_part(field._disc)[0]
     found = [(ell, v, _dedekind_maximal(field.p, ell)) for ell, v in factorint(big_f).items()]
     return sorted((ell, v, u) for ell, v, u in found if len(u) <= field.n)
 
@@ -150,6 +155,33 @@ def _dedekind_order(field, ell, u):
     n = field.n
     gens = [[ell * (r == i) for r in range(n)] for i in range(n)]
     return ZLattice(field, ell, gens + _mult_columns(field, u))
+
+
+def _kernel_mod_prime(rows, ell):
+    """A basis of {x ∈ F_ℓ^n : A·x = 0}, A the n×n matrix with these rows
+    and ℓ prime, entries in [0, ℓ), by Gauss-Jordan elimination over
+    F_ℓ: once each pivot row is 1 at its pivot column and 0 at the
+    others, a free column c gives the vector that is 1 at c and minus
+    each pivot row's entry at c at that row's pivot."""
+    reduced = {}  # pivot column -> pivot row
+    for row in rows:
+        row = [e % ell for e in row]
+        for col, piv in reduced.items():
+            c = row[col]
+            if c:
+                row = [(e - c * q) % ell for e, q in zip(row, piv)]
+        lead = next((j for j, e in enumerate(row) if e), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, ell)
+            row = [e * inv % ell for e in row]
+            for col, piv in reduced.items():
+                c = piv[lead]
+                if c:
+                    reduced[col] = [(e - c * q) % ell for e, q in zip(piv, row)]
+            reduced[lead] = row
+    n = len(rows)
+    return [[int(j == c) if j not in reduced else -reduced[j][c] % ell for j in range(n)]
+            for c in range(n) if c not in reduced]
 
 
 def _radical(order, ell):
@@ -194,7 +226,7 @@ def _radical(order, ell):
     images = [power([int(r == i) for r in range(n)], q) for i in range(n)]
     rows = [[images[j][i] for j in range(n)] for i in range(n)]
     gens = [[ell * e for e in c] for c in cols]
-    for k in kernel_mod_m(rows, ell):
+    for k in _kernel_mod_prime(rows, ell):
         gens.append([sum(cols[j][r] * k[j] for j in range(n)) for r in range(n)])
     return ZLattice(field, d, gens)
 
@@ -259,7 +291,7 @@ def _local_orders(top, ell):
             ups.append(set() if i == 1 else {1})
             continue
         # W/R, the ℓ-torsion of top/R, is the kernel mod ℓ of R's coordinates in top
-        basis = kernel_mod_m([list(row) for row in zip(*_coordinates(top, ring))], ell)
+        basis = _kernel_mod_prime(list(zip(*_coordinates(top, ring))), ell)
         formed += (ell ** len(basis) - 1) // (ell - 1)
         if formed > LOCAL_ORDERS_BUDGET:
             raise BudgetExceeded(f"{field.p}: the local walk would form {formed} rings")
@@ -336,8 +368,7 @@ def order_discriminant(ring) -> int:
     """Discriminant of an order: disc(p) / [R : Z[b]]², since the trace
     Gram of a basis B is Bᵀ·G·B with det G = disc(p) on the power basis;
     in degree 1, G = [[Tr 1]] = [[1]]."""
-    p = ring.field.p
-    d, rem = divmod(discriminant(p) if p.degree > 1 else 1, _zbeta_index(ring) ** 2)
+    d, rem = divmod(ring.field._disc, _zbeta_index(ring) ** 2)
     assert not rem
     return d
 

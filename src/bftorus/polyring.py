@@ -747,6 +747,12 @@ def is_irreducible(p):
         p = p.to_int_poly()
     if not p.is_monic():
         raise NotMonic("irreducibility test requires a monic polynomial")
+    return _is_irreducible(p, None)
+
+
+def _is_irreducible(p, disc):
+    """``is_irreducible`` of the monic IntPoly p, given disc = disc(p),
+    or None to compute it when the sieve of degree >= 4 needs it."""
     n = p.degree
     if n <= 0:
         return False
@@ -762,7 +768,8 @@ def is_irreducible(p):
     if n <= 3:
         return True
 
-    disc = discriminant(p)
+    if disc is None:
+        disc = discriminant(p)
     if disc == 0:
         return False  # a repeated factor
     # No rational roots, so no linear factor and no degree n-1 cofactor.

@@ -12,7 +12,6 @@ EXPORTS = [
     "BudgetExceeded",
     "CharPolyMismatch",
     "DegeneratePeriod",
-    "DependentBasis",
     "EquivalenceVerdict",
     "FactorizationIncomplete",
     "FieldElement",
@@ -55,7 +54,6 @@ EXPORTS = [
     "is_divisorial",
     "is_invertible",
     "is_irreducible",
-    "kernel_mod_m",
     "l_equivalent",
     "lattice_from_generators",
     "lattice_sum",
@@ -70,7 +68,6 @@ EXPORTS = [
     "pi1_presentation",
     "product",
     "quotient_group",
-    "rational_inverse",
     "smith_normal_form",
     "strong_bf_refute",
     "suspension_h1",

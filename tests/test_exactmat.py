@@ -21,11 +21,9 @@ from bftorus.exactmat import (
     eval_poly_at_matrix,
     hermite_normal_form,
     identity_matrix,
-    kernel_mod_m,
     mat_pow,
     power_table,
     powers_and_char_poly,
-    rational_inverse,
     smith_normal_form,
     transpose,
 )
@@ -34,6 +32,7 @@ from bftorus.polyring import IntPoly, RatPoly
 from util import (
     EX1_A,
     P_CUBIC,
+    kernel_mod_m,
     mat_mul,
     mat_vec,
     oracle_adjugate,
@@ -44,6 +43,7 @@ from util import (
     oracle_inverse,
     oracle_mat_pow_squaring,
     random_unimodular_pair,
+    rational_inverse,
 )
 from util import mat_pow as oracle_mat_pow
 

@@ -658,7 +658,8 @@ def test_one_irreducibility_test_per_verdict(engine, monkeypatch):
     # the debug cross-check of _matrix_ring builds more fields on purpose
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
     calls = []
-    real = numberfield.is_irreducible
-    monkeypatch.setattr(numberfield, "is_irreducible", lambda p: calls.append(p) or real(p))
+    real = numberfield._is_irreducible
+    monkeypatch.setattr(
+        numberfield, "_is_irreducible", lambda p, disc: calls.append(p) or real(p, disc))
     assert engine(EX1_B, EX1_C).kind == "not-L-equivalent"
     assert len(calls) == 1

@@ -16,9 +16,14 @@ Dedekind's order up to the index bound is checked against the fixed
 point from Z[b] (``util.oracle_local_maximal``), and the walk over
 minimal over-orders, with its covers, against the walk over every
 element and pairwise joins (``util.oracle_local_orders``) and the
-containment oracle (``util.oracle_hasse_edges``).
+containment oracle (``util.oracle_hasse_edges``).  The kernels mod ℓ
+by elimination over F_ℓ are checked against the Smith-form kernel
+(``util.kernel_mod_m``), and Dedekind's test with its early exit
+against the route that forms every polynomial (``util.oracle_dedekind``).
 """
 
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -28,7 +33,9 @@ from hypothesis import strategies as st
 
 import bftorus.config as config
 import bftorus.ideals as ideals
+import bftorus.kernels as kernels
 import bftorus.orders as orders
+import bftorus.polyring as polyring
 from bftorus.errors import BudgetExceeded
 from bftorus.ideals import (
     Order,
@@ -40,8 +47,10 @@ from bftorus.ideals import (
 )
 from bftorus.numberfield import NumberField
 from bftorus.orders import (
+    _dedekind_maximal,
     _dedekind_order,
     _index_primes,
+    _kernel_mod_prime,
     _local_maximal,
     _local_orders,
     _radical,
@@ -54,9 +63,14 @@ from bftorus.orders import (
 from bftorus.polyring import IntPoly, discriminant, factorint, is_irreducible, square_part
 
 from util import (
+    CallCounter,
     J7_COLS,
+    NON_GORENSTEIN_FIELDS,
     P_CUBIC,
     P_QUAD,
+    _poly_mul,
+    kernel_mod_m,
+    oracle_dedekind,
     oracle_hasse_edges,
     oracle_local_maximal,
     oracle_local_orders,
@@ -481,3 +495,110 @@ def test_cyclic_local_group_within_a_tenth_of_a_second():
     assert [zbeta(field).index_in(r) for r in lat.nodes] == [2**k for k in range(13)]
     assert lat.edges == [(k, k + 1) for k in range(12)]
     assert elapsed < 0.1
+
+
+@st.composite
+def matrices_mod_prime(draw):
+    """(A, ℓ): an n×n integer matrix, n = 1..6, that is zero, of full rank
+    mod ℓ, or of rank r < n mod ℓ as a product of n×r and r×n factors."""
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("zero", "full", "deficient")))
+    if kind == "zero":
+        return [[ell * draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)], ell
+    entries = st.integers(-2 * ell, 2 * ell)
+    if kind == "full":
+        a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        assume(len(kernel_mod_m(a, ell)) == 0)
+        return a, ell
+    r = draw(st.integers(0, n - 1))
+    left = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    return [[sum(x * right[k][j] for k, x in enumerate(row)) for j in range(n)] for row in left], ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod_prime())
+@example(([[0]], 2))
+@example(([[1, 2], [2, 4]], 5))
+def test_kernel_mod_prime_against_the_smith_oracle(case):
+    a, ell = case
+    n = len(a)
+    basis = _kernel_mod_prime(a, ell)
+    assert len(basis) == len(kernel_mod_m(a, ell))
+    for vec in basis:
+        assert len(vec) == n and all(0 <= e < ell for e in vec)
+        assert all(sum(x * y for x, y in zip(row, vec)) % ell == 0 for row in a)
+    # independent mod ℓ: the matrix with the basis as its first columns
+    # has rank len(basis), so a kernel of dimension n - len(basis)
+    padded = [[vec[i] for vec in basis] + [0] * (n - len(basis)) for i in range(n)]
+    assert len(kernel_mod_m(padded, ell)) == n - len(basis)
+
+
+@st.composite
+def dedekind_polys(draw):
+    """Monic p of degree 2-7: a product of powers P^e of small monic P
+    plus M·r, deg r < deg p, so that p ≡ Π P^e mod every prime of M and
+    P^e is an ℓ-th power mod ℓ whenever ℓ ≤ e; or random coefficients."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        return IntPoly(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n)) + [1])
+    base = [1]
+    while len(base) - 1 < n:
+        d = draw(st.integers(1, min(2, n + 1 - len(base))))
+        factor = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) + [1]
+        for _ in range(draw(st.integers(1, (n + 1 - len(base)) // d))):
+            base = _poly_mul(base, factor)
+    m = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 36, 49)))
+    r = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return IntPoly([c + m * e for c, e in zip(base, r + [0])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dedekind_polys())
+@example(IntPoly([16, 0, 0, 0, 1]))  # x^4 mod 2, x^4+16
+@example(IntPoly([-54, 0, 0, 1]))  # x^3 mod 3, Z = x
+@example(IntPoly([1, 2, 3, 2, 1]))  # (x^2+x+1)^2
+@example(IntPoly([4, 0, 4, 0, 1]))  # (x^2+2)^2: t = h = x^2 mod 2
+def test_dedekind_exits_match_the_full_route(p):
+    for ell in (2, 3, 5, 7, 11, 13):
+        assert _dedekind_maximal(p, ell) == oracle_dedekind(p, ell)
+
+
+def _seeded_cubics(count):
+    """Irreducible cubics with F <= 64, disc(p) = F²·Δ, at least one of
+    whose primes ℓ leaves Z[b] below the ℓ-maximal order."""
+    rng = random.Random(0xBF21)
+    found = []
+    while len(found) < count:
+        p = IntPoly([rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(-20, 20),
+                     rng.randint(-9, 9), 1])
+        if not is_irreducible(p):
+            continue
+        big_f = square_part(discriminant(p))[0]
+        if big_f <= 64 and any(len(oracle_dedekind(p, ell)) <= 3 for ell in factorint(big_f)):
+            found.append(str(p))
+    return found
+
+
+@pytest.mark.parametrize("poly", NON_GORENSTEIN_FIELDS + tuple(_seeded_cubics(6)))
+def test_lattice_forms_no_smith_form_and_one_discriminant(monkeypatch, poly):
+    # Every kernel mod ℓ is an elimination over F_ℓ, and disc(p) is
+    # computed once, when the field is built.
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counters = {"snf_rows": CallCounter(kernels.snf_rows),
+                "discriminant": CallCounter(polyring.discriminant)}
+    # every binding of the two names in the package, as the imports copy them
+    for module in [m for name, m in sys.modules.items() if name.startswith("bftorus")]:
+        for name, counter in counters.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counter)
+    field = NumberField(poly)
+    assert counters["discriminant"].calls == 1
+    counters["discriminant"].calls = 0
+    lat = enumerate_order_lattice(field)
+    assert len(lat.nodes) > 1
+    for node in lat.nodes:
+        conductor(node)
+        order_discriminant(node)
+    assert {name: c.calls for name, c in counters.items()} == dict.fromkeys(counters, 0)

@@ -1,9 +1,9 @@
 """Rational results from integer kernels, against Fraction oracles.
 
-``rational_inverse`` is B_0 = Σ c_(t+1)·A^t over -p(0), read off the
-power table, ``eval_poly_at_matrix`` evaluates the remainder of d·g by
-p on the same table and divides by d, and
-``FieldElement.minimal_polynomial`` is the square-free part of a
+``rational_inverse`` (in util, over the library's ``_integer_inverse``)
+is B_0 = Σ c_(t+1)·A^t over -p(0), read off the power table,
+``eval_poly_at_matrix`` evaluates the remainder of d·g by p on the
+same table and divides by d, and ``FieldElement.minimal_polynomial`` is the square-free part of a
 rescaled integer char poly.  The oracles in util redo each in Fraction
 arithmetic: Gauss-Jordan for the inverse, Fraction Horner for g(A), and
 the first linear dependence among the powers of an element for the
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftorus.errors import NonIntegralResult, SingularMatrix
-from bftorus.exactmat import char_poly, eval_poly_at_matrix, rational_inverse
+from bftorus.exactmat import char_poly, eval_poly_at_matrix
 from bftorus.numberfield import NumberField
 from bftorus.polyring import IntPoly, RatPoly
 
@@ -28,6 +28,7 @@ from util import (
     oracle_irreducible,
     oracle_minimal_polynomial,
     oracle_rational_det,
+    rational_inverse,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)

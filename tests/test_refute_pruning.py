@@ -46,6 +46,7 @@ from bftorus.orders import enumerate_order_lattice
 from bftorus.polyring import is_irreducible
 
 from util import (
+    CallCounter,
     EX1_A,
     EX1_B,
     EX1_C,
@@ -110,16 +111,6 @@ def _pair(rng, kind, n):
     return a, _conjugate(rng, a), bound
 
 
-class _Counter:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self.fn(*args)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -148,7 +139,7 @@ def test_factorization_fallback_keeps_verdicts(monkeypatch):
     def refuse(d):
         raise FactorizationIncomplete(f"cannot factor {d}")
 
-    failing = _Counter(refuse)
+    failing = CallCounter(refuse)
     monkeypatch.setattr(inv, "square_part", failing)
     assert [bf_refute(a, b, 2) for a, b in pairs] == before
     assert failing.calls >= 4  # every irreducible pair took the |disc| path
@@ -214,7 +205,7 @@ def test_shells_in_lexicographic_order(n):
 def test_square_free_discriminant_answers_at_once(monkeypatch):
     counters = {}
     for name in ("coefficient_ring", "matrix_to_ideal", "_matrix_ring", "snf_diag"):
-        counters[name] = _Counter(getattr(inv, name))
+        counters[name] = CallCounter(getattr(inv, name))
         monkeypatch.setattr(inv, name, counters[name])
     rng = random.Random(0xBF1)
     for b in (F1_B, _transpose(F1_A), _conjugate(rng, F1_A)):
@@ -226,7 +217,7 @@ def test_square_free_discriminant_answers_at_once(monkeypatch):
 
 def test_witness_after_a_skipped_candidate(monkeypatch):
     expected = oracle_bf_refute(F6_A, F6_B, 4)
-    smith = _Counter(inv.snf_diag)
+    smith = CallCounter(inv.snf_diag)
     monkeypatch.setattr(inv, "snf_diag", smith)
     v = bf_refute(F6_A, F6_B)
     assert v == expected
@@ -294,7 +285,7 @@ def test_equal_rings_with_a_noninvertible_ideal(poly, seed, bound, swap):
     if swap:
         a, b = b, a
     expected = oracle_bf_refute(a, b, bound)
-    smith = _Counter(inv.snf_diag)
+    smith = CallCounter(inv.snf_diag)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inv, "snf_diag", smith)
         assert bf_refute(a, b, bound) == expected
@@ -341,12 +332,12 @@ def test_zbeta_rings_answer_without_a_search(monkeypatch, p):
     a = companion(p)
     b = _transpose(_conjugate(rng, a))
     field = NumberField(inv.char_poly(a))
-    assert inv._index_multiple(inv.char_poly(a)) > 1
+    assert inv._index_multiple(field) > 1
     assert inv._matrix_ring(field, power_table(b)) == zbeta(field)
     expected = oracle_bf_refute(a, b, 3)
     # debug checks rerun the full search and form the ideals on purpose
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
-    counters = {name: _Counter(getattr(inv, name)) for name in ("snf_diag", "_ideal_in")}
+    counters = {name: CallCounter(getattr(inv, name)) for name in ("snf_diag", "_ideal_in")}
     for name, counter in counters.items():
         monkeypatch.setattr(inv, name, counter)
     v = bf_refute(a, b, 3)
@@ -431,7 +422,7 @@ def test_certify_forms_no_ideal(monkeypatch, poly, index):
         (inv, "_ideal_in"), (inv, "coefficient_ring"), (ideals, "coefficient_ring"),
         (ideals, "is_invertible"),
     ):
-        counters[module.__name__, name] = _Counter(getattr(module, name))
+        counters[module.__name__, name] = CallCounter(getattr(module, name))
         monkeypatch.setattr(module, name, counters[module.__name__, name])
     v = bf_certify(a, b)
     assert v.kind == "strong-BF-certified"

@@ -13,23 +13,28 @@ exception: it is the library's former algorithm and keeps its candidate
 filters (triangular solves and the checks of ``Order``), while its
 containments and edges come from Fraction solves.  So are the Round 2
 fixed point, the per-element walk of local orders, the distinct-degree
-radical mod ℓ, the Faddeev-LeVerrier dual lattice and the plain dual of
-the power ring: former library paths built on its own steps, which
-stand in for the shortcuts that replaced them (Dedekind's seed and the
-index bound, one ring per cyclic subgroup, squarefree decomposition,
-the triangular inverse, the Krylov modulus).  Faddeev-LeVerrier with
+radical mod ℓ, the Faddeev-LeVerrier dual lattice, the plain dual of
+the power ring, the Smith-form kernel mod m and Dedekind's test with
+every polynomial formed: former library paths built on its own steps,
+which stand in for the shortcuts that replaced them (Dedekind's seed
+and the index bound, one ring per cyclic subgroup, squarefree
+decomposition, the triangular inverse, the Krylov modulus, elimination
+over F_ℓ, Dedekind's early exits).  Faddeev-LeVerrier with
 its adjugate row eigenvector, integer Horner evaluation and matrix
 repeated squaring are the library's former char poly, ideal of A,
 g(A) and A^k, which now all come from one power table.  ``poly_xgcd``
-and ``mat_vec`` are plain helpers the library itself has no use for.
+and ``mat_vec`` are plain helpers the library itself has no use for;
+``rational_inverse`` is the Fraction form of its integer inverse.
 """
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 from bftorus.errors import NonIntegralResult, ReduciblePolynomial
+from bftorus.exactmat import _integer_inverse, copy_matrix
 from bftorus.ideals import (
     AbelianGroup,
     Order,
@@ -51,12 +56,14 @@ from bftorus.kernels import hnf_cols, snf_rows, solve_upper_cols
 from bftorus.numberfield import _mult_columns
 from bftorus.orders import _radical
 from bftorus.polyring import (
+    IntPoly,
     RatPoly,
     _gf_divmod,
     _gf_gcd,
     _gf_mul,
     _gf_normalize,
     _gf_powmod,
+    _gf_radical,
     discriminant,
     factorint,
     format_poly,
@@ -193,6 +200,37 @@ def oracle_inverse(rows):
                 f = a[r][c]
                 a[r] = [e - f * g for e, g in zip(a[r], a[c])]
     return [r[n:] for r in a]
+
+
+def rational_inverse(a):
+    """Exact inverse as a Fraction matrix from the library's integer
+    inverse; SingularMatrix on det = 0."""
+    m, d = _integer_inverse(a)
+    return [[Fraction(e, d) for e in row] for row in m]
+
+
+def kernel_mod_m(a, m):
+    """Generators of {x in (Z/m)^n : A·x = 0 mod m}.
+
+    Computed from the Smith form: with U·A·V = D the kernel is spanned
+    by the columns of V scaled by m/gcd(d_i, m).  Vectors that vanish
+    mod m are dropped; the empty list means the kernel is trivial.
+    """
+    a = copy_matrix(a)
+    m = operator.index(m)
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if m == 1:
+        return []
+    n = len(a)
+    diag, _, v = snf_rows(a)
+    out = []
+    for i in range(n):
+        scale = m // math.gcd(diag[i], m)
+        vec = [v[r][i] * scale % m for r in range(n)]
+        if any(vec):
+            out.append(vec)
+    return out
 
 
 def _poly_mul(a, b):
@@ -880,6 +918,18 @@ def oracle_gf_radical(f, q):
     return t
 
 
+def oracle_dedekind(p, ell):
+    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion by the full
+    route, with no early exit: t the radical of p mod ℓ by squarefree
+    decomposition, h = (p mod ℓ)/t and f = (t·h - p)/ℓ, all formed."""
+    pbar = _gf_normalize(p.coeffs, ell)
+    t = _gf_radical(pbar, ell)
+    h = _gf_divmod(pbar, t, ell)[0]
+    f = [c // ell for c in (IntPoly(t) * IntPoly(h) - p).coeffs]
+    common = _gf_gcd(_gf_gcd(_gf_normalize(f, ell), t, ell), h, ell)
+    return _gf_divmod(pbar, common, ell)[0]
+
+
 def _monogenic(field, vec, den):
     """Z[b][g] for g = vec/den ∈ Z_K: the span of b^i·g^j, i, j < n."""
     n = field.n
@@ -942,6 +992,19 @@ def oracle_power_ring(field, table):
 def oracle_invertibility_index(ideal, ring):
     """[R : I·(R:I)] from the Fraction-solve colon and the product."""
     return product(ideal, oracle_colon(ring, ideal)).index_in(ring)
+
+
+class CallCounter:
+    """A stand-in for a function that counts its calls, to monkeypatch over
+    a library name."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
 
 
 # Fields with a non-Gorenstein order: its trace dual has the same
