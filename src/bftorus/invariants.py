@@ -447,9 +447,9 @@ def _index_multiple(field):
     [Z_K : Z[beta]] of the field's p: F from disc(p) = F^2 * Delta with
     Delta square-free, or |disc(p)| when factoring disc(p) fails."""
     try:
-        return square_part(field._disc)[0]
+        return square_part(field.disc)[0]
     except FactorizationIncomplete:
-        return abs(field._disc)
+        return abs(field.disc)
 
 
 def _group_or_none(table, d, r):
@@ -654,7 +654,7 @@ def bf_certify(a, b) -> EquivalenceVerdict:
         return EquivalenceVerdict(
             "BF-certified",
             witness=(
-                f"disc(p) = {field._disc} is square-free and p(0) = {p.coeffs[0]}: "
+                f"disc(p) = {field.disc} is square-free and p(0) = {p.coeffs[0]}: "
                 "Z[beta] is maximal, so all matrices with this characteristic "
                 "polynomial share every BF_g"
             ),

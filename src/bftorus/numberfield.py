@@ -44,8 +44,8 @@ class NumberField:
             p = p.to_int_poly()
         if not p.is_monic():
             raise ReduciblePolynomial(f"defining polynomial must be monic: {p}")
-        # disc(p), computed once per field: 1 in degree 1, det[[Tr 1]]
-        disc = discriminant(p) if p.degree > 1 else 1
+        # the sieve needs disc(p) from degree 4 on; below, ``disc`` forms it
+        disc = discriminant(p) if p.degree >= 4 else None
         if not _is_irreducible(p, disc):
             raise ReduciblePolynomial(f"defining polynomial is reducible: {p}")
         object.__setattr__(self, "p", p)
@@ -57,6 +57,16 @@ class NumberField:
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
+
+    @property
+    def disc(self):
+        """disc(p), the determinant of the trace form on the power basis
+        (1 in degree 1, where it is [[Tr 1]]), computed once per field:
+        when the field is built in degree >= 4, where the irreducibility
+        sieve needs it, and otherwise when first read."""
+        if self._disc is None:
+            object.__setattr__(self, "_disc", discriminant(self.p) if self.n > 1 else 1)
+        return self._disc
 
     def _build_powers(self):
         # b^k for k = 0 .. 2n-2, reduced mod p.  Since p is monic over Z

@@ -41,16 +41,12 @@ Dedekind's criterion (Cohen, Thm 6.1.4) says that
 O₁ = Z[b] + (U(b)/ℓ)·Z[b] is the first Round 2 step from Z[b], of
 index ℓ^deg Z; so Z[b] is ℓ-maximal exactly when deg Z = 0, and such
 primes are skipped.  O₁ is an order with ℓ·O₁ ⊆ Z[b], so O₁ ⊆ O_ℓ
-and Round 2 may start from O₁ instead of Z[b].  gcd(t, h) is the
-product of the repeated factors of p mod ℓ, so it is 1, and with it Z,
-exactly when p mod ℓ is squarefree, that is when h = 1; then f is
-never formed.  (At a prime ℓ | F that does not happen, since ℓ divides
-disc(p), the discriminant of p mod ℓ.)  t, the radical of p mod ℓ,
-comes from squarefree decomposition: p/gcd(p, p') is the product of
-the factors whose multiplicity is prime to ℓ.  When ℓ > deg p that is
-all of them, so t = p/gcd(p, p') and h = gcd(p, p').  Otherwise
-(``polyring._gf_radical``) what is left after they are divided out of
-the gcd is an ℓ-th power g(x^ℓ), whose radical is that of g.
+and Round 2 may start from O₁ instead of Z[b].  t, the radical of
+p mod ℓ, comes from squarefree decomposition (``polyring._gf_radical``):
+p/gcd(p, p') is the product of the factors whose multiplicity is prime
+to ℓ, which is all of them when ℓ > deg p; otherwise what is left
+after they are divided out of the gcd is an ℓ-th power g(x^ℓ), whose
+radical is that of g.
 
 *The index bound.*  disc(p) = [Z_K : Z[b]]²·disc(Z_K) and
 [O_ℓ : Z[b]] is the ℓ-part of [Z_K : Z[b]], so with i = v_ℓ[O_ℓ : Z[b]],
@@ -120,19 +116,12 @@ class OrderLattice(NamedTuple):
 def _dedekind_maximal(p, ell):
     """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
     doc), monic with coefficients in [0, ℓ); Z[b] is ℓ-maximal exactly
-    when deg U = deg p.  U is p mod ℓ, with f never formed, when p mod ℓ
-    is squarefree (h = 1)."""
-    n = p.degree
+    when deg U = deg p.  t is the radical of p mod ℓ from
+    ``_gf_radical``."""
     pbar = _gf_normalize(p.coeffs, ell)
-    if ell > n:  # h = gcd(p, p'), t = p/h
-        h = _gf_gcd(pbar, _gf_normalize([i * c for i, c in enumerate(pbar)][1:], ell), ell)
-        t = _gf_divmod(pbar, h, ell)[0]
-    else:
-        t = _gf_radical(pbar, ell)
-        h = _gf_divmod(pbar, t, ell)[0]
-    if len(h) == 1:
-        return pbar
-    th = [0] * (n + 1)  # t·h over Z, one convolution
+    t = _gf_radical(pbar, ell)
+    h = _gf_divmod(pbar, t, ell)[0]
+    th = [0] * (p.degree + 1)  # t·h over Z, one convolution
     for i, a in enumerate(t):
         for j, b in enumerate(h):
             th[i + j] += a * b
@@ -145,7 +134,7 @@ def _index_primes(field):
     ℓ-maximal, those the Dedekind criterion does not clear, with U from
     ``_dedekind_maximal``.  FactorizationIncomplete when disc(p) cannot
     be fully factored.  There are none in degree 1, where Z[b] = Z_K."""
-    big_f = square_part(field._disc)[0]
+    big_f = square_part(field.disc)[0]
     found = [(ell, v, _dedekind_maximal(field.p, ell)) for ell, v in factorint(big_f).items()]
     return sorted((ell, v, u) for ell, v, u in found if len(u) <= field.n)
 
@@ -368,7 +357,7 @@ def order_discriminant(ring) -> int:
     """Discriminant of an order: disc(p) / [R : Z[b]]², since the trace
     Gram of a basis B is Bᵀ·G·B with det G = disc(p) on the power basis;
     in degree 1, G = [[Tr 1]] = [[1]]."""
-    d, rem = divmod(ring.field._disc, _zbeta_index(ring) ** 2)
+    d, rem = divmod(ring.field.disc, _zbeta_index(ring) ** 2)
     assert not rem
     return d
 

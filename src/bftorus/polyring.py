@@ -514,7 +514,8 @@ def _gf_radical(f, q):
     Alg. 3.4.2).  Write f = Π P_i^m_i.  If f' = 0, then f = g(x^q) =
     g^q (the Frobenius fixes F_q), so rad f = rad g.  Otherwise
     gcd(f, f') = Π P_i^(m_i - 1) over q ∤ m_i times Π P_i^m_i over
-    q | m_i, so r = f/gcd(f, f') is the product of the P_i with q ∤ m_i;
+    q | m_i, so r = f/gcd(f, f') is the product of the P_i with q ∤ m_i,
+    which is all of them when deg f < q, as then every m_i < q; otherwise
     dividing those out of the gcd leaves the q-th power Π P_i^m_i over
     q | m_i, whose radical is taken by recursion."""
     if len(f) <= 1:
@@ -524,6 +525,8 @@ def _gf_radical(f, q):
         return _gf_radical(f[::q], q)
     rest = _gf_gcd(f, df, q)
     r = _gf_divmod(f, rest, q)[0]
+    if len(f) <= q:
+        return r
     while True:
         common = _gf_gcd(rest, r, q)
         if len(common) == 1:

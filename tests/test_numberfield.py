@@ -42,6 +42,15 @@ def test_construction_from_poly_object(K):
     assert same.n == 3
 
 
+@pytest.mark.parametrize(
+    "poly, disc",
+    [("x-7", 1), ("x^2-34x+1", 1152), ("x^3-23x^2+7x-1", -21248), ("x^4-48", -28311552)],
+)
+def test_disc(poly, disc):
+    # read on demand below degree 4, formed with the field from degree 4 on
+    assert NumberField(poly).disc == disc
+
+
 class TestArithmetic:
     def test_beta_times_inverse(self, K):
         b = K.beta()

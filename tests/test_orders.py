@@ -18,8 +18,8 @@ minimal over-orders, with its covers, against the walk over every
 element and pairwise joins (``util.oracle_local_orders``) and the
 containment oracle (``util.oracle_hasse_edges``).  The kernels mod ℓ
 by elimination over F_ℓ are checked against the Smith-form kernel
-(``util.kernel_mod_m``), and Dedekind's test with its early exit
-against the route that forms every polynomial (``util.oracle_dedekind``).
+(``util.kernel_mod_m``), and Dedekind's test against the route that
+forms every polynomial (``util.oracle_dedekind``).
 """
 
 import random
@@ -560,7 +560,7 @@ def dedekind_polys(draw):
 @example(IntPoly([-54, 0, 0, 1]))  # x^3 mod 3, Z = x
 @example(IntPoly([1, 2, 3, 2, 1]))  # (x^2+x+1)^2
 @example(IntPoly([4, 0, 4, 0, 1]))  # (x^2+2)^2: t = h = x^2 mod 2
-def test_dedekind_exits_match_the_full_route(p):
+def test_dedekind_maximal_matches_the_full_route(p):
     for ell in (2, 3, 5, 7, 11, 13):
         assert _dedekind_maximal(p, ell) == oracle_dedekind(p, ell)
 
@@ -584,7 +584,8 @@ def _seeded_cubics(count):
 @pytest.mark.parametrize("poly", NON_GORENSTEIN_FIELDS + tuple(_seeded_cubics(6)))
 def test_lattice_forms_no_smith_form_and_one_discriminant(monkeypatch, poly):
     # Every kernel mod ℓ is an elimination over F_ℓ, and disc(p) is
-    # computed once, when the field is built.
+    # computed once per field: when a quartic is built, when a cubic
+    # first reads it.
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
     counters = {"snf_rows": CallCounter(kernels.snf_rows),
                 "discriminant": CallCounter(polyring.discriminant)}
@@ -594,6 +595,8 @@ def test_lattice_forms_no_smith_form_and_one_discriminant(monkeypatch, poly):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counter)
     field = NumberField(poly)
+    assert counters["discriminant"].calls == (field.n >= 4)
+    assert field.disc == discriminant(field.p)
     assert counters["discriminant"].calls == 1
     counters["discriminant"].calls = 0
     lat = enumerate_order_lattice(field)

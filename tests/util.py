@@ -63,7 +63,6 @@ from bftorus.polyring import (
     _gf_mul,
     _gf_normalize,
     _gf_powmod,
-    _gf_radical,
     discriminant,
     factorint,
     format_poly,
@@ -919,11 +918,12 @@ def oracle_gf_radical(f, q):
 
 
 def oracle_dedekind(p, ell):
-    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion by the full
-    route, with no early exit: t the radical of p mod ℓ by squarefree
-    decomposition, h = (p mod ℓ)/t and f = (t·h - p)/ℓ, all formed."""
+    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion with every
+    polynomial formed: t the radical of p mod ℓ by distinct degrees
+    (``oracle_gf_radical``), h = (p mod ℓ)/t and f = (t·h - p)/ℓ from
+    ``IntPoly`` products."""
     pbar = _gf_normalize(p.coeffs, ell)
-    t = _gf_radical(pbar, ell)
+    t = oracle_gf_radical(pbar, ell)
     h = _gf_divmod(pbar, t, ell)[0]
     f = [c // ell for c in (IntPoly(t) * IntPoly(h) - p).coeffs]
     common = _gf_gcd(_gf_gcd(_gf_normalize(f, ell), t, ell), h, ell)
