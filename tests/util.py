@@ -19,7 +19,7 @@ every polynomial formed: former library paths built on its own steps,
 which stand in for the shortcuts that replaced them (Dedekind's seed
 and the index bound, one ring per cyclic subgroup, squarefree
 decomposition, the triangular inverse, the Krylov modulus, elimination
-over F_ℓ, Dedekind's early exits).  Faddeev-LeVerrier with
+over F_ℓ, Dedekind's convolution).  Faddeev-LeVerrier with
 its adjugate row eigenvector, integer Horner evaluation and matrix
 repeated squaring are the library's former char poly, ideal of A,
 g(A) and A^k, which now all come from one power table.  ``poly_xgcd``
