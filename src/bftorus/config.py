@@ -10,12 +10,12 @@ periodic-point generators; every factor pattern of ``is_irreducible``
 read off a root count and Stickelberger's parity against distinct-degree
 factorisation (``polyring._factor_pattern_mod``); x·A = b·x for the
 Krylov-dual basis of ``matrix_to_ideal``; the char poly of
-``ideal_to_matrix``; (M : N)·N ⊆ M for every colon; ``zbeta_colon`` from
-Euler's dual basis, and with it every ``conductor``, against
-``colon(zbeta, L)``; the coefficient ring from the b-action against
-``colon(I, I)``; every ring taken modulo the gcd of its Krylov
-determinants (``ideals._power_ring``) against the plain dual of all the
-entry vectors; every answer of the Krylov test
+``ideal_to_matrix``; (M : N)·N ⊆ M for every colon; every basis made
+canonical by a size reduction, the lattice duals among them, against
+``hnf_cols``; every ``conductor`` against ``colon(zbeta, R)``; the
+coefficient ring from the b-action against ``colon(I, I)``; every ring
+taken modulo the gcd of its Krylov determinants (``ideals._power_ring``)
+against the plain dual of all the entry vectors; every answer of the Krylov test
 ``ideals._locally_cyclic`` against the exact [R : I·(R:I)], in
 ``ideals._invertibility_index``, which ``is_invertible``, ``bf_refute``
 and ``bf_certify`` share; the trace-dual involution; the two

@@ -24,22 +24,16 @@ from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import _trace_gram, format_poly, parse_int_poly
 
 
-def _beta_columns(field):
-    """Columns of multiplication by b on the power basis (all integer)."""
-    return _mult_columns(field, [int(c) for c in field.beta().coords])
-
-
-def _beta_action(cols, mult_b):
-    """The integer matrix X (as columns) with Mult(b)·B = B·X, where B is
-    the HNF column list ``cols`` and ``mult_b`` is from ``_beta_columns``.
-
-    A lattice (1/d)·B is a Z[b]-module exactly when X is integral; the
-    denominator d cancels.  Returns None when some column is not.
-    """
-    n = len(cols)
+def _beta_action(cols, field):
+    """The integer matrix X (as columns) with Mult(b)·B = B·X for the HNF
+    columns B, or None when X is not integral: (1/d)·B is a Z[b]-module
+    exactly when X is, as d cancels.  Mult(b) is the companion shift,
+    b·c = (0, c_0, ..., c_(n-2)) - c_(n-1)·(p_0, ..., p_(n-1))."""
+    p = field.p.coeffs
     out = []
     for col in cols:
-        image = [sum(mult_b[j][i] * col[j] for j in range(n)) for i in range(n)]
+        top = col[-1]
+        image = [-top * p[0]] + [c - top * pk for c, pk in zip(col, p[1:-1])]
         x = solve_upper_cols(cols, image)
         if x is None:
             return None
@@ -133,19 +127,23 @@ class AbelianGroup:
         return f"AbelianGroup({self})"
 
 
-def _is_hnf(cols, n):
-    """True when the columns already are the canonical column HNF of a
-    full-rank lattice: n columns, upper triangular, positive pivots, and
-    every entry right of a pivot in [0, pivot)."""
-    if len(cols) != n:
-        return False
-    for j, col in enumerate(cols):
-        pivot = col[j]
-        if pivot <= 0 or any(col[j + 1:]):
-            return False
-        if any(not 0 <= later[j] < pivot for later in cols[j + 1:]):
-            return False
-    return True
+def _is_upper(cols, n):
+    """True for n upper-triangular columns with positive pivots."""
+    return len(cols) == n and all(c[j] > 0 and not any(c[j + 1:]) for j, c in enumerate(cols))
+
+
+def _size_reduced(cols):
+    """The HNF of upper-triangular columns with positive pivots, in place:
+    col_j -= ⌊col_j[i]/col_i[i]⌋·col_i for i = j-1 … 0 changes rows 0..i
+    only.  No gcd: the steps are unimodular and the HNF is unique."""
+    for j, cj in enumerate(cols):
+        for i in range(j - 1, -1, -1):
+            q = cj[i] // cols[i][i]
+            if q:
+                cj[: i + 1] = [e - q * f for e, f in zip(cj, cols[i][: i + 1])]
+    if debug_asserts_enabled():
+        assert cols == hnf_cols(cols)[0], "size reduction != HNF"
+    return cols
 
 
 class ZLattice:
@@ -161,7 +159,7 @@ class ZLattice:
         cols = [[operator.index(e) for e in c] for c in cols]
         if any(len(c) != n for c in cols):
             raise ValueError("basis columns must have length n")
-        h = cols if _is_hnf(cols, n) else [c for c in hnf_cols(cols)[0] if any(c)]
+        h = _size_reduced(cols) if _is_upper(cols, n) else [c for c in hnf_cols(cols)[0] if any(c)]
         if len(h) != n:
             raise NotFullRank(f"generators span rank {len(h)} < {n}")
         g = math.gcd(denom, *(e for c in h for e in c))
@@ -294,7 +292,7 @@ class FractionalIdeal(ZLattice):
     __slots__ = ()
 
     def _validate(self):
-        if _beta_action(self.cols, _beta_columns(self.field)) is None:
+        if _beta_action(self.cols, self.field) is None:
             raise NotASublattice("lattice is not stable under multiplication by b")
 
 
@@ -408,37 +406,39 @@ def colon(m, n_lat):
 
 def _dual_lattice(field, vecs, scale=1):
     """scale·W*, W* = {y : w·y ∈ Z for w in W} the dual of the lattice W
-    the integer vectors span; NotFullRank when they span less than Qⁿ."""
-    return ZLattice(field, *_dual_basis(vecs, field.n, scale))
+    the integer vectors span; NotFullRank when they span less than Qⁿ.
+    *Orientation lemma.*  W* is spanned by the columns of B⁻ᵀ for every
+    basis B of W.  For the lower Hermite basis L = J·H·J (J the reversal,
+    H the HNF of J·W), δ·L⁻ᵀ = J·(δ·H⁻ᵀ)·J is upper triangular with
+    positive pivots, so ``ZLattice`` only size-reduces it: one
+    ``hnf_cols``, where the lower δ·H⁻ᵀ would need a second."""
+    h = [c for c in hnf_cols([c[::-1] for c in vecs])[0] if any(c)]
+    if len(h) != field.n:
+        raise NotFullRank(f"generators span rank {len(h)} < {field.n}")
+    delta, y = _adjugate_columns(h)
+    return ZLattice(field, delta, [[scale * e for e in c[::-1]] for c in y[::-1]])
 
 
-def _dual_basis(vecs, n, scale=1):
-    """(δ, Y) with scale·W* = (1/δ)·span(Y) for ``_dual_lattice``, Y not
-    yet in canonical form.  With H the triangular HNF basis of W and δ
-    the product of its pivots, W* is spanned by the columns of (Hᵗ)⁻¹,
-    the rows of H⁻¹, and δ·H⁻¹ = adj(H) is integral: back substitution
-    solves H·x_j = δ·e_j.  Vectors that already are a canonical HNF
-    basis are H."""
-    h = vecs if _is_hnf(vecs, n) else [c for c in hnf_cols(vecs)[0] if any(c)]
-    if len(h) != n:
-        raise NotFullRank(f"generators span rank {len(h)} < {n}")
+def _adjugate_columns(h):
+    """(δ, Y) for upper-triangular columns H with positive pivots, δ their
+    product and Y the columns of δ·H⁻ᵀ: the rows of adj(H) = δ·H⁻¹, by
+    back substitution of H·x_j = δ·e_j.  Y is lower triangular."""
+    n = len(h)
     delta = math.prod(h[i][i] for i in range(n))
     x = [solve_upper_cols(h, [delta * (r == j) for r in range(n)]) for j in range(n)]
-    return delta, [[scale * xj[i] for xj in x] for i in range(n)]
+    return delta, [[xj[i] for xj in x] for i in range(n)]
 
 
-def zbeta_colon(lattice) -> "FractionalIdeal":
+def _zbeta_colon(lattice) -> "FractionalIdeal":
     """(Z[b] : L) for a b-stable lattice L, from Euler's dual basis of
     Z[b]; NotASublattice when L is not b-stable.
 
     *Euler's lemma* (Serre, Local Fields, III §6, Lemma 2).  Write
     p(x)/(x - b) = Σ_j e_j·x^j, so e_j = Σ_(k>j) p_k·b^(k-j-1).  Then
-    Tr(b^i·e_j/p'(b)) = δ_ij for 0 <= i, j < n.  Proof: with b_1..b_n
-    the roots of p, Lagrange interpolation at them gives
-    Σ_k b_k^i·p(x)/((x - b_k)·p'(b_k)) = x^i, as both sides have degree
-    below n and agree at every b_k.  The left side is
-    Tr(b^i·p(x)/((x - b)·p'(b))) = Σ_j Tr(b^i·e_j/p'(b))·x^j; compare
-    the coefficients of x^j.
+    Tr(b^i·e_j/p'(b)) = δ_ij for 0 <= i, j < n: Lagrange interpolation
+    at the roots b_1..b_n of p gives Σ_k b_k^i·p(x)/((x - b_k)·p'(b_k))
+    = x^i (both sides have degree below n and agree at every b_k), and
+    the left side is Tr(b^i·p(x)/((x - b)·p'(b))) = Σ_j Tr(b^i·e_j/p'(b))·x^j.
 
     The e_j are a basis of Z[b] (e_j is b^(n-1-j) plus lower powers), so
     the trace dual of Z[b] is Z[b]^♯ = p'(b)⁻¹·Z[b]: Z[b] is Gorenstein.
@@ -448,17 +448,20 @@ def zbeta_colon(lattice) -> "FractionalIdeal":
     pairs integrally with the coordinates of L, i.e. y ∈ L*, the
     coordinate dual.  Hence (Z[b] : L) = E·L*, where column j of E is
     e_j: the Hankel matrix E[r][j] = p_(r+j+1), with p_n = 1 and zero
-    beyond.  That is n back substitutions for L* and one HNF of n
-    columns, against the n² products and the HNF of n + n² vectors of
-    ``colon``.
+    beyond.  *Hankel reversal.*  For L = (1/d)·H, L* = (1/δ)·span(Y),
+    Y = d·δ·H⁻ᵀ lower triangular; E = J·U with U[s][j] = p_(n-s+j) unit
+    lower triangular, so E·Y = J·(U·Y), its column order reversed, is
+    upper triangular with positive pivots: ``ZLattice`` size-reduces it,
+    and no ``hnf_cols`` runs, against the HNF of n + n² vectors in ``colon``.
     """
     if not isinstance(lattice, FractionalIdeal):
         lattice = lattice.as_ideal()
     field = lattice.field
     n = field.n
     p = field.p.coeffs
-    delta, dual = _dual_basis(lattice.cols, n, lattice.denom)
-    cols = [[sum(p[r + 1 + j] * y[j] for j in range(n - r)) for r in range(n)] for y in dual]
+    delta, dual = _adjugate_columns(lattice.cols)
+    cols = [[lattice.denom * sum(p[r + 1 + j] * y[j] for j in range(n - r)) for r in range(n)]
+            for y in reversed(dual)]
     out = FractionalIdeal._proven(ZLattice(field, delta, cols))
     if debug_asserts_enabled():
         assert out == colon(zbeta(field), lattice), "Euler's (Z[b] : L) != colon"
@@ -553,7 +556,7 @@ def coefficient_ring(ideal) -> Order:
     """C(I) = (I : I), the largest order I is a module over: g(b)·I ⊆ I
     exactly when g(X) is integral, X the b-action of I, so C(I) is
     ``_power_ring`` of X.  NotASublattice when I is not b-stable."""
-    x = _beta_action(ideal.cols, _beta_columns(ideal.field))
+    x = _beta_action(ideal.cols, ideal.field)
     if x is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
     ring = _power_ring(ideal.field, power_table(x))
@@ -644,8 +647,8 @@ def _invertibility_index(table, ring, ideal) -> int:
 def _colon_index(ideal, ring) -> int:
     """[R : I·(R:I)] from (R:I) and the product.  (R:I)·I ⊆ R always, so
     the index is the ratio of covolumes, read off the HNF diagonals.  For
-    R = Z[b], (R:I) is ``zbeta_colon(I)``."""
-    dual = zbeta_colon(ideal) if ring == zbeta(ring.field) else colon(ring, ideal)
+    R = Z[b], (R:I) is ``_zbeta_colon(I)``."""
+    dual = _zbeta_colon(ideal) if ring == zbeta(ring.field) else colon(ring, ideal)
     inner = product(ideal, dual)
     n = ring.n
     num = math.prod(inner.cols[k][k] for k in range(n)) * ring.denom**n
@@ -663,7 +666,7 @@ def is_invertible(ideal, ring) -> bool:
     the b-action X of I (``_in_power_ring``), and the index off X or the
     colon (``_invertibility_index``).  NotASublattice when I is not
     b-stable, as in ``coefficient_ring``."""
-    x = _beta_action(ideal.cols, _beta_columns(ideal.field))
+    x = _beta_action(ideal.cols, ideal.field)
     if x is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
     table = power_table(transpose(x))

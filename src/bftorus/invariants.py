@@ -52,14 +52,14 @@ from .exactmat import (
     eval_poly_at_matrix,
     mat_pow,
     powers_and_char_poly,
+    transpose,
 )
 from .ideals import (
     AbelianGroup,
     FractionalIdeal,
     ZLattice,
     _beta_action,
-    _beta_columns,
-    _dual_basis,
+    _dual_lattice,
     _invertibility_index,
     _power_ring,
     coefficient_ring,
@@ -213,11 +213,11 @@ def _ideal_in(field, table):
     (1, b, ..., b^(n-1))·C = b·(1, b, ..., b^(n-1)), and x_0 = 1 since
     K·e_0 = e_0: x is the row eigenvector divided by its first entry.
     The coordinates of x_i are column i of K⁻¹, so the entries of x span
-    the dual of the lattice of the rows of K, one ``_dual_basis``.
+    the dual of the lattice of the rows of K, one ``_dual_lattice``.
     """
     n = field.n
     krylov = [list(row[0]) for row in table]
-    raw = ZLattice(field, *_dual_basis(krylov, n))
+    raw = _dual_lattice(field, krylov)
     if debug_asserts_enabled():
         m, d = _integer_inverse(krylov)
         x = [field.element([Fraction(m[k][i], d) for k in range(n)]) for i in range(n)]
@@ -252,11 +252,10 @@ def ideal_to_matrix(ideal) -> IntMatrix:
     is exactly integrality of the result.
     """
     field = ideal.field
-    x = _beta_action(ideal.cols, _beta_columns(field))
+    x = _beta_action(ideal.cols, field)
     if x is None:
         raise NonIntegralResult("multiplication by beta does not preserve this lattice")
-    n = field.n
-    out = [[x[j][i] for j in range(n)] for i in range(n)]
+    out = transpose(x)
     if debug_asserts_enabled():
         assert char_poly(out) == field.p, "dictionary broke the char poly"
     return out

@@ -95,7 +95,7 @@ from .config import debug_asserts_enabled
 from .errors import BudgetExceeded
 from .ideals import (
     FractionalIdeal, Order, ZLattice, _coordinates, _zbeta_index, coefficient_ring, lattice_sum,
-    zbeta, zbeta_colon,
+    _zbeta_colon, zbeta,
 )
 from .kernels import solve_upper_cols
 from .numberfield import NumberField, _mult_columns
@@ -349,8 +349,8 @@ def maximal_order(field) -> Order:
 
 def conductor(ring) -> FractionalIdeal:
     """(Z[b] : R), i.e. R⁻¹ with R viewed as a Z[b]-fractional ideal,
-    from Euler's dual basis (``ideals.zbeta_colon``)."""
-    return zbeta_colon(ring)
+    from Euler's dual basis (``ideals._zbeta_colon``)."""
+    return _zbeta_colon(ring)
 
 
 def order_discriminant(ring) -> int:

@@ -73,7 +73,6 @@ EXPORTS = [
     "suspension_h1",
     "trace_dual",
     "zbeta",
-    "zbeta_colon",
 ]
 
 

@@ -8,7 +8,9 @@ the beta action, the Gauss-Jordan inverse of the trace Gram matrix of
 field products, the trace Gram determinant, the determinant of the
 rational multiplication matrix).  The dual lattice under the dot
 product, which ``colon``, ``intersect`` and the rings of the b-action
-share, is checked against the Faddeev-LeVerrier inverse.  Inputs are seeded: ideals of random
+share, is checked against the Faddeev-LeVerrier inverse, its size
+reduction against ``hnf_cols``, and its count of ``hnf_cols`` calls is
+pinned.  Inputs are seeded: ideals of random
 irreducible matrices, random lattices with denominators, and every
 node of the order lattices of random fields, n = 2..4; the trace dual
 also in n = 1..6, over discriminants of both signs.
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bftorus import config, ideals
 from bftorus.errors import (
     BudgetExceeded,
     NonIntegralResult,
@@ -32,22 +35,25 @@ from bftorus.ideals import (
     Order,
     ZLattice,
     _dual_lattice,
+    _size_reduced,
     _trace_dual_lattice,
+    _zbeta_colon,
     coefficient_ring,
     colon,
     lattice_from_generators,
     trace_dual,
     zbeta,
-    zbeta_colon,
 )
 from bftorus.invariants import ideal_to_matrix, matrix_to_ideal
 from bftorus.numberfield import NumberField
-from bftorus.orders import enumerate_order_lattice, order_discriminant
+from bftorus.kernels import hnf_cols
+from bftorus.orders import conductor, enumerate_order_lattice, order_discriminant
 from bftorus.polyring import IntPoly, discriminant, square_part
 
 from util import (
     P_CUBIC,
     P_QUAD,
+    CallCounter,
     oracle_char_poly,
     oracle_colon,
     oracle_dual_lattice,
@@ -164,10 +170,14 @@ def test_zbeta_colon_against_the_general_colon(seed, n):
     field = ideal.field
     lattices = [ideal, coefficient_ring(ideal), _lattice_with_denominator(rng, field, True)]
     lattices += _non_maximal_field(rng, n)[1].nodes
+    # ``colon`` forms its duals by the same size reduction; the Fraction
+    # oracle shares no code with either.
     for lattice in lattices:
-        assert zbeta_colon(lattice) == colon(zbeta(lattice.field), lattice)
+        got = _zbeta_colon(lattice)
+        assert got == colon(zbeta(lattice.field), lattice)
+        assert got == oracle_colon(zbeta(lattice.field), lattice)
     with pytest.raises(NotASublattice):
-        zbeta_colon(_lattice_with_denominator(rng, field, False))
+        _zbeta_colon(_lattice_with_denominator(rng, field, False))
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,15 +279,26 @@ def test_norm_with_denominators(seed, n):
 
 
 
-@settings(max_examples=60, deadline=None)
-@given(SEEDS, DEGREES, st.integers(0, 3), st.integers(1, 6), st.booleans())
-def test_dual_lattice_against_faddeev_leverrier(seed, n, extra, scale, deficient):
-    # n + extra generators; ``deficient`` draws them from a hyperplane
+@settings(max_examples=90, deadline=None)
+@given(SEEDS, DEGREES, st.integers(0, 3), st.integers(1, 6), st.booleans(),
+       st.sampled_from(["random", "lower", "upper"]))
+def test_dual_lattice_against_faddeev_leverrier(seed, n, extra, scale, deficient, shape):
+    # n + extra generators; ``deficient`` draws them from a hyperplane.
+    # The triangular shapes are n columns: a lower-triangular basis, or
+    # its canonical (upper) HNF, with a zero column when ``deficient``.
     rng = random.Random(seed)
     field = _random_field(rng, n)
-    basis = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n - deficient)]
-    combos = [[rng.randint(-3, 3) for _ in basis] for _ in range(n + extra)]
-    vecs = [[sum(c * b[r] for c, b in zip(cs, basis)) for r in range(n)] for cs in combos]
+    if shape == "random":
+        basis = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n - deficient)]
+        combos = [[rng.randint(-3, 3) for _ in basis] for _ in range(n + extra)]
+        vecs = [[sum(c * b[r] for c, b in zip(cs, basis)) for r in range(n)] for cs in combos]
+    else:
+        vecs = [[0] * j + [rng.randint(1, 9)] + [rng.randint(-99, 99) for _ in range(n - 1 - j)]
+                for j in range(n)]
+        if shape == "upper":
+            vecs = hnf_cols(vecs)[0]
+        if deficient:
+            vecs[rng.randrange(n)] = [0] * n
     try:
         expected = oracle_dual_lattice(field, vecs, scale)
     except (NotFullRank, ValueError):  # the span has rank below n
@@ -286,6 +307,51 @@ def test_dual_lattice_against_faddeev_leverrier(seed, n, extra, scale, deficient
         return
     assert not deficient
     assert _dual_lattice(field, vecs, scale) == expected
+
+
+def _upper_triangular(n):
+    """Upper-triangular columns with positive pivots up to 2^64 and
+    entries above them of both signs up to 2^64."""
+    big = 2**64
+    return st.tuples(
+        st.lists(st.integers(1, big), min_size=n, max_size=n),
+        st.lists(st.integers(-big, big), min_size=n * n, max_size=n * n),
+    ).map(lambda pe: [[pe[1][n * j + r] if r < j else pe[0][j] * (r == j) for r in range(n)]
+                      for j in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(_upper_triangular))
+def test_size_reduction_is_the_hnf(cols):
+    assert _size_reduced([list(c) for c in cols]) == hnf_cols(cols)[0]
+
+
+def test_one_hnf_per_dual_and_none_for_the_conductor(monkeypatch):
+    # One ``hnf_cols`` (of the reversed coordinates) per dual, none for
+    # (Z[b] : R): the duals come out upper triangular, and the size
+    # reduction alone makes them canonical.
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counter = CallCounter(ideals.hnf_cols)
+    monkeypatch.setattr(ideals, "hnf_cols", counter)
+
+    def calls(fn, *args):
+        counter.calls = 0
+        fn(*args)
+        return counter.calls
+
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        a = _irreducible_matrix(rng, n)
+        ideal = matrix_to_ideal(a)
+        vecs = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n + 2)]
+        assert calls(matrix_to_ideal, a) == 1
+        assert calls(trace_dual, ideal) == 1
+        assert calls(_dual_lattice, ideal.field, vecs) == 1
+        field, lattice = _non_maximal_field(rng, n)
+        for node in lattice.nodes:
+            assert calls(coefficient_ring, node) == (node != zbeta(field))
+            assert calls(conductor, node) == 0
+        assert calls(coefficient_ring, ideal) <= 1
 
 
 @pytest.mark.parametrize("vecs", [[[1, 0, 0], [2, 0, 0], [0, 1, 0]], [[0, 0, 0]], []])

@@ -40,7 +40,6 @@ from bftorus.ideals import (
     Order,
     ZLattice,
     _beta_action,
-    _beta_columns,
     _escaping_product,
     coefficient_ring,
     colon,
@@ -858,12 +857,11 @@ def oracle_order_lattice(field):
     """
     n = field.n
     found = [zbeta(field)]
-    mult_b = _beta_columns(field)
     f_fac = factorint(square_part(discriminant(field.p))[0]) if n > 1 else {}
     for d in _divisors_from_factorization(f_fac)[1:]:
         for diag in _diag_tuples(d, n, factorint(d)):
             for cols in _candidate_columns(diag, d):
-                if _beta_action(cols, mult_b) is None:
+                if _beta_action(cols, field) is None:
                     continue
                 if _escaping_product(field, cols, d) is not None:
                     continue
