@@ -12,7 +12,8 @@ factorisation (``polyring._factor_pattern_mod``); x·A = b·x for the
 Krylov-dual basis of ``matrix_to_ideal``; the char poly of
 ``ideal_to_matrix``; (M : N)·N ⊆ M for every colon; every basis made
 canonical by a size reduction, the lattice duals among them, against
-``hnf_cols``; every ``conductor`` against ``colon(zbeta, R)``; the
+``hnf_cols``; every ``conductor``, (Z[b] : Z[b]) = Z[b] among them,
+against ``colon(zbeta, R)``; the
 coefficient ring from the b-action against ``colon(I, I)``; every ring
 taken modulo the gcd of its Krylov determinants (``ideals._power_ring``)
 against the plain dual of all the entry vectors; every answer of the Krylov test
@@ -29,8 +30,8 @@ lattice has a unique top; every enumerated order through the b-action
 and ring-closure checks of ``Order``; the Hasse edges read off the
 local covers against the transitive reduction of containment; and that
 one more Round 2 step (radical and coefficient ring) does not grow an
-ℓ-maximal order where Round 2 stopped, at the index bound or the fixed
-point.  They are controlled by the environment variable
+ℓ-maximal order where Round 2 stopped, at Ore's index, the index bound
+or the fixed point.  They are controlled by the environment variable
 ``BFTORUS_DEBUG_ASSERT=1`` or programmatically via :func:`set_debug_asserts`.
 """
 

@@ -453,16 +453,20 @@ def _zbeta_colon(lattice) -> "FractionalIdeal":
     lower triangular, so E·Y = J·(U·Y), its column order reversed, is
     upper triangular with positive pivots: ``ZLattice`` size-reduces it,
     and no ``hnf_cols`` runs, against the HNF of n + n² vectors in ``colon``.
+    For L = Z[b], a ring, (Z[b] : Z[b]) = Z[b] is returned with no sum.
     """
-    if not isinstance(lattice, FractionalIdeal):
-        lattice = lattice.as_ideal()
     field = lattice.field
-    n = field.n
-    p = field.p.coeffs
-    delta, dual = _adjugate_columns(lattice.cols)
-    cols = [[lattice.denom * sum(p[r + 1 + j] * y[j] for j in range(n - r)) for r in range(n)]
-            for y in reversed(dual)]
-    out = FractionalIdeal._proven(ZLattice(field, delta, cols))
+    if lattice == zbeta(field):
+        out = FractionalIdeal._proven(lattice)
+    else:
+        if not isinstance(lattice, FractionalIdeal):
+            lattice = lattice.as_ideal()
+        n = field.n
+        p = field.p.coeffs
+        delta, dual = _adjugate_columns(lattice.cols)
+        cols = [[lattice.denom * sum(p[r + 1 + j] * y[j] for j in range(n - r)) for r in range(n)]
+                for y in reversed(dual)]
+        out = FractionalIdeal._proven(ZLattice(field, delta, cols))
     if debug_asserts_enabled():
         assert out == colon(zbeta(field), lattice), "Euler's (Z[b] : L) != colon"
     return out

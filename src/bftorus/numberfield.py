@@ -2,17 +2,16 @@
 
 Elements are rational coordinate vectors over the power basis
 (1, b, ..., b^(n-1)) where b is the class of x.  Everything is exact;
-trace and norm come from multiplication matrices, never from floating
-embeddings.  Elements remember their field and refuse to mix — a
-silent coercion between fields would quietly corrupt every lattice
-computation built on top of this module.
+traces come from Newton power sums and inverses from multiplication
+matrices, never from floating embeddings.  Elements remember their
+field and refuse to mix — a silent coercion between fields would
+quietly corrupt every lattice computation built on top of this module.
 """
 
 from fractions import Fraction
 
 from .errors import ReduciblePolynomial, ZeroInverse
-from .exactmat import _integer_inverse, char_poly
-from .kernels import det_bareiss
+from .exactmat import _integer_inverse
 from .polyring import (
     IntPoly,
     RatPoly,
@@ -24,7 +23,6 @@ from .polyring import (
     format_poly,
     parse_int_poly,
     parse_poly,
-    poly_gcd,
 )
 
 
@@ -220,7 +218,7 @@ class FieldElement:
 
     def inverse(self):
         """1/z = M(z)⁻¹·e_0 = d·M(d·z)⁻¹·e_0, d the least common
-        denominator, from the integer inverse of M(d·z) (as ``norm``)."""
+        denominator, from the integer inverse of M(d·z)."""
         if self.is_zero():
             raise ZeroInverse("0 has no inverse in the field")
         d, scaled = _cleared(self.coords)
@@ -253,30 +251,6 @@ class FieldElement:
     def trace(self):
         s = self.field._power_sums
         return sum((c * s[i] for i, c in enumerate(self.coords)), Fraction(0))
-
-    def norm(self):
-        """det of multiplication by self, as det(M(d·self))/d^n."""
-        d, scaled = _cleared(self.coords)
-        return Fraction(det_bareiss(_mult_columns(self.field, scaled)), d**self.field.n)
-
-    def minimal_polynomial(self):
-        """Monic minimal polynomial over Q; IntPoly when integral.
-
-        chi = det(d·x·I - M(d·self))/d^n, the char poly of self, is m^k
-        for the minimal polynomial m, so m = chi/gcd(chi, chi')."""
-        d, scaled = _cleared(self.coords)
-        chi_d = char_poly(_mult_columns(self.field, scaled)).coeffs
-        chi = RatPoly([Fraction(c, d ** (self.field.n - k)) for k, c in enumerate(chi_d)])
-        m = divmod(chi, poly_gcd(chi, chi.derivative()))[0]
-        return m.to_int_poly() if m.is_integral() else m
-
-    def is_integral(self):
-        m = self.minimal_polynomial()
-        return isinstance(m, IntPoly)
-
-    def is_unit(self):
-        """Unit of the ring of integers: integral with norm of modulus 1."""
-        return self.is_integral() and abs(self.norm()) == 1
 
     def __repr__(self):
         return f"FieldElement({format_poly(self.coords, 'b')!r})"

@@ -55,6 +55,19 @@ i ≤ v_ℓ(F).  An order O between Z[b] and O_ℓ of index ℓ^v_ℓ(F)
 therefore has the covolume of O_ℓ and is O_ℓ: Round 2 stops there
 without the radical and colon that would confirm the fixed point.
 
+*Ore's index.*  When gcd(t, h) = x - a, x - a is the one repeated
+factor of p mod ℓ, of multiplicity e, and N, the lower convex hull of
+the points (k, v_ℓ(t_k)), k ≤ e, for p(x + a) = Σ t_k·x^k, a lifted to
+[0, ℓ), bounds the index: v_ℓ[Z_K : Z[b]] ≥ Σ_(x=1..e-1) ⌊N(x)⌋, with
+equality when the residual polynomial Σ_j (t_(s+j·e')/ℓ^(y-j·h) mod ℓ)·Y^j
+of each side, of slope -h/e' (coprime) from (s, y), is separable (Ore's
+theorem of the index: Montes-Nart, J. Algebra 146, 1992; Guàrdia-
+Montes-Nart, Trans. AMS 364, 2012).  Round 2 then stops at that index.
+Regularity depends on the lift of a, and an irregular count is only a
+lower bound (3 for x^3-23x^2+7x-1 at 2, of index 2^4), so otherwise the
+bound stays v_ℓ(F).  Ore is tried only when Dedekind's order lies below
+ℓ^v_ℓ(F), and a is read off gcd(t, h), not searched for mod ℓ.
+
 *Minimal over-orders.*  The local orders at ℓ are the orders between
 Z[b] and O_ℓ, and the walk reaches each of them from Z[b] through
 covers, the minimal over-orders (Hofmann-Sircana, *On the computation
@@ -78,8 +91,11 @@ the lines that generate S lie in (S ∩ W)/R, a space of order at most
 ℓ^m, so that many lines fill it and force S ⊆ W; then every line of
 S/R generates S, and an order T with R ⊊ T ⊆ S contains one of them,
 so T = S.  When [O_ℓ : R] = ℓ, O_ℓ is the only cover and nothing is
-formed.  The walk forms the rings R[g] of every local order R with
-[O_ℓ : R] > ℓ, and ``LOCAL_ORDERS_BUDGET`` bounds their count.
+formed.  A line forms R[g] only when ℓ·g^j ∈ R for 2 ≤ j < n: a cover S
+has ℓ·S ⊆ R, so every line that generates a cover passes, each cover's
+count stands, and a count that falls was below its mark.  The walk
+examines the lines of every local order R with [O_ℓ : R] > ℓ, and
+``LOCAL_ORDERS_BUDGET`` bounds their count.
 
 The enumeration output is the ground truth; no external table is
 consulted.
@@ -102,7 +118,7 @@ from .numberfield import NumberField, _mult_columns
 from .polyring import _gf_divmod, _gf_gcd, _gf_normalize, _gf_radical, factorint, square_part
 
 
-LOCAL_ORDERS_BUDGET = 2**14  # rings R[g] one local walk forms at most
+LOCAL_ORDERS_BUDGET = 2**14  # lines one local walk examines at most
 
 
 class OrderLattice(NamedTuple):
@@ -114,9 +130,10 @@ class OrderLattice(NamedTuple):
 
 
 def _dedekind_maximal(p, ell):
-    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
-    doc), monic with coefficients in [0, ℓ); Z[b] is ℓ-maximal exactly
-    when deg U = deg p.  t is the radical of p mod ℓ from
+    """(U, gcd(t, h)): U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion
+    (see the module doc), monic with coefficients in [0, ℓ), and gcd(t, h)
+    the product of the repeated factors of p mod ℓ; Z[b] is ℓ-maximal
+    exactly when deg U = deg p.  t is the radical of p mod ℓ from
     ``_gf_radical``."""
     pbar = _gf_normalize(p.coeffs, ell)
     t = _gf_radical(pbar, ell)
@@ -126,17 +143,56 @@ def _dedekind_maximal(p, ell):
         for j, b in enumerate(h):
             th[i + j] += a * b
     f = _gf_normalize([(c - e) // ell for c, e in zip(th, p.coeffs)], ell)
-    return _gf_divmod(pbar, _gf_gcd(_gf_gcd(f, t, ell), h, ell), ell)[0]
+    repeated = _gf_gcd(t, h, ell)
+    return _gf_divmod(pbar, _gf_gcd(f, repeated, ell), ell)[0], repeated
+
+
+def _ore_index(p, ell, a):
+    """v_ℓ[Z_K : Z[b]] by Ore's theorem when x - a is the one repeated
+    factor of p mod ℓ, or None when p is not ℓ-regular (see the module doc)."""
+    rest, t = list(p.coeffs), []  # t_0..t_e of p(x + a), by division by x - a
+    while not t or t[-1] % ell == 0:
+        for k in range(len(rest) - 2, -1, -1):
+            rest[k] += a * rest[k + 1]
+        t.append(rest.pop(0))
+    hull = []  # the vertices of N; t_0 ≠ 0, as p has no root a
+    for k, c in enumerate(t):
+        if not c:
+            continue
+        y = 0
+        while c % ell == 0:
+            c, y = c // ell, y + 1
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, y))
+    index = 0
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        dx, dy = x2 - x1, y1 - y2
+        d = math.gcd(dx, dy)
+        residual = [t[x1 + j * dx // d] // ell ** (y1 - j * dy // d) % ell for j in range(d + 1)]
+        derivative = _gf_normalize([j * c for j, c in enumerate(residual)][1:], ell)
+        if _gf_gcd(residual, derivative, ell) != [1]:
+            return None
+        index += sum((y1 * dx - (x - x1) * dy) // dx for x in range(x1 + 1, x2 + 1))
+    return index
 
 
 def _index_primes(field):
-    """(ℓ, v_ℓ(F), U) for the primes ℓ | F at which Z[b] may fail to be
+    """(ℓ, v, U) for the primes ℓ | F at which Z[b] may fail to be
     ℓ-maximal, those the Dedekind criterion does not clear, with U from
-    ``_dedekind_maximal``.  FactorizationIncomplete when disc(p) cannot
-    be fully factored.  There are none in degree 1, where Z[b] = Z_K."""
-    big_f = square_part(field.disc)[0]
-    found = [(ell, v, _dedekind_maximal(field.p, ell)) for ell, v in factorint(big_f).items()]
-    return sorted((ell, v, u) for ell, v, u in found if len(u) <= field.n)
+    ``_dedekind_maximal`` and v Ore's index or else v_ℓ(F) (see the module
+    doc).  FactorizationIncomplete when disc(p) cannot be fully factored.
+    There are none in degree 1, where Z[b] = Z_K."""
+    n = field.n
+    found = []
+    for ell, v in sorted(factorint(square_part(field.disc)[0]).items()):
+        u, repeated = _dedekind_maximal(field.p, ell)
+        if len(u) <= n:  # deg gcd(f, t, h) > 0
+            if n + 1 - len(u) < v and len(repeated) == 2:  # gcd(t, h) = x - a
+                v = _ore_index(field.p, ell, -repeated[0] % ell) or v
+            found.append((ell, v, u))
+    return found
 
 
 def _dedekind_order(field, ell, u):
@@ -222,7 +278,8 @@ def _radical(order, ell):
 
 def _local_maximal(field, ell, v, u):
     """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2 from Dedekind's order
-    O₁ of ``_dedekind_order`` up to the index ℓ^v, v = v_ℓ(F)."""
+    O₁ of ``_dedekind_order`` up to the index bound ℓ^v of
+    ``_index_primes``."""
     order = _dedekind_order(field, ell, u)
     while _zbeta_index(order) < ell**v:  # [O : Z[b]] below the bound
         bigger = coefficient_ring(_radical(order, ell))
@@ -235,13 +292,28 @@ def _local_maximal(field, ell, v, u):
     return order
 
 
-def _adjoin(ring, vec, den):
-    """R[g] for g = vec/den ∈ Z_K and the order R = (1/d)·C: the span of
-    r·g^j, r in the basis of R, j < n, scaled by d·den^(n-1), which
-    keeps every generator integral (d·r and den·g are)."""
+def _powers_in(ring, mult_g, den):
+    """ℓ·g^j ∈ R = (1/d)·C for 2 ≤ j < n, g = vec/den, den = d·ℓ, and
+    ``mult_g`` multiplication by vec, whose column 0 is vec."""
+    n = len(mult_g)
+    power = mult_g[0]  # den·g^j
+    for _ in range(2, n):
+        prod = [sum(mult_g[t][r] * power[t] for t in range(n)) for r in range(n)]
+        if any(e % den for e in prod):
+            return False
+        power = [e // den for e in prod]
+        if solve_upper_cols(ring.cols, power) is None:
+            return False
+    return True
+
+
+def _adjoin(ring, mult_g, den):
+    """R[g] for g = vec/den ∈ Z_K, ``mult_g`` the columns of
+    multiplication by vec, and the order R = (1/d)·C: the span of r·g^j,
+    r in the basis of R, j < n, scaled by d·den^(n-1), which keeps every
+    generator integral (d·r and den·g are)."""
     field = ring.field
     n = field.n
-    mult_g = _mult_columns(field, vec)
     power = [[e * den ** (n - 1) for e in c] for c in ring.cols]  # r·g^j·d·den^(n-1), j = 0
     gens = list(power)
     for _ in range(n - 1):
@@ -266,8 +338,8 @@ def _local_orders(top, ell):
     module doc): orders[0] is Z[b], orders[1] is ``top``, ups[i] the
     set of j with orders[j] a cover of orders[i], and index[i] =
     [orders[i] : Z[b]].  BudgetExceeded before an order's lines are
-    formed, when their rings R[g] would take the count of rings the walk
-    forms past LOCAL_ORDERS_BUDGET."""
+    examined, when they would take the count of lines the walk examines
+    past LOCAL_ORDERS_BUDGET."""
     field = top.field
     n = field.n
     orders = [zbeta(field), top]
@@ -285,10 +357,11 @@ def _local_orders(top, ell):
         if formed > LOCAL_ORDERS_BUDGET:
             raise BudgetExceeded(f"{field.p}: the local walk would form {formed} rings")
         den = ring.denom * ell  # g = (C·z)/(d·ℓ), reduced mod Z[b]
-        lines = collections.Counter(
-            _adjoin(ring, [sum(c[r] * e for c, e in zip(ring.cols, z)) % den for r in range(n)],
-                    den)
-            for z in _lines(basis, ell))
+        mults = (_mult_columns(field, [sum(c[r] * e for c, e in zip(ring.cols, z)) % den
+                                       for r in range(n)])
+                 for z in _lines(basis, ell))
+        lines = collections.Counter(_adjoin(ring, m, den) for m in mults
+                                    if _powers_in(ring, m, den))
         up = set()
         for over, count in lines.items():
             size = _zbeta_index(over)
@@ -309,7 +382,7 @@ def enumerate_order_lattice(field) -> OrderLattice:
 
     Raises FactorizationIncomplete if disc(p) cannot be fully factored
     (the index bound F needs the exact square part), and BudgetExceeded
-    when a local walk would form more than LOCAL_ORDERS_BUDGET rings.
+    when a local walk would examine more than LOCAL_ORDERS_BUDGET lines.
     """
     zb = zbeta(field)
     local = [_local_orders(_local_maximal(field, *prime), prime[0])

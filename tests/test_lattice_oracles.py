@@ -1,8 +1,8 @@
 """The integer lattice path against Fraction-arithmetic oracles.
 
 ``colon``, ``coefficient_ring``, ``ideal_to_matrix``, ``trace_dual``,
-``order_discriminant`` and ``FieldElement.norm`` run on the integer
-kernels; the oracles in util redo each in Fraction arithmetic by a
+``order_discriminant`` and the Bareiss determinant of a multiplication
+matrix run on the integer kernels; the oracles in util redo each in Fraction arithmetic by a
 different route (a dual row lattice for the colon, a basis solve for
 the beta action, the Gauss-Jordan inverse of the trace Gram matrix of
 field products, the trace Gram determinant, the determinant of the
@@ -16,6 +16,7 @@ node of the order lattices of random fields, n = 2..4; the trace dual
 also in n = 1..6, over discriminants of both signs.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -45,8 +46,8 @@ from bftorus.ideals import (
     zbeta,
 )
 from bftorus.invariants import ideal_to_matrix, matrix_to_ideal
-from bftorus.numberfield import NumberField
-from bftorus.kernels import hnf_cols
+from bftorus.numberfield import NumberField, multiplication_matrix
+from bftorus.kernels import det_bareiss, hnf_cols
 from bftorus.orders import conductor, enumerate_order_lattice, order_discriminant
 from bftorus.polyring import IntPoly, discriminant, square_part
 
@@ -275,7 +276,10 @@ def test_norm_with_denominators(seed, n):
     rng = random.Random(seed)
     field = _random_field(rng, n)
     z = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)])
-    assert z.norm() == oracle_norm(z)
+    # N(z) = det M(d·z)/d^n, d the common denominator, by Bareiss
+    d = math.lcm(*(c.denominator for c in z.coords))
+    rows = [[int(e) for e in row] for row in multiplication_matrix(z * d)]
+    assert Fraction(det_bareiss(rows), d**n) == oracle_norm(z)
 
 
 

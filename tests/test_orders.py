@@ -19,7 +19,9 @@ element and pairwise joins (``util.oracle_local_orders``) and the
 containment oracle (``util.oracle_hasse_edges``).  The kernels mod ℓ
 by elimination over F_ℓ are checked against the Smith-form kernel
 (``util.kernel_mod_m``), and Dedekind's test against the route that
-forms every polynomial (``util.oracle_dedekind``).
+forms every polynomial (``util.oracle_dedekind``).  Ore's index, where
+it is given, is checked against the fixed point from Z[b], and guard
+tests count the radicals, rings R[g] and duals that the lattice forms.
 """
 
 import random
@@ -53,6 +55,7 @@ from bftorus.orders import (
     _kernel_mod_prime,
     _local_maximal,
     _local_orders,
+    _ore_index,
     _radical,
     conductor,
     enumerate_order_lattice,
@@ -60,7 +63,9 @@ from bftorus.orders import (
     non_invertible_primes,
     order_discriminant,
 )
-from bftorus.polyring import IntPoly, discriminant, factorint, is_irreducible, square_part
+from bftorus.polyring import (
+    IntPoly, _gf_divmod, _gf_gcd, _gf_normalize, discriminant, factorint, is_irreducible, square_part,
+)
 
 from util import (
     CallCounter,
@@ -71,6 +76,7 @@ from util import (
     _poly_mul,
     kernel_mod_m,
     oracle_dedekind,
+    oracle_gf_radical,
     oracle_hasse_edges,
     oracle_local_maximal,
     oracle_local_orders,
@@ -361,6 +367,85 @@ def test_debug_check_catches_round2_stopped_short(monkeypatch):
     assert _local_maximal(field, ell, v, u) == top
 
 
+def _repeated_root(p, ell):
+    """a when gcd(t, h) = x - a mod ℓ, the one repeated factor, else None."""
+    repeated = _dedekind_maximal(p, ell)[1]
+    return -repeated[0] % ell if len(repeated) == 2 else None
+
+
+# b = 9·(2·3^2)^(1/3): 3-regular, a side of slope -8/3, index 3^7
+ORE_REGULAR = f"x^3-{2 * 3**8}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_fields())
+@example(NumberField(HIGH_INDEX_FIELDS[0]))
+@example(NumberField(HIGH_INDEX_FIELDS[1]))
+@example(NumberField(HIGH_INDEX_FIELDS[2]))
+@example(NumberField(HIGH_INDEX_FIELDS[3]))
+@example(NumberField(ORE_REGULAR))
+def test_ore_index_is_the_local_index(field):
+    for ell in factorint(square_part(field.disc)[0]):
+        a = _repeated_root(field.p, ell)
+        i = None if a is None else _ore_index(field.p, ell, a)
+        if i is not None:
+            assert ell**i == zbeta(field).index_in(oracle_local_maximal(field, ell))
+    if str(field.p) == ORE_REGULAR:
+        assert _ore_index(field.p, 3, 0) == 7
+
+
+@pytest.mark.parametrize("poly, ell, index", [
+    ("x^3-23x^2+7x-1", 2, 2**4),  # (y+1)^2; the polygon counts 3
+    ("x^3-14x^2+29x-1", 3, 3**2),  # y^2+y+1 = (y-1)^2 mod 3; counts 1
+    ("x^4-48", 2, 2**6),  # y^4+1 = (y+1)^4 mod 2; counts 6, by chance exact
+])
+def test_ore_index_refuses_irregular_polygons(poly, ell, index):
+    # a residual polynomial with a repeated root leaves the count a lower
+    # bound only, so no bound may come from it
+    field = NumberField(poly)
+    assert zbeta(field).index_in(oracle_local_maximal(field, ell)) == index
+    assert _ore_index(field.p, ell, _repeated_root(field.p, ell)) is None
+
+
+@pytest.mark.parametrize("poly, radical, adjoin", [
+    ("x^3-21x^2-3x-1", 0, 0),  # Ore's index is Dedekind's
+    ("x^3-19x^2+3x-1", 1, 4),
+    (ORE_REGULAR, 4, 27),
+])
+def test_round2_and_the_walk_form_no_ring_whose_answer_is_known(monkeypatch, poly, radical,
+                                                                adjoin):
+    # Round 2 stops at Ore's index without a confirming step, and lines
+    # with some ℓ·g^j ∉ R form no ring R[g]; 1, 6 and 5, 48 at the bound
+    # v_ℓ(F) and with every line formed
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counters = {"_radical": CallCounter(orders._radical), "_adjoin": CallCounter(orders._adjoin)}
+    for name, counter in counters.items():
+        monkeypatch.setattr(orders, name, counter)
+    enumerate_order_lattice(NumberField(poly))
+    assert (counters["_radical"].calls, counters["_adjoin"].calls) == (radical, adjoin)
+
+
+def test_conductor_of_zbeta_forms_no_dual(monkeypatch, K3):
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counter = CallCounter(ideals._adjugate_columns)
+    monkeypatch.setattr(ideals, "_adjugate_columns", counter)
+    assert conductor(zbeta(K3)) == zbeta(K3)
+    assert counter.calls == 0
+
+
+def test_large_index_prime_within_half_a_second():
+    # b = 1000003^(4/3)·2^(1/3): Ore's index at ℓ = 1000003 is ℓ^3, read
+    # with a = 0 off gcd(t, h); a search over the residues mod ℓ would not
+    # finish in time
+    ell = 1000003
+    start = time.perf_counter()
+    field = NumberField(f"x^3-{2 * ell**4}")
+    top = maximal_order(field)
+    elapsed = time.perf_counter() - start
+    assert zbeta(field).index_in(top) == 3 * ell**3  # and 3 at ℓ = 3
+    assert elapsed < 0.5
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_index_fields())
 @example(NumberField("x^3+12x^2-15x+18"))  # F = 12, index 12
@@ -562,7 +647,11 @@ def dedekind_polys(draw):
 @example(IntPoly([4, 0, 4, 0, 1]))  # (x^2+2)^2: t = h = x^2 mod 2
 def test_dedekind_maximal_matches_the_full_route(p):
     for ell in (2, 3, 5, 7, 11, 13):
-        assert _dedekind_maximal(p, ell) == oracle_dedekind(p, ell)
+        pbar = _gf_normalize(p.coeffs, ell)
+        t = oracle_gf_radical(pbar, ell)
+        # gcd(t, h), h = (p mod ℓ)/t: the factors of multiplicity >= 2
+        repeated = _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)
+        assert _dedekind_maximal(p, ell) == (oracle_dedekind(p, ell), repeated)
 
 
 def _seeded_cubics(count):
