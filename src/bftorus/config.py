@@ -28,10 +28,11 @@ invertibility of an ideal whose ring is Z[b]; that the last node of the
 order lattice, of the largest index, contains every node, so the
 lattice has a unique top; every enumerated order through the b-action
 and ring-closure checks of ``Order``; the Hasse edges read off the
-local covers against the transitive reduction of containment; and that
+local covers against the transitive reduction of containment; that
 one more Round 2 step (radical and coefficient ring) does not grow an
-ℓ-maximal order where Round 2 stopped, at Ore's index, the index bound
-or the fixed point.  They are controlled by the environment variable
+ℓ-maximal order, Ore's tops among them as well as Round 2's, stopped
+at the index bound or the fixed point; and every Ore index of 0
+against Dedekind's criterion.  They are controlled by the environment variable
 ``BFTORUS_DEBUG_ASSERT=1`` or programmatically via :func:`set_debug_asserts`.
 """
 

@@ -55,18 +55,35 @@ i ≤ v_ℓ(F).  An order O between Z[b] and O_ℓ of index ℓ^v_ℓ(F)
 therefore has the covolume of O_ℓ and is O_ℓ: Round 2 stops there
 without the radical and colon that would confirm the fixed point.
 
-*Ore's index.*  When gcd(t, h) = x - a, x - a is the one repeated
-factor of p mod ℓ, of multiplicity e, and N, the lower convex hull of
-the points (k, v_ℓ(t_k)), k ≤ e, for p(x + a) = Σ t_k·x^k, a lifted to
-[0, ℓ), bounds the index: v_ℓ[Z_K : Z[b]] ≥ Σ_(x=1..e-1) ⌊N(x)⌋, with
-equality when the residual polynomial Σ_j (t_(s+j·e')/ℓ^(y-j·h) mod ℓ)·Y^j
-of each side, of slope -h/e' (coprime) from (s, y), is separable (Ore's
-theorem of the index: Montes-Nart, J. Algebra 146, 1992; Guàrdia-
-Montes-Nart, Trans. AMS 364, 2012).  Round 2 then stops at that index.
-Regularity depends on the lift of a, and an irregular count is only a
-lower bound (3 for x^3-23x^2+7x-1 at 2, of index 2^4), so otherwise the
-bound stays v_ℓ(F).  Ore is tried only when Dedekind's order lies below
-ℓ^v_ℓ(F), and a is read off gcd(t, h), not searched for mod ℓ.
+*Ore's basis.*  When gcd(t, h) = x - a, x - a is the one repeated
+factor of p mod ℓ, of multiplicity e.  Write p = Σ t_k·(x - a)^k, a
+lifted to [0, ℓ), q_j = Σ_(k≥j) t_k·(x - a)^(k-j), monic of degree
+n - j, and N for the lower convex hull of the points (k, v_ℓ(t_k)),
+k ≤ e.  p is ℓ-regular when the residual polynomial
+Σ_i (t_(s+i·e')/ℓ^(y-i·h) mod ℓ)·Y^i of each side, of slope -h/e'
+(coprime) from (s, y), is separable; then
+O_ℓ = Z[b] + Σ_(j=1..e-1) Z·q_j(b)/ℓ^⌊N(j)⌋ (Ø. Ore, Math. Ann. 99,
+1928; Guàrdia-Montes-Nart, Trans. AMS 364, 2012).  Proof: let γ = b - a,
+take a root with v(γ) = λ (v(ℓ) = 1), and let λ_j be the slope
+magnitude of N just right of j.  N is convex with N(e) = 0, so
+N(k) ≥ N(j) - λ_j·(k - j) for k ≤ e, and N(j) ≤ λ_j·(k - j) for k > e.
+If λ ≥ λ_j, each term t_k·γ^(k-j) of q_j(b) has valuation at least
+N(j); if λ < λ_j (the roots off a, λ = 0, among them),
+q_j(b)·γ^j = -Σ_(k<j) t_k·γ^k, each term of valuation at least
+N(j) + (j - k)·λ_j + k·λ ≥ N(j) + j·λ.  So v(q_j(b)) ≥ N(j) at every
+root, and every generator is integral even when p is irregular.  The
+basis is triangular in the powers of γ, and of b, as q_j is monic, so
+its index is ℓ^Σ⌊N(j)⌋, which is [O_ℓ : Z[b]] when p is regular by
+Ore's theorem of the index; so the span is O_ℓ.  Regularity depends
+on the lift of a, and an irregular count is only a lower bound (3 for
+x^3-23x^2+7x-1 at 2, of index 2^4), so there Round 2 runs from
+Dedekind's order.  The index is 0 exactly when v_ℓ(t_0) = 1: then N
+is the one side from (0, 1) to (e, 0), whose residual polynomial is
+linear, while v_ℓ(t_0) ≥ 2 gives N(1) ≥ 1, as every point with
+0 < k < e lies at height 1 or more and the chord from (0, 2) to (e, 0)
+passes height 2 - 2/e ≥ 1 at 1.  a is read off gcd(t, h), not searched
+for mod ℓ; when gcd(t, h) = 1, so is gcd(f, t, h), and Z[b] is
+ℓ-maximal.
 
 *Minimal over-orders.*  The local orders at ℓ are the orders between
 Z[b] and O_ℓ, and the walk reaches each of them from Z[b] through
@@ -129,32 +146,31 @@ class OrderLattice(NamedTuple):
     max_index: int
 
 
-def _dedekind_maximal(p, ell):
-    """(U, gcd(t, h)): U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion
-    (see the module doc), monic with coefficients in [0, ℓ), and gcd(t, h)
-    the product of the repeated factors of p mod ℓ; Z[b] is ℓ-maximal
-    exactly when deg U = deg p.  t is the radical of p mod ℓ from
-    ``_gf_radical``."""
-    pbar = _gf_normalize(p.coeffs, ell)
-    t = _gf_radical(pbar, ell)
-    h = _gf_divmod(pbar, t, ell)[0]
-    th = [0] * (p.degree + 1)  # t·h over Z, one convolution
+def _dedekind_maximal(p, ell, t, h):
+    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
+    doc), monic with coefficients in [0, ℓ), from t, the radical of
+    p mod ℓ (``_gf_radical``), and h = (p mod ℓ)/t; Z[b] is ℓ-maximal
+    exactly when deg U = deg p."""
+    th = [0] * (p.degree + 1)  # t·h over Z, one convolution; p mod ℓ = t·h mod ℓ
     for i, a in enumerate(t):
         for j, b in enumerate(h):
             th[i + j] += a * b
     f = _gf_normalize([(c - e) // ell for c, e in zip(th, p.coeffs)], ell)
-    repeated = _gf_gcd(t, h, ell)
-    return _gf_divmod(pbar, _gf_gcd(f, repeated, ell), ell)[0], repeated
+    return _gf_divmod(_gf_normalize(th, ell), _gf_gcd(f, _gf_gcd(t, h, ell), ell), ell)[0]
 
 
-def _ore_index(p, ell, a):
-    """v_ℓ[Z_K : Z[b]] by Ore's theorem when x - a is the one repeated
-    factor of p mod ℓ, or None when p is not ℓ-regular (see the module doc)."""
-    rest, t = list(p.coeffs), []  # t_0..t_e of p(x + a), by division by x - a
+def _ore_order(field, ell, a):
+    """O_ℓ from Ore's basis when x - a is the one repeated factor of p
+    mod ℓ, or None when p is not ℓ-regular (see the module doc)."""
+    n = field.n
+    rest, t, quotients = list(field.p.coeffs), [], []  # t_0..t_e of p(x + a); q_1..q_e
     while not t or t[-1] % ell == 0:
-        for k in range(len(rest) - 2, -1, -1):
+        for k in range(len(rest) - 2, -1, -1):  # divide q_j by x - a
             rest[k] += a * rest[k + 1]
         t.append(rest.pop(0))
+        quotients.append(rest + [0] * (len(t) - 1))
+    if t[0] % (ell * ell):  # Ore's index is 0 (see the module doc)
+        return zbeta(field)
     hull = []  # the vertices of N; t_0 ≠ 0, as p has no root a
     for k, c in enumerate(t):
         if not c:
@@ -166,7 +182,7 @@ def _ore_index(p, ell, a):
                                  <= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
             hull.pop()
         hull.append((k, y))
-    index = 0
+    floors = [hull[0][1]]  # ⌊N(j)⌋ for j = 0..e
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         dx, dy = x2 - x1, y1 - y2
         d = math.gcd(dx, dy)
@@ -174,24 +190,38 @@ def _ore_index(p, ell, a):
         derivative = _gf_normalize([j * c for j, c in enumerate(residual)][1:], ell)
         if _gf_gcd(residual, derivative, ell) != [1]:
             return None
-        index += sum((y1 * dx - (x - x1) * dy) // dx for x in range(x1 + 1, x2 + 1))
-    return index
+        floors += [(y1 * dx - (x - x1) * dy) // dx for x in range(x1 + 1, x2 + 1)]
+    e, top = len(t) - 1, floors[1]  # N falls, so ⌊N(1)⌋ is the largest
+    cols = [[ell**top * (r == i) for r in range(n)] for i in range(n - e + 1)]
+    return ZLattice(field, ell**top, cols + [[c * ell ** (top - floors[j]) for c in quotients[j - 1]]
+                                             for j in range(e - 1, 0, -1)])
 
 
 def _index_primes(field):
-    """(ℓ, v, U) for the primes ℓ | F at which Z[b] may fail to be
-    ℓ-maximal, those the Dedekind criterion does not clear, with U from
-    ``_dedekind_maximal`` and v Ore's index or else v_ℓ(F) (see the module
-    doc).  FactorizationIncomplete when disc(p) cannot be fully factored.
+    """(ℓ, O_ℓ) for the primes ℓ | F at which Z[b] is not ℓ-maximal (see
+    the module doc): Ore's basis where x - a is the one repeated factor
+    of p mod ℓ and p is ℓ-regular, else Round 2 from Dedekind's order up
+    to the index bound ℓ^v_ℓ(F) where Dedekind's test does not clear ℓ.
+    FactorizationIncomplete when disc(p) cannot be fully factored.
     There are none in degree 1, where Z[b] = Z_K."""
-    n = field.n
+    p, n, zb = field.p, field.n, zbeta(field)
     found = []
     for ell, v in sorted(factorint(square_part(field.disc)[0]).items()):
-        u, repeated = _dedekind_maximal(field.p, ell)
-        if len(u) <= n:  # deg gcd(f, t, h) > 0
-            if n + 1 - len(u) < v and len(repeated) == 2:  # gcd(t, h) = x - a
-                v = _ore_index(field.p, ell, -repeated[0] % ell) or v
-            found.append((ell, v, u))
+        pbar = _gf_normalize(p.coeffs, ell)
+        t = _gf_radical(pbar, ell)
+        h = _gf_divmod(pbar, t, ell)[0]
+        repeated = _gf_gcd(t, h, ell)  # the product of the repeated factors
+        top = _ore_order(field, ell, -repeated[0] % ell) if len(repeated) == 2 else None
+        if top is None and len(repeated) > 1:
+            u = _dedekind_maximal(p, ell, t, h)
+            top = _local_maximal(field, ell, v, u) if len(u) <= n else None
+        elif top == zb and debug_asserts_enabled():
+            assert len(_dedekind_maximal(p, ell, t, h)) > n, "Ore's index 0 below O_ℓ"
+        if top is not None and top != zb:
+            if debug_asserts_enabled():
+                assert coefficient_ring(_radical(top, ell)) == top, (
+                    "one more Round 2 step grows O_ℓ")
+            found.append((ell, top))
     return found
 
 
@@ -286,9 +316,6 @@ def _local_maximal(field, ell, v, u):
         if bigger == order:
             break
         order = bigger
-    if debug_asserts_enabled():
-        assert coefficient_ring(_radical(order, ell)) == order, (
-            "Round 2 stopped below the ℓ-maximal order")
     return order
 
 
@@ -346,16 +373,16 @@ def _local_orders(top, ell):
     index = [1, _zbeta_index(top)]
     position = {r: i for i, r in enumerate(orders)}
     ups = []
-    formed = 0
+    examined = 0
     for i, ring in enumerate(orders):  # also visits the covers appended below
         if index[1] // index[i] <= ell:  # top itself, or an order whose only cover is top
             ups.append(set() if i == 1 else {1})
             continue
         # W/R, the ℓ-torsion of top/R, is the kernel mod ℓ of R's coordinates in top
         basis = _kernel_mod_prime(list(zip(*_coordinates(top, ring))), ell)
-        formed += (ell ** len(basis) - 1) // (ell - 1)
-        if formed > LOCAL_ORDERS_BUDGET:
-            raise BudgetExceeded(f"{field.p}: the local walk would form {formed} rings")
+        examined += (ell ** len(basis) - 1) // (ell - 1)
+        if examined > LOCAL_ORDERS_BUDGET:
+            raise BudgetExceeded(f"{field.p}: the local walk would examine {examined} lines")
         den = ring.denom * ell  # g = (C·z)/(d·ℓ), reduced mod Z[b]
         mults = (_mult_columns(field, [sum(c[r] * e for c, e in zip(ring.cols, z)) % den
                                        for r in range(n)])
@@ -385,8 +412,7 @@ def enumerate_order_lattice(field) -> OrderLattice:
     when a local walk would examine more than LOCAL_ORDERS_BUDGET lines.
     """
     zb = zbeta(field)
-    local = [_local_orders(_local_maximal(field, *prime), prime[0])
-             for prime in _index_primes(field)]
+    local = [_local_orders(top, ell) for ell, top in _index_primes(field)]
     found = {}  # choice of one local order per prime -> (index, node)
     for choice in itertools.product(*(range(len(orders)) for orders, _, _ in local)):
         parts = [orders[c] for c, (orders, _, index) in zip(choice, local) if index[c] > 1]
@@ -415,8 +441,8 @@ def maximal_order(field) -> Order:
     """The ring of integers Z_K: the sum of the ℓ-maximal orders O_ℓ
     over the primes ℓ that may divide the index (see the module doc)."""
     total = zbeta(field)
-    for prime in _index_primes(field):
-        total = lattice_sum(total, _local_maximal(field, *prime))
+    for _ell, top in _index_primes(field):
+        total = lattice_sum(total, top)
     return Order._proven(total)
 
 

@@ -247,14 +247,6 @@ class RatPoly:
         return format_poly(self.coeffs)
 
 
-def poly_gcd(a, b):
-    """Monic gcd over Q (inputs IntPoly or RatPoly)."""
-    a, b = _rat(a), _rat(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def _power_sums(coeffs, count):
     """Newton power sums s_0 .. s_(count-1) of the roots of the monic
     polynomial with these coefficients (constant first), by Newton's

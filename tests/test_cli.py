@@ -160,11 +160,11 @@ class TestLattice:
         assert "ReduciblePolynomial" in out
 
     def test_local_walk_budget_exit_2(self):
-        # b = 2^21·sqrt(3): a chain of 22 orders, 20 rings formed
+        # b = 2^21·sqrt(3): a chain of 22 orders, 20 lines examined
         code, out, _ = run_cli("lattice", "--poly", f"x^2-{3 * 4**21}")
         assert code == 0
         assert f"22 orders, indices 1 .. {2**21}" in out
-        # b = 211·2^(1/4): 44,733 rings at Z[b] alone, above the budget
+        # b = 211·2^(1/4): 44,733 lines at Z[b] alone, above the budget
         code, out, _ = run_cli("lattice", "--poly", f"x^4-{2 * 211**4}")
         assert code == 2
         assert "BudgetExceeded" in out

@@ -11,19 +11,23 @@ Two worked examples anchor the expectations:
 
 The transversal walk of ``util.oracle_order_lattice`` checks the
 prime-by-prime enumeration on random fields of small F, and two fields
-out of the walk's reach check the time it takes.  Round 2 from
-Dedekind's order up to the index bound is checked against the fixed
-point from Z[b] (``util.oracle_local_maximal``), and the walk over
+out of the walk's reach check the time it takes.  The tops that
+``_index_primes`` hands each prime, and Round 2 from Dedekind's order
+up to the index bound, are checked against the fixed point from Z[b]
+(``util.oracle_local_maximal``), and the walk over
 minimal over-orders, with its covers, against the walk over every
 element and pairwise joins (``util.oracle_local_orders``) and the
 containment oracle (``util.oracle_hasse_edges``).  The kernels mod ℓ
 by elimination over F_ℓ are checked against the Smith-form kernel
 (``util.kernel_mod_m``), and Dedekind's test against the route that
-forms every polynomial (``util.oracle_dedekind``).  Ore's index, where
-it is given, is checked against the fixed point from Z[b], and guard
-tests count the radicals, rings R[g] and duals that the lattice forms.
+forms every polynomial (``util.oracle_dedekind``).  Ore's basis, where
+p is ℓ-regular, is checked against the fixed point from Z[b] and
+against the quotients of ``util.oracle_ore_quotients``, which lie in
+O_ℓ at irregular primes too; guard tests count the radicals, Dedekind
+orders, rings R[g], Hermite forms and duals that the lattice forms.
 """
 
+import math
 import random
 import sys
 import time
@@ -55,7 +59,7 @@ from bftorus.orders import (
     _kernel_mod_prime,
     _local_maximal,
     _local_orders,
-    _ore_index,
+    _ore_order,
     _radical,
     conductor,
     enumerate_order_lattice,
@@ -73,6 +77,7 @@ from util import (
     NON_GORENSTEIN_FIELDS,
     P_CUBIC,
     P_QUAD,
+    _oracle_contains,
     _poly_mul,
     kernel_mod_m,
     oracle_dedekind,
@@ -81,6 +86,7 @@ from util import (
     oracle_local_maximal,
     oracle_local_orders,
     oracle_order_lattice,
+    oracle_ore_quotients,
 )
 
 # b = 2^12·sqrt(3): O_2/Z[b] is cyclic of order 2^12, so the orders form
@@ -331,10 +337,16 @@ HIGH_INDEX_FIELDS = ("x^3-3x^2-24x-1", "x^4-4x^3-2x^2+12x+1", CYCLIC_4096, "x^5-
 @example(NumberField(HIGH_INDEX_FIELDS[2]))
 @example(NumberField(HIGH_INDEX_FIELDS[3]))
 def test_round2_from_the_dedekind_order_reaches_the_fixed_point(field):
-    # every ℓ | F: the primes Dedekind's criterion clears keep O_ℓ = Z[b]
-    seeded = {ell: _local_maximal(field, ell, v, u) for ell, v, u in _index_primes(field)}
-    for ell in factorint(square_part(discriminant(field.p))[0]):
-        assert seeded.get(ell, zbeta(field)) == oracle_local_maximal(field, ell)
+    # every ℓ | F: the top _index_primes hands ℓ, Z[b] where it hands none,
+    # and Round 2 from Dedekind's order up to ℓ^v_ℓ(F) where the criterion
+    # does not clear ℓ
+    tops = dict(_index_primes(field))
+    for ell, v in factorint(square_part(discriminant(field.p))[0]).items():
+        top = oracle_local_maximal(field, ell)
+        assert tops.get(ell, zbeta(field)) == top
+        u = _dedekind_u(field.p, ell)
+        if len(u) <= field.n:
+            assert _local_maximal(field, ell, v, u) == top
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,7 +356,10 @@ def test_round2_from_the_dedekind_order_reaches_the_fixed_point(field):
 @example(NumberField(HIGH_INDEX_FIELDS[3]))
 def test_dedekind_order_is_an_order_of_index_ell_to_the_gcd_degree(field):
     zb = zbeta(field)
-    for ell, _v, u in _index_primes(field):
+    for ell in factorint(square_part(field.disc)[0]):
+        u = _dedekind_u(field.p, ell)
+        if len(u) > field.n:
+            continue
         o1 = _dedekind_order(field, ell, u)
         # the Order constructor re-runs the b-action and ring-closure checks
         assert Order(field, o1.denom, o1.cols) == o1
@@ -355,21 +370,36 @@ def test_dedekind_order_is_an_order_of_index_ell_to_the_gcd_degree(field):
 
 
 def test_debug_check_catches_round2_stopped_short(monkeypatch):
-    field = NumberField(CYCLIC_4096)
-    [(ell, v, u)] = _index_primes(field)
-    top = oracle_local_maximal(field, ell)
-    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    field = NumberField(CYCLIC_4096)  # (y+1)^2 at 2, irregular: Round 2 runs
+    [(ell, top)] = _index_primes(field)
+    assert top == oracle_local_maximal(field, ell)
+    round2 = orders._local_maximal
     # v = 0 claims Dedekind's order already has the largest index
-    assert _local_maximal(field, ell, 0, u) == _dedekind_order(field, ell, u) != top
+    monkeypatch.setattr(orders, "_local_maximal", lambda field, ell, v, u: round2(field, ell, 0, u))
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    assert _index_primes(field) == [(ell, _dedekind_order(field, ell, _dedekind_u(field.p, ell)))]
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
-    with pytest.raises(AssertionError, match="Round 2 stopped"):
-        _local_maximal(field, ell, 0, u)
-    assert _local_maximal(field, ell, v, u) == top
+    with pytest.raises(AssertionError, match="one more Round 2 step"):
+        _index_primes(field)
+
+
+def _dedekind_parts(p, ell):
+    """(t, h, gcd(t, h)) mod ℓ: t the radical of p mod ℓ by distinct
+    degrees, h = (p mod ℓ)/t, and gcd(t, h) the product of the repeated
+    factors."""
+    pbar = _gf_normalize(p.coeffs, ell)
+    t = oracle_gf_radical(pbar, ell)
+    h = _gf_divmod(pbar, t, ell)[0]
+    return t, h, _gf_gcd(t, h, ell)
+
+
+def _dedekind_u(p, ell):
+    return _dedekind_maximal(p, ell, *_dedekind_parts(p, ell)[:2])
 
 
 def _repeated_root(p, ell):
     """a when gcd(t, h) = x - a mod ℓ, the one repeated factor, else None."""
-    repeated = _dedekind_maximal(p, ell)[1]
+    repeated = _dedekind_parts(p, ell)[2]
     return -repeated[0] % ell if len(repeated) == 2 else None
 
 
@@ -377,21 +407,53 @@ def _repeated_root(p, ell):
 ORE_REGULAR = f"x^3-{2 * 3**8}"
 
 
+@st.composite
+def ore_fields(draw):
+    """Fields of p = (x - a)^e·g + Σ_(k<e) ℓ^(s_k)·c_k·(x - a)^k of degree
+    2-5, ℓ = 2, 3, 5, 0 ≤ a < ℓ, g monic: t_k = ℓ^(s_k)·c_k for k < e, so
+    the Newton polygon of p(x + a) at ℓ has sides of every slope."""
+    n = draw(st.integers(2, 5))
+    ell = draw(st.sampled_from((2, 3, 5)))
+    a = draw(st.integers(0, ell - 1))
+    e = draw(st.integers(2, n))
+    t = [ell ** draw(st.integers(1, 5)) * draw(st.integers(-3, 3)) for _ in range(e)]
+    t += draw(st.lists(st.integers(-3, 3), min_size=n - e, max_size=n - e)) + [1]  # g(x + a)
+    coeffs = [sum(c * math.comb(k, i) * (-a) ** (k - i) for k, c in enumerate(t) if k >= i)
+              for i in range(n + 1)]  # p(x) = Σ t_k·(x - a)^k
+    p = IntPoly(coeffs)
+    assume(coeffs[0] != 0 and is_irreducible(p))
+    return NumberField(p)
+
+
 @settings(max_examples=60, deadline=None)
-@given(monic_fields())
+@given(ore_fields())
 @example(NumberField(HIGH_INDEX_FIELDS[0]))
 @example(NumberField(HIGH_INDEX_FIELDS[1]))
 @example(NumberField(HIGH_INDEX_FIELDS[2]))
 @example(NumberField(HIGH_INDEX_FIELDS[3]))
 @example(NumberField(ORE_REGULAR))
+@example(NumberField("x^3-23x^2+7x-1"))
+@example(NumberField("x^3-14x^2+29x-1"))
+@example(NumberField("x^4-48"))
 def test_ore_index_is_the_local_index(field):
+    # at a regular prime Ore's basis is O_ℓ, with the oracle's quotients;
+    # at every prime the quotients q_j(b)/ℓ^⌊N(j)⌋ lie in O_ℓ
+    n = field.n
     for ell in factorint(square_part(field.disc)[0]):
         a = _repeated_root(field.p, ell)
-        i = None if a is None else _ore_index(field.p, ell, a)
-        if i is not None:
-            assert ell**i == zbeta(field).index_in(oracle_local_maximal(field, ell))
+        if a is None:
+            continue
+        top = oracle_local_maximal(field, ell)
+        quotients = oracle_ore_quotients(field.p, ell, a)
+        scale = ell ** max(f for _, f in quotients)
+        span = ZLattice(field, scale, [[scale * (r == i) for r in range(n)] for i in range(n)] + [
+            [c * scale // ell**f for c in q] + [0] * (n - len(q)) for q, f in quotients])
+        assert _oracle_contains(top, span)
+        ore = _ore_order(field, ell, a)
+        if ore is not None:
+            assert ore == span == top
     if str(field.p) == ORE_REGULAR:
-        assert _ore_index(field.p, 3, 0) == 7
+        assert zbeta(field).index_in(_ore_order(field, 3, 0)) == 3**7
 
 
 @pytest.mark.parametrize("poly, ell, index", [
@@ -401,28 +463,62 @@ def test_ore_index_is_the_local_index(field):
 ])
 def test_ore_index_refuses_irregular_polygons(poly, ell, index):
     # a residual polynomial with a repeated root leaves the count a lower
-    # bound only, so no bound may come from it
+    # bound only, so no basis may come from it
     field = NumberField(poly)
     assert zbeta(field).index_in(oracle_local_maximal(field, ell)) == index
-    assert _ore_index(field.p, ell, _repeated_root(field.p, ell)) is None
+    assert _ore_order(field, ell, _repeated_root(field.p, ell)) is None
 
 
-@pytest.mark.parametrize("poly, radical, adjoin", [
-    ("x^3-21x^2-3x-1", 0, 0),  # Ore's index is Dedekind's
-    ("x^3-19x^2+3x-1", 1, 4),
-    (ORE_REGULAR, 4, 27),
+def test_ore_basis_needs_no_hermite_form(monkeypatch):
+    # the basis is upper triangular with positive pivots, so ZLattice only
+    # size-reduces it
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    counter = CallCounter(ideals.hnf_cols)
+    monkeypatch.setattr(ideals, "hnf_cols", counter)
+    for poly, ell, a, index in [(ORE_REGULAR, 3, 0, 3**7), ("x^5-48", 2, 0, 2**6),
+                                ("x^3-19x^2+3x-1", 2, 1, 2**3)]:
+        field = NumberField(poly)
+        assert zbeta(field).index_in(_ore_order(field, ell, a)) == index
+    assert counter.calls == 0
+
+
+@pytest.mark.parametrize("poly, radical, adjoin, dedekind", [
+    ("x^3-21x^2-3x-1", 0, 0, 0),  # Ore's index is Dedekind's
+    ("x^3-19x^2+3x-1", 0, 4, 0),
+    (ORE_REGULAR, 0, 27, 0),
+    ("x^3-23x^2+7x-1", 2, 8, 1),  # irregular at 2: Round 2 runs
 ])
 def test_round2_and_the_walk_form_no_ring_whose_answer_is_known(monkeypatch, poly, radical,
-                                                                adjoin):
-    # Round 2 stops at Ore's index without a confirming step, and lines
-    # with some ℓ·g^j ∉ R form no ring R[g]; 1, 6 and 5, 48 at the bound
-    # v_ℓ(F) and with every line formed
+                                                                adjoin, dedekind):
+    # Ore's basis is O_ℓ where p is ℓ-regular, with no Dedekind order and
+    # no Round 2 step, and lines with some ℓ·g^j ∉ R form no ring R[g];
+    # 1, 6 and 5, 48 at the bound v_ℓ(F) and with every line formed
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
-    counters = {"_radical": CallCounter(orders._radical), "_adjoin": CallCounter(orders._adjoin)}
+    counters = {name: CallCounter(getattr(orders, name))
+                for name in ("_radical", "_adjoin", "_dedekind_order")}
     for name, counter in counters.items():
         monkeypatch.setattr(orders, name, counter)
     enumerate_order_lattice(NumberField(poly))
-    assert (counters["_radical"].calls, counters["_adjoin"].calls) == (radical, adjoin)
+    assert [c.calls for c in counters.values()] == [radical, adjoin, dedekind]
+
+
+def test_debug_check_catches_an_ore_basis_below_o_ell(monkeypatch):
+    field = NumberField(ORE_REGULAR)  # Eisenstein at 2, Ore's index 0 there
+    [(ell, top)] = _index_primes(field)
+    short = _dedekind_order(field, ell, _dedekind_u(field.p, ell))
+    assert zbeta(field).index_in(short) < zbeta(field).index_in(top)
+    ore = orders._ore_order
+    monkeypatch.setattr(orders, "_ore_order", lambda f, l, a: short if l == ell else ore(f, l, a))
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    assert _index_primes(field) == [(ell, short)]
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    with pytest.raises(AssertionError, match="one more Round 2 step"):
+        _index_primes(field)
+    # an Ore index of 0 is checked against Dedekind's criterion
+    monkeypatch.setattr(orders, "_ore_order",
+                        lambda f, l, a: zbeta(f) if l == ell else ore(f, l, a))
+    with pytest.raises(AssertionError, match="Ore's index 0"):
+        _index_primes(field)
 
 
 def test_conductor_of_zbeta_forms_no_dual(monkeypatch, K3):
@@ -457,9 +553,8 @@ def test_large_index_prime_within_half_a_second():
 @example(NumberField(f"x^3-{2 * 3**8}"))  # 14 local orders at 3
 def test_local_orders_match_the_per_element_walk(field):
     zb = zbeta(field)
-    for prime in _index_primes(field):
-        top = _local_maximal(field, *prime)
-        got, ups, index = _local_orders(top, prime[0])
+    for ell, top in _index_primes(field):
+        got, ups, index = _local_orders(top, ell)
         assert got[:2] == [zb, top]
         assert len(set(got)) == len(got)
         assert set(got) == oracle_local_orders(top)
@@ -524,14 +619,14 @@ def test_local_walk_budget(monkeypatch):
     # 211-torsion has 1 + 211 + 211^2 = 44,733 lines at Z[b] alone
     formed = []
     monkeypatch.setattr(orders, "_adjoin", lambda *args: formed.append(args))
-    with pytest.raises(BudgetExceeded, match="44733 rings"):
+    with pytest.raises(BudgetExceeded, match="44733 lines"):
         enumerate_order_lattice(NumberField(f"x^4-{2 * 211**4}"))
     assert formed == []
     monkeypatch.undo()
-    # the budget counts the rings of every order the walk visits
+    # the budget counts the lines of every order the walk visits
     field = NumberField(CYCLIC_4096)
     monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 10)
-    with pytest.raises(BudgetExceeded, match="11 rings"):
+    with pytest.raises(BudgetExceeded, match="11 lines"):
         enumerate_order_lattice(field)
     monkeypatch.setattr(orders, "LOCAL_ORDERS_BUDGET", 11)
     assert len(enumerate_order_lattice(field).nodes) == 13
@@ -651,7 +746,7 @@ def test_dedekind_maximal_matches_the_full_route(p):
         t = oracle_gf_radical(pbar, ell)
         # gcd(t, h), h = (p mod ℓ)/t: the factors of multiplicity >= 2
         repeated = _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)
-        assert _dedekind_maximal(p, ell) == (oracle_dedekind(p, ell), repeated)
+        assert _dedekind_maximal(p, ell, t, _gf_divmod(pbar, t, ell)[0]) == oracle_dedekind(p, ell)
 
 
 def _seeded_cubics(count):

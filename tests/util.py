@@ -22,9 +22,12 @@ decomposition, the triangular inverse, the Krylov modulus, elimination
 over F_ℓ, Dedekind's convolution).  Faddeev-LeVerrier with
 its adjugate row eigenvector, integer Horner evaluation and matrix
 repeated squaring are the library's former char poly, ideal of A,
-g(A) and A^k, which now all come from one power table.  ``poly_xgcd``
-and ``mat_vec`` are plain helpers the library itself has no use for;
-``rational_inverse`` is the Fraction form of its integer inverse.
+g(A) and A^k, which now all come from one power table.  ``poly_gcd``,
+``poly_xgcd`` and ``mat_vec`` are plain helpers the library itself has
+no use for; ``rational_inverse`` is the Fraction form of its integer
+inverse.  ``oracle_ore_quotients`` forms Ore's basis by binomial
+expansion and reads the Newton polygon off chords, where the library
+divides by x - a and walks the hull.
 """
 
 import itertools
@@ -247,6 +250,14 @@ def _poly_add(a, b):
     for i, y in enumerate(b):
         out[i] += y
     return out
+
+
+def poly_gcd(a, b):
+    """Monic gcd over Q of two IntPolys or RatPolys."""
+    a, b = RatPoly(a.coeffs), RatPoly(b.coeffs)
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 def poly_xgcd(a, b):
@@ -897,6 +908,33 @@ def oracle_local_maximal(field, ell):
         if bigger == order:
             return order
         order = bigger
+
+
+def oracle_ore_quotients(p, ell, a):
+    """[(q_j, ⌊N(j)⌋) for j = 1..e-1] of Ore's basis (see the ``orders``
+    module doc), q_j as coefficients in x: t_k = Σ_i c_i·C(i, k)·a^(i-k),
+    e the least k with ℓ ∤ t_k, q_j = Σ_(k≥j) t_k·(x - a)^(k-j) expanded
+    by the binomial theorem, and N(j) the lowest chord over j between
+    two points (k, v_ℓ(t_k)), k ≤ e."""
+    c = p.coeffs
+    n = len(c) - 1
+    t = [sum(c[i] * math.comb(i, k) * a ** (i - k) for i in range(k, n + 1)) for k in range(n + 1)]
+    e = next(k for k, tk in enumerate(t) if tk % ell)
+    points = []
+    for k in range(e + 1):
+        if t[k]:
+            y = 0
+            while t[k] % ell ** (y + 1) == 0:
+                y += 1
+            points.append((k, y))
+    out = []
+    for j in range(1, e):
+        height = min(Fraction(y1 * (x2 - j) + y2 * (j - x1), x2 - x1)
+                     for x1, y1 in points for x2, y2 in points if x1 <= j <= x2 and x1 < x2)
+        q = [sum(t[k] * math.comb(k - j, i) * (-a) ** (k - j - i) for k in range(j + i, n + 1))
+             for i in range(n - j + 1)]
+        out.append((q, math.floor(height)))
+    return out
 
 
 def oracle_gf_radical(f, q):
