@@ -431,6 +431,17 @@ _HANDLERS = {
 # -- argument grammar ----------------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type of --k and --bound: an integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="bftorus", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", metavar="verb")
@@ -461,10 +472,10 @@ def build_parser():
         if poly:
             sp.add_argument("--poly", required=True, help='polynomial, e.g. "x-1"')
         if k:
-            sp.add_argument("--k", type=int, required=True, help="period k >= 1")
+            sp.add_argument("--k", type=_positive_int, required=True, help="period k >= 1")
         if bound:
             sp.add_argument(
-                "--bound", type=int, default=4, help="witness search bound (default 4)"
+                "--bound", type=_positive_int, default=4, help="witness search bound (default 4)"
             )
         return sp
 

@@ -2,8 +2,8 @@
 
 Debug assertions enable expensive internal cross-checks:
 Cayley-Hamilton, as A·B_0 = -p(0)·I, for every char poly read off a
-power table (``exactmat.powers_and_char_poly``); U·A·V = D and A·T = H
-with unimodular transforms; the Smith diagonal of every BF group
+power table (``exactmat.powers_and_char_poly``); U·A·V = D with
+unimodular transforms; the Smith diagonal of every BF group
 (``snf_diag``, modulo the (n-1)-minor gcd) against that of the
 independent transform loop ``snf_rows``; k-periodicity of the
 periodic-point generators; every factor pattern of ``is_irreducible``
@@ -29,10 +29,10 @@ order lattice, of the largest index, contains every node, so the
 lattice has a unique top; every enumerated order through the b-action
 and ring-closure checks of ``Order``; the Hasse edges read off the
 local covers against the transitive reduction of containment; that
-one more Round 2 step (radical and coefficient ring) does not grow an
-ℓ-maximal order, Ore's tops among them as well as Round 2's, stopped
-at the index bound or the fixed point; and every Ore index of 0
-against Dedekind's criterion.  They are controlled by the environment variable
+one more Round 2 step (radical and coefficient ring) does not grow the
+ℓ-maximal order of any prime ℓ | F, Ore's tops among them, Z[b] where
+Ore's index is 0, as well as Round 2's, stopped at the index bound or
+the fixed point.  They are controlled by the environment variable
 ``BFTORUS_DEBUG_ASSERT=1`` or programmatically via :func:`set_debug_asserts`.
 """
 

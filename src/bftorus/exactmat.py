@@ -2,9 +2,8 @@
 
 Matrices are plain lists of rows with ``int`` entries (arbitrary
 precision; nothing here ever overflows or rounds).  They act on column
-vectors from the left.  The two normal-form results carry their
-unimodular transforms so callers can recover generators, not just
-diagonal data.
+vectors from the left.  The Smith form carries its unimodular
+transforms so callers can recover generators, not just diagonal data.
 
 Everything polynomial in A comes from one ``power_table``, the powers
 A^0..A^(n-1).  By Cayley-Hamilton g(A) = r(A) for r = g mod p, so the
@@ -19,7 +18,7 @@ from typing import List, NamedTuple
 
 from .config import debug_asserts_enabled
 from .errors import NonIntegralResult, SingularMatrix
-from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_rows
+from .kernels import det_bareiss, mat_mul_rows, snf_rows
 from .polyring import IntPoly, RatPoly, _cleared, _int_divmod_monic
 
 IntMatrix = List[List[int]]
@@ -33,11 +32,6 @@ class SmithDecomposition(NamedTuple):
     @property
     def diagonal(self):
         return [self.D[i][i] for i in range(len(self.D))]
-
-
-class HermiteBasis(NamedTuple):
-    H: IntMatrix
-    T: IntMatrix
 
 
 def copy_matrix(a) -> IntMatrix:
@@ -199,16 +193,3 @@ def smith_normal_form(a) -> SmithDecomposition:
                 assert diag[i + 1] % diag[i] == 0
     return SmithDecomposition(d, u, v)
 
-
-def hermite_normal_form(a) -> HermiteBasis:
-    """Column Hermite form A·T = H (zero columns leftmost, positive
-    pivots, entries right of each pivot reduced into [0, pivot))."""
-    a = copy_matrix(a)
-    cols = [list(col) for col in zip(*a)] if a else []
-    h, t = hnf_cols(cols, transform=True)
-    hm = [list(row) for row in zip(*h)] if h else []
-    tm = [list(row) for row in zip(*t)] if t else []
-    if debug_asserts_enabled():
-        assert mat_mul_rows(a, tm) == hm, "A*T != H"
-        assert abs(det_bareiss(tm)) == 1
-    return HermiteBasis(hm, tm)

@@ -142,7 +142,7 @@ def _size_reduced(cols):
             if q:
                 cj[: i + 1] = [e - q * f for e, f in zip(cj, cols[i][: i + 1])]
     if debug_asserts_enabled():
-        assert cols == hnf_cols(cols)[0], "size reduction != HNF"
+        assert cols == hnf_cols(cols), "size reduction != HNF"
     return cols
 
 
@@ -159,7 +159,7 @@ class ZLattice:
         cols = [[operator.index(e) for e in c] for c in cols]
         if any(len(c) != n for c in cols):
             raise ValueError("basis columns must have length n")
-        h = _size_reduced(cols) if _is_upper(cols, n) else [c for c in hnf_cols(cols)[0] if any(c)]
+        h = _size_reduced(cols) if _is_upper(cols, n) else [c for c in hnf_cols(cols) if any(c)]
         if len(h) != n:
             raise NotFullRank(f"generators span rank {len(h)} < {n}")
         g = math.gcd(denom, *(e for c in h for e in c))
@@ -412,7 +412,7 @@ def _dual_lattice(field, vecs, scale=1):
     H the HNF of J·W), δ·L⁻ᵀ = J·(δ·H⁻ᵀ)·J is upper triangular with
     positive pivots, so ``ZLattice`` only size-reduces it: one
     ``hnf_cols``, where the lower δ·H⁻ᵀ would need a second."""
-    h = [c for c in hnf_cols([c[::-1] for c in vecs])[0] if any(c)]
+    h = [c for c in hnf_cols([c[::-1] for c in vecs]) if any(c)]
     if len(h) != field.n:
         raise NotFullRank(f"generators span rank {len(h)} < {field.n}")
     delta, y = _adjugate_columns(h)

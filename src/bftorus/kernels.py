@@ -76,25 +76,19 @@ def mat_mul_rows(a, b):
     return out
 
 
-def hnf_cols(cols, transform=False):
+def hnf_cols(cols):
     """Column Hermite normal form.
 
-    Takes a list of m columns (each of length n) and returns
-    ``(h, t)`` where ``h`` is the list of m transformed columns and
-    ``t`` is a list of m columns of the m-by-m unimodular transform
-    (``A·T = H`` column-wise), or None when ``transform`` is false.
-
-    Zero columns end up leftmost; the nonzero columns form the echelon
-    block described in the module docstring.
+    Takes a list of m columns (each of length n) and returns the list of
+    m columns of the Hermite form of the same lattice: zero columns end
+    up leftmost, and the nonzero columns form the echelon block
+    described in the module docstring.
     """
     m = len(cols)
     h = [list(c) for c in cols]
     if m == 0:
-        return h, ([] if transform else None)
+        return h
     n = len(h[0])
-    t = None
-    if transform:
-        t = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     c = m - 1
     for i in range(n - 1, -1, -1):
         if c < 0:
@@ -124,10 +118,6 @@ def hnf_cols(cols, transform=False):
                         hj, hp = h[j], h[piv]
                         for r in range(n):
                             hj[r] -= q * hp[r]
-                        if transform:
-                            tj, tp = t[j], t[piv]
-                            for r in range(m):
-                                tj[r] -= q * tp[r]
                     if h[j][i]:
                         done = False
             if done:
@@ -136,12 +126,8 @@ def hnf_cols(cols, transform=False):
             continue  # row i is identically zero on the active columns
         if piv != c:
             h[piv], h[c] = h[c], h[piv]
-            if transform:
-                t[piv], t[c] = t[c], t[piv]
         if h[c][i] < 0:
             h[c] = [-e for e in h[c]]
-            if transform:
-                t[c] = [-e for e in t[c]]
         p = h[c][i]
         for j in range(c + 1, m):
             q = h[j][i] // p
@@ -149,12 +135,8 @@ def hnf_cols(cols, transform=False):
                 hj, hc = h[j], h[c]
                 for r in range(n):
                     hj[r] -= q * hc[r]
-                if transform:
-                    tj, tc = t[j], t[c]
-                    for r in range(m):
-                        tj[r] -= q * tc[r]
         c -= 1
-    return h, t
+    return h
 
 
 def solve_upper_cols(hcols, rhs):

@@ -34,26 +34,23 @@ multipliers (I : I), ``ideals.coefficient_ring`` of I, contains O,
 and it equals O exactly when O is ℓ-maximal; otherwise O grows to it
 and the step repeats.
 
-*Dedekind's seed.*  Let t be the product of the distinct monic
-irreducible factors of p mod ℓ, h = (p mod ℓ)/t, f = (t·h - p)/ℓ
-(t and h lifted), Z = gcd(f, t, h) mod ℓ and U = (p mod ℓ)/Z, lifted.
-Dedekind's criterion (Cohen, Thm 6.1.4) says that
-O₁ = Z[b] + (U(b)/ℓ)·Z[b] is the first Round 2 step from Z[b], of
-index ℓ^deg Z; so Z[b] is ℓ-maximal exactly when deg Z = 0, and such
-primes are skipped.  O₁ is an order with ℓ·O₁ ⊆ Z[b], so O₁ ⊆ O_ℓ
-and Round 2 may start from O₁ instead of Z[b].  t, the radical of
-p mod ℓ, comes from squarefree decomposition (``polyring._gf_radical``):
-p/gcd(p, p') is the product of the factors whose multiplicity is prime
-to ℓ, which is all of them when ℓ > deg p; otherwise what is left
-after they are divided out of the gcd is an ℓ-th power g(x^ℓ), whose
-radical is that of g.
-
 *The index bound.*  disc(p) = [Z_K : Z[b]]²·disc(Z_K) and
 [O_ℓ : Z[b]] is the ℓ-part of [Z_K : Z[b]], so with i = v_ℓ[O_ℓ : Z[b]],
 2i ≤ v_ℓ(disc p) = 2·v_ℓ(F) + v_ℓ(Δ) ≤ 2·v_ℓ(F) + 1, hence
 i ≤ v_ℓ(F).  An order O between Z[b] and O_ℓ of index ℓ^v_ℓ(F)
 therefore has the covolume of O_ℓ and is O_ℓ: Round 2 stops there
 without the radical and colon that would confirm the fixed point.
+
+*The repeated part.*  Let t be the product of the distinct monic
+irreducible factors of p mod ℓ and h = (p mod ℓ)/t, so that gcd(t, h)
+is the product of the repeated factors; it is not 1, as ℓ² | disc(p)
+and disc(p) ≡ disc(p mod ℓ) mod ℓ.  t, the radical of p mod ℓ, comes
+from squarefree decomposition (``polyring._gf_radical``): p/gcd(p, p')
+is the product of the factors whose multiplicity is prime to ℓ, which
+is all of them when ℓ > deg p; otherwise what is left after they are
+divided out of the gcd is an ℓ-th power g(x^ℓ), whose radical is that
+of g.  Where gcd(t, h) has degree 2 or more (deg p ≥ 4), Round 2 runs
+from Z[b].
 
 *Ore's basis.*  When gcd(t, h) = x - a, x - a is the one repeated
 factor of p mod ℓ, of multiplicity e.  Write p = Σ t_k·(x - a)^k, a
@@ -74,16 +71,24 @@ N(j) + (j - k)·λ_j + k·λ ≥ N(j) + j·λ.  So v(q_j(b)) ≥ N(j) at every
 root, and every generator is integral even when p is irregular.  The
 basis is triangular in the powers of γ, and of b, as q_j is monic, so
 its index is ℓ^Σ⌊N(j)⌋, which is [O_ℓ : Z[b]] when p is regular by
-Ore's theorem of the index; so the span is O_ℓ.  Regularity depends
-on the lift of a, and an irregular count is only a lower bound (3 for
-x^3-23x^2+7x-1 at 2, of index 2^4), so there Round 2 runs from
-Dedekind's order.  The index is 0 exactly when v_ℓ(t_0) = 1: then N
-is the one side from (0, 1) to (e, 0), whose residual polynomial is
-linear, while v_ℓ(t_0) ≥ 2 gives N(1) ≥ 1, as every point with
-0 < k < e lies at height 1 or more and the chord from (0, 2) to (e, 0)
-passes height 2 - 2/e ≥ 1 at 1.  a is read off gcd(t, h), not searched
-for mod ℓ; when gcd(t, h) = 1, so is gcd(f, t, h), and Z[b] is
-ℓ-maximal.
+Ore's theorem of the index; so the span is O_ℓ.  It is O_ℓ as well
+when the count Σ⌊N(j)⌋ reaches v_ℓ(F), regular or not, by the index
+bound.  Regularity depends on the lift of a, and an irregular count is
+only a lower bound (3 for x^3-23x^2+7x-1 at 2, of index 2^4); where it
+falls short, Round 2 runs from O₁ = Z[b] + Z·q_1(b)/ℓ, its first step
+from Z[b].  Proof: with f = (t·h - p)/ℓ (t and h lifted), Dedekind's
+criterion (Cohen, GTM 138, Thm 6.1.4) makes that step
+Z[b] + (U(b)/ℓ)·Z[b] for U = (p mod ℓ)/gcd(f, t, h), lifted.  Here
+ℓ² | t_0 = p(a), and x - a divides t and h mod ℓ, so
+t(a)·h(a) - p(a) ≡ 0 mod ℓ², f(a) ≡ 0 mod ℓ, gcd(f, t, h) = x - a and
+U ≡ q_1 mod ℓ, as p = (x - a)·q_1 + t_0; and
+(b - a)·q_1(b) = -t_0 ∈ ℓ²Z, so b·q_1(b)/ℓ ∈ a·q_1(b)/ℓ + Z[b] and
+(q_1(b)/ℓ)·Z[b] ⊆ O₁: the step is O₁, of index ℓ.  The index
+is 0 exactly when v_ℓ(t_0) = 1: then N is the one side from (0, 1) to
+(e, 0), whose residual polynomial is linear, while v_ℓ(t_0) ≥ 2 gives
+N(1) ≥ 1, as every point with 0 < k < e lies at height 1 or more and
+the chord from (0, 2) to (e, 0) passes height 2 - 2/e ≥ 1 at 1.  a is
+read off gcd(t, h), not searched for mod ℓ.
 
 *Minimal over-orders.*  The local orders at ℓ are the orders between
 Z[b] and O_ℓ, and the walk reaches each of them from Z[b] through
@@ -146,22 +151,11 @@ class OrderLattice(NamedTuple):
     max_index: int
 
 
-def _dedekind_maximal(p, ell, t, h):
-    """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion (see the module
-    doc), monic with coefficients in [0, ℓ), from t, the radical of
-    p mod ℓ (``_gf_radical``), and h = (p mod ℓ)/t; Z[b] is ℓ-maximal
-    exactly when deg U = deg p."""
-    th = [0] * (p.degree + 1)  # t·h over Z, one convolution; p mod ℓ = t·h mod ℓ
-    for i, a in enumerate(t):
-        for j, b in enumerate(h):
-            th[i + j] += a * b
-    f = _gf_normalize([(c - e) // ell for c, e in zip(th, p.coeffs)], ell)
-    return _gf_divmod(_gf_normalize(th, ell), _gf_gcd(f, _gf_gcd(t, h, ell), ell), ell)[0]
-
-
-def _ore_order(field, ell, a):
-    """O_ℓ from Ore's basis when x - a is the one repeated factor of p
-    mod ℓ, or None when p is not ℓ-regular (see the module doc)."""
+def _ore_order(field, ell, a, v):
+    """(O, True) for O = O_ℓ, from Ore's basis, when x - a is the one
+    repeated factor of p mod ℓ and p is ℓ-regular or its count reaches
+    v = v_ℓ(F); else (O₁, False) for Round 2's seed O₁ = Z[b] + Z·q_1(b)/ℓ
+    (see the module doc)."""
     n = field.n
     rest, t, quotients = list(field.p.coeffs), [], []  # t_0..t_e of p(x + a); q_1..q_e
     while not t or t[-1] % ell == 0:
@@ -170,7 +164,7 @@ def _ore_order(field, ell, a):
         t.append(rest.pop(0))
         quotients.append(rest + [0] * (len(t) - 1))
     if t[0] % (ell * ell):  # Ore's index is 0 (see the module doc)
-        return zbeta(field)
+        return zbeta(field), True
     hull = []  # the vertices of N; t_0 ≠ 0, as p has no root a
     for k, c in enumerate(t):
         if not c:
@@ -182,54 +176,45 @@ def _ore_order(field, ell, a):
                                  <= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
             hull.pop()
         hull.append((k, y))
-    floors = [hull[0][1]]  # ⌊N(j)⌋ for j = 0..e
+    floors, regular = [hull[0][1]], True  # ⌊N(j)⌋ for j = 0..e
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         dx, dy = x2 - x1, y1 - y2
         d = math.gcd(dx, dy)
         residual = [t[x1 + j * dx // d] // ell ** (y1 - j * dy // d) % ell for j in range(d + 1)]
         derivative = _gf_normalize([j * c for j, c in enumerate(residual)][1:], ell)
-        if _gf_gcd(residual, derivative, ell) != [1]:
-            return None
+        regular = regular and _gf_gcd(residual, derivative, ell) == [1]
         floors += [(y1 * dx - (x - x1) * dy) // dx for x in range(x1 + 1, x2 + 1)]
     e, top = len(t) - 1, floors[1]  # N falls, so ⌊N(1)⌋ is the largest
+    if not regular and sum(floors[1:e]) < v:
+        return ZLattice(field, ell, [[ell * (r == i) for r in range(n)] for i in range(n - 1)]
+                        + quotients[:1]), False
     cols = [[ell**top * (r == i) for r in range(n)] for i in range(n - e + 1)]
     return ZLattice(field, ell**top, cols + [[c * ell ** (top - floors[j]) for c in quotients[j - 1]]
-                                             for j in range(e - 1, 0, -1)])
+                                             for j in range(e - 1, 0, -1)]), True
 
 
 def _index_primes(field):
     """(ℓ, O_ℓ) for the primes ℓ | F at which Z[b] is not ℓ-maximal (see
-    the module doc): Ore's basis where x - a is the one repeated factor
-    of p mod ℓ and p is ℓ-regular, else Round 2 from Dedekind's order up
-    to the index bound ℓ^v_ℓ(F) where Dedekind's test does not clear ℓ.
+    the module doc): Ore's basis, or Round 2 from its seed O₁, where x - a
+    is the one repeated factor of p mod ℓ, and Round 2 from Z[b] where the
+    repeated part has degree 2 or more, up to the index bound ℓ^v_ℓ(F).
     FactorizationIncomplete when disc(p) cannot be fully factored.
     There are none in degree 1, where Z[b] = Z_K."""
-    p, n, zb = field.p, field.n, zbeta(field)
+    zb = zbeta(field)
     found = []
     for ell, v in sorted(factorint(square_part(field.disc)[0]).items()):
-        pbar = _gf_normalize(p.coeffs, ell)
+        pbar = _gf_normalize(field.p.coeffs, ell)
         t = _gf_radical(pbar, ell)
-        h = _gf_divmod(pbar, t, ell)[0]
-        repeated = _gf_gcd(t, h, ell)  # the product of the repeated factors
-        top = _ore_order(field, ell, -repeated[0] % ell) if len(repeated) == 2 else None
-        if top is None and len(repeated) > 1:
-            u = _dedekind_maximal(p, ell, t, h)
-            top = _local_maximal(field, ell, v, u) if len(u) <= n else None
-        elif top == zb and debug_asserts_enabled():
-            assert len(_dedekind_maximal(p, ell, t, h)) > n, "Ore's index 0 below O_ℓ"
-        if top is not None and top != zb:
-            if debug_asserts_enabled():
-                assert coefficient_ring(_radical(top, ell)) == top, (
-                    "one more Round 2 step grows O_ℓ")
+        repeated = _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)  # the repeated factors
+        top, done = (_ore_order(field, ell, -repeated[0] % ell, v) if len(repeated) == 2
+                     else (zb, False))
+        if not done:
+            top = _local_maximal(top, ell, v)
+        if debug_asserts_enabled():
+            assert coefficient_ring(_radical(top, ell)) == top, "one more Round 2 step grows O_ℓ"
+        if top != zb:
             found.append((ell, top))
     return found
-
-
-def _dedekind_order(field, ell, u):
-    """O₁ = Z[b] + (U(b)/ℓ)·Z[b] (see the module doc)."""
-    n = field.n
-    gens = [[ell * (r == i) for r in range(n)] for i in range(n)]
-    return ZLattice(field, ell, gens + _mult_columns(field, u))
 
 
 def _kernel_mod_prime(rows, ell):
@@ -306,11 +291,9 @@ def _radical(order, ell):
     return ZLattice(field, d, gens)
 
 
-def _local_maximal(field, ell, v, u):
-    """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2 from Dedekind's order
-    O₁ of ``_dedekind_order`` up to the index bound ℓ^v of
-    ``_index_primes``."""
-    order = _dedekind_order(field, ell, u)
+def _local_maximal(order, ell, v):
+    """The ℓ-maximal order O_ℓ ⊇ Z[b], by Round 2 from an order between
+    Z[b] and O_ℓ up to the index bound ℓ^v of ``_index_primes``."""
     while _zbeta_index(order) < ell**v:  # [O : Z[b]] below the bound
         bigger = coefficient_ring(_radical(order, ell))
         if bigger == order:

@@ -16,7 +16,6 @@ EXPORTS = [
     "FactorizationIncomplete",
     "FieldElement",
     "FractionalIdeal",
-    "HermiteBasis",
     "IntPoly",
     "NonIntegralResult",
     "NotASublattice",
@@ -48,7 +47,6 @@ EXPORTS = [
     "eval_poly_at_matrix",
     "flow_invariant_pair",
     "fractional_ideal",
-    "hermite_normal_form",
     "ideal_to_matrix",
     "intersect",
     "is_divisorial",

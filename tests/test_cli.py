@@ -417,6 +417,16 @@ class TestErrors:
         code, _, err = run_cli()
         assert code == 1
 
+    @pytest.mark.parametrize("verb, option, value", [
+        ("bfk", "--k", "0"), ("periodic", "--k", "-1"), ("equiv", "--bound", "0"),
+    ])
+    def test_values_below_one_are_exit_1(self, mats, verb, option, value):
+        # rejected while parsing, before any matrix is read
+        code, out, err = run_cli(verb, "--matrix", mats["A"], mats["A"], option, value,
+                                 "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == f"bftorus: error: argument {option}: must be at least 1, got {value}\n"
+
     def test_bad_poly(self, mats):
         code, _, err = run_cli("bf", "--matrix", mats["A"], "--poly", "x**2")
         assert code == 1

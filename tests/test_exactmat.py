@@ -1,4 +1,4 @@
-"""Exact integer matrix operations: SNF/HNF wrappers, char poly, dets,
+"""Exact integer matrix operations: the SNF wrapper, char poly, dets,
 and everything read off one power table, against the former algorithms
 (Faddeev-LeVerrier, Horner, repeated squaring) kept as oracles."""
 
@@ -19,7 +19,6 @@ from bftorus.exactmat import (
     det,
     eval_at_power_table,
     eval_poly_at_matrix,
-    hermite_normal_form,
     identity_matrix,
     mat_pow,
     power_table,
@@ -78,12 +77,6 @@ def test_det_of_worked_matrix():
     # (-1)^3 * p(0) with p(0) = -1
     assert det(EX1_A) == 1
     assert det([[2, 0], [0, 3]]) == 6
-
-
-def test_hnf_of_identity():
-    h = hermite_normal_form(identity_matrix(4))
-    assert h.H == identity_matrix(4)
-    assert h.T == identity_matrix(4)
 
 
 def test_kernel_mod_2_of_zero_matrix():

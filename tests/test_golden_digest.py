@@ -21,6 +21,10 @@ The batteries:
 * ``lattice``: the order lattices of fixed quadratic and cubic fields
   and of seeded cubics with small index bound: nodes (denominator and
   basis), edges, discriminants and conductors.
+* ``lattice_quartic``: the same, without the matrices, for fixed
+  quartic and quintic fields, seeded fields of degree 4 to 6 with p
+  congruent mod ℓ = 2, 3 or 5 to g^e·h, g irreducible of degree 2 mod ℓ,
+  e ≥ 2, and the fields of ``util.NON_GORENSTEIN_FIELDS``.
 * ``periodic``: for worked and seeded matrices (n = 0..5, unit and
   non-unit determinants, singular and nilpotent A, reducible char
   polys), mat_pow for k = 0..300, bf_k and periodic_structure, and
@@ -67,7 +71,7 @@ from bftorus.invariants import (
 )
 from bftorus.numberfield import NumberField
 from bftorus.orders import conductor, enumerate_order_lattice, order_discriminant
-from bftorus.polyring import IntPoly, RatPoly, discriminant, square_part
+from bftorus.polyring import IntPoly, RatPoly, discriminant, is_irreducible, square_part
 
 from util import (
     EX1_A,
@@ -78,6 +82,7 @@ from util import (
     NON_GORENSTEIN_FIELDS,
     P_CUBIC,
     P_QUAD,
+    _poly_mul,
     companion,
     mat_mul,
     noninvertible_ideal,
@@ -93,6 +98,7 @@ GOLDEN = {
     "verdicts": "14715813040eaaa6b9062b871bbfc31b048cdbc56000a08df2fd5430635ad543",
     "certify": "cf8bae9b4addd405fc8bec515344565d75d1590738ca61734ded99fa0ce60ccd",
     "lattice": "a06a2ca187c0d0437c24698110073d77d9adb979bae0aca84f3de4103cd32894",
+    "lattice_quartic": "7e8277c812aa89e98b6a9a012b1989bef85986adda36d96f16bda3049703d868",
     "periodic": "3b308ec3bf4ff3ecbae297b14195dda8de8717faa39f06d3265eb0f5333b6cf6",
 }
 
@@ -211,6 +217,38 @@ def lattice_lines():
             )
 
 
+def _quartic_fields():
+    """Fixed quartic and quintic fields, then seeded p = g^e·h + ℓ^s·r of
+    degree 4 to 6, g monic and irreducible of degree 2 mod ℓ, e ≥ 2, h
+    monic and deg r < deg p, so g^e is the repeated part of p mod ℓ."""
+    fields = ["x^4+2x^3+3x^2+2x+9", "x^4-2x^2-32", "x^4+48", "x^4-24", "x^4-72", "x^4-80",
+              "x^4-162", "x^5-48"]
+    rng = random.Random(SEED + 5)
+    while len(fields) < 24:
+        ell = rng.choice((2, 3, 5))
+        g = [rng.randrange(ell), rng.randrange(ell), 1]
+        if any((g[0] + g[1] * x + x * x) % ell == 0 for x in range(ell)):
+            continue
+        n = rng.randint(4, 6)
+        e = rng.randint(2, n // 2)
+        base = [rng.randint(-3, 3) for _ in range(n - 2 * e)] + [1]
+        for _ in range(e):
+            base = _poly_mul(base, g)
+        s = rng.randint(1, 3)
+        p = IntPoly([c + ell**s * rng.randint(-3, 3) for c in base[:-1]] + [1])
+        if p.coeffs[0] and is_irreducible(p):
+            fields.append(str(p))
+    return fields + list(NON_GORENSTEIN_FIELDS)
+
+
+def lattice_quartic_lines():
+    for p in _quartic_fields():
+        lat = enumerate_order_lattice(NumberField(p))
+        yield f"p={p} edges={lat.edges} index={lat.min_index}..{lat.max_index}"
+        for node in lat.nodes:
+            yield f"  R={_lat(node)} disc={order_discriminant(node)} cond={_lat(conductor(node))}"
+
+
 def _periodic_matrices(rng):
     """Worked matrices, then per n = 1..5 random ones (any determinant),
     and for n > 1 a singular one (a repeated row) and a unimodular one."""
@@ -287,6 +325,7 @@ SECTIONS = {
     "verdicts": verdict_lines,
     "certify": certify_lines,
     "lattice": lattice_lines,
+    "lattice_quartic": lattice_quartic_lines,
     "periodic": periodic_lines,
 }
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 import bftorus.config as config
-import bftorus.ideals
 from bftorus.errors import NotASublattice, NotFullRank
 from bftorus.ideals import (
     AbelianGroup,
@@ -32,7 +31,6 @@ from bftorus.ideals import (
     trace_dual,
     zbeta,
 )
-from bftorus.kernels import hnf_cols
 from bftorus.numberfield import NumberField
 from bftorus.orders import enumerate_order_lattice
 from bftorus.polyring import IntPoly
@@ -412,16 +410,3 @@ class TestLatticeOps:
         with pytest.raises(NotASublattice):
             big.index_in(small)
 
-
-def test_colon_and_ring_build_no_transform(K, zb, I, J, monkeypatch):
-    requested = []
-
-    def recording(cols, transform=False):
-        requested.append(transform)
-        return hnf_cols(cols, transform)
-
-    monkeypatch.setattr(bftorus.ideals, "hnf_cols", recording)
-    colon(zb, I)
-    colon(I, J)
-    coefficient_ring(J)
-    assert requested and not any(requested)

@@ -12,19 +12,22 @@ Two worked examples anchor the expectations:
 The transversal walk of ``util.oracle_order_lattice`` checks the
 prime-by-prime enumeration on random fields of small F, and two fields
 out of the walk's reach check the time it takes.  The tops that
-``_index_primes`` hands each prime, and Round 2 from Dedekind's order
-up to the index bound, are checked against the fixed point from Z[b]
-(``util.oracle_local_maximal``), and the walk over
+``_index_primes`` hands each prime, from Ore's basis or by Round 2 up
+to the index bound, are checked against the fixed point from Z[b]
+(``util.oracle_local_maximal``), where p mod ℓ has one repeated factor
+x - a and where its repeated part has degree 2, and the walk over
 minimal over-orders, with its covers, against the walk over every
 element and pairwise joins (``util.oracle_local_orders``) and the
 containment oracle (``util.oracle_hasse_edges``).  The kernels mod ℓ
 by elimination over F_ℓ are checked against the Smith-form kernel
-(``util.kernel_mod_m``), and Dedekind's test against the route that
-forms every polynomial (``util.oracle_dedekind``).  Ore's basis, where
-p is ℓ-regular, is checked against the fixed point from Z[b] and
+(``util.kernel_mod_m``).  Ore's basis, where p is ℓ-regular or its
+count reaches v_ℓ(F), is checked against the fixed point from Z[b] and
 against the quotients of ``util.oracle_ore_quotients``, which lie in
-O_ℓ at irregular primes too; guard tests count the radicals, Dedekind
-orders, rings R[g], Hermite forms and duals that the lattice forms.
+O_ℓ at irregular primes too; Round 2's seed O₁ at the other irregular
+primes against the first Round 2 step from Z[b] and against Dedekind's
+order from the route that forms every polynomial
+(``util.oracle_dedekind``).  Guard tests count the radicals, Round 2
+runs, rings R[g], Hermite forms and duals that the lattice forms.
 """
 
 import math
@@ -53,8 +56,6 @@ from bftorus.ideals import (
 )
 from bftorus.numberfield import NumberField
 from bftorus.orders import (
-    _dedekind_maximal,
-    _dedekind_order,
     _index_primes,
     _kernel_mod_prime,
     _local_maximal,
@@ -330,77 +331,53 @@ def monic_fields(draw):
 HIGH_INDEX_FIELDS = ("x^3-3x^2-24x-1", "x^4-4x^3-2x^2+12x+1", CYCLIC_4096, "x^5-48")
 
 
+def _valuations(field):
+    """{ℓ: v_ℓ(F)} for disc(p) = F²·Δ, Δ square-free."""
+    return factorint(square_part(field.disc)[0])
+
+
+def _repeated_part(p, ell):
+    """gcd(t, h) mod ℓ, the product of the repeated factors of p mod ℓ:
+    t the radical of p mod ℓ by distinct degrees, h = (p mod ℓ)/t."""
+    pbar = _gf_normalize(p.coeffs, ell)
+    t = oracle_gf_radical(pbar, ell)
+    return _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)
+
+
+def _repeated_root(p, ell):
+    """a when gcd(t, h) = x - a mod ℓ, the one repeated factor, else None."""
+    repeated = _repeated_part(p, ell)
+    return -repeated[0] % ell if len(repeated) == 2 else None
+
+
+def _dedekind_order(field, ell):
+    """Z[b] + (U(b)/ℓ)·Z[b] for U = ``util.oracle_dedekind``, lifted."""
+    u = oracle_dedekind(field.p, ell)
+    gen = field.element([Fraction(c, ell) for c in u] + [0] * (field.n - len(u)))
+    return lattice_from_generators(field, [field.one(), gen], module_closure=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(monic_fields())
 @example(NumberField(HIGH_INDEX_FIELDS[0]))
 @example(NumberField(HIGH_INDEX_FIELDS[1]))
 @example(NumberField(HIGH_INDEX_FIELDS[2]))
 @example(NumberField(HIGH_INDEX_FIELDS[3]))
+@example(NumberField("x^3+19x^2+29x+1"))  # Ore's top at 5, irregular, by the index bound
 def test_round2_from_the_dedekind_order_reaches_the_fixed_point(field):
-    # every ℓ | F: the top _index_primes hands ℓ, Z[b] where it hands none,
-    # and Round 2 from Dedekind's order up to ℓ^v_ℓ(F) where the criterion
-    # does not clear ℓ
+    # every ℓ | F: the top _index_primes hands ℓ, Z[b] where it hands none;
+    # Round 2 up to ℓ^v_ℓ(F) from Z[b], whose first step is Dedekind's
+    # order, and from the seed of _ore_order where that is no top
     tops = dict(_index_primes(field))
-    for ell, v in factorint(square_part(discriminant(field.p))[0]).items():
-        top = oracle_local_maximal(field, ell)
-        assert tops.get(ell, zbeta(field)) == top
-        u = _dedekind_u(field.p, ell)
-        if len(u) <= field.n:
-            assert _local_maximal(field, ell, v, u) == top
-
-
-@settings(max_examples=60, deadline=None)
-@given(monic_fields())
-@example(NumberField(HIGH_INDEX_FIELDS[0]))
-@example(NumberField(HIGH_INDEX_FIELDS[1]))
-@example(NumberField(HIGH_INDEX_FIELDS[3]))
-def test_dedekind_order_is_an_order_of_index_ell_to_the_gcd_degree(field):
     zb = zbeta(field)
-    for ell in factorint(square_part(field.disc)[0]):
-        u = _dedekind_u(field.p, ell)
-        if len(u) > field.n:
-            continue
-        o1 = _dedekind_order(field, ell, u)
-        # the Order constructor re-runs the b-action and ring-closure checks
-        assert Order(field, o1.denom, o1.cols) == o1
-        # deg U = n - deg gcd(f, t, h)
-        assert zb.index_in(o1) == ell ** (field.n + 1 - len(u))
-        rad = _radical(zb, ell)
-        assert colon(rad, rad) == o1  # the first Round 2 step
-
-
-def test_debug_check_catches_round2_stopped_short(monkeypatch):
-    field = NumberField(CYCLIC_4096)  # (y+1)^2 at 2, irregular: Round 2 runs
-    [(ell, top)] = _index_primes(field)
-    assert top == oracle_local_maximal(field, ell)
-    round2 = orders._local_maximal
-    # v = 0 claims Dedekind's order already has the largest index
-    monkeypatch.setattr(orders, "_local_maximal", lambda field, ell, v, u: round2(field, ell, 0, u))
-    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
-    assert _index_primes(field) == [(ell, _dedekind_order(field, ell, _dedekind_u(field.p, ell)))]
-    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
-    with pytest.raises(AssertionError, match="one more Round 2 step"):
-        _index_primes(field)
-
-
-def _dedekind_parts(p, ell):
-    """(t, h, gcd(t, h)) mod ℓ: t the radical of p mod ℓ by distinct
-    degrees, h = (p mod ℓ)/t, and gcd(t, h) the product of the repeated
-    factors."""
-    pbar = _gf_normalize(p.coeffs, ell)
-    t = oracle_gf_radical(pbar, ell)
-    h = _gf_divmod(pbar, t, ell)[0]
-    return t, h, _gf_gcd(t, h, ell)
-
-
-def _dedekind_u(p, ell):
-    return _dedekind_maximal(p, ell, *_dedekind_parts(p, ell)[:2])
-
-
-def _repeated_root(p, ell):
-    """a when gcd(t, h) = x - a mod ℓ, the one repeated factor, else None."""
-    repeated = _dedekind_parts(p, ell)[2]
-    return -repeated[0] % ell if len(repeated) == 2 else None
+    for ell, v in _valuations(field).items():
+        top = oracle_local_maximal(field, ell)
+        assert tops.get(ell, zb) == top
+        assert _local_maximal(zb, ell, v) == top
+        a = _repeated_root(field.p, ell)
+        if a is not None:
+            seed, done = _ore_order(field, ell, a, v)
+            assert (seed if done else _local_maximal(seed, ell, v)) == top
 
 
 # b = 9·(2·3^2)^(1/3): 3-regular, a side of slope -8/3, index 3^7
@@ -436,10 +413,10 @@ def ore_fields(draw):
 @example(NumberField("x^3-14x^2+29x-1"))
 @example(NumberField("x^4-48"))
 def test_ore_index_is_the_local_index(field):
-    # at a regular prime Ore's basis is O_ℓ, with the oracle's quotients;
+    # where _ore_order hands a top it is O_ℓ, with the oracle's quotients;
     # at every prime the quotients q_j(b)/ℓ^⌊N(j)⌋ lie in O_ℓ
     n = field.n
-    for ell in factorint(square_part(field.disc)[0]):
+    for ell, v in _valuations(field).items():
         a = _repeated_root(field.p, ell)
         if a is None:
             continue
@@ -449,11 +426,54 @@ def test_ore_index_is_the_local_index(field):
         span = ZLattice(field, scale, [[scale * (r == i) for r in range(n)] for i in range(n)] + [
             [c * scale // ell**f for c in q] + [0] * (n - len(q)) for q, f in quotients])
         assert _oracle_contains(top, span)
-        ore = _ore_order(field, ell, a)
-        if ore is not None:
+        ore, done = _ore_order(field, ell, a, v)
+        if done:
             assert ore == span == top
     if str(field.p) == ORE_REGULAR:
-        assert zbeta(field).index_in(_ore_order(field, 3, 0)) == 3**7
+        assert zbeta(field).index_in(_ore_order(field, 3, 0, _valuations(field)[3])[0]) == 3**7
+
+
+@settings(max_examples=60, deadline=None)
+@given(ore_fields())
+@example(NumberField(HIGH_INDEX_FIELDS[0]))
+@example(NumberField(HIGH_INDEX_FIELDS[2]))
+@example(NumberField(HIGH_INDEX_FIELDS[3]))
+@example(NumberField("x^3-23x^2+7x-1"))
+@example(NumberField("x^3-14x^2+29x-1"))
+@example(NumberField("x^4-48"))
+def test_dedekind_order_is_an_order_of_index_ell_to_the_gcd_degree(field):
+    # wherever _ore_order hands no top, its seed O₁ = Z[b] + Z·q_1(b)/ℓ is
+    # an order of index ℓ, as gcd(f, t, h) = x - a, the first Round 2
+    # step from Z[b] and Dedekind's order from every polynomial formed
+    zb = zbeta(field)
+    for ell, v in _valuations(field).items():
+        a = _repeated_root(field.p, ell)
+        if a is None:
+            continue
+        seed, done = _ore_order(field, ell, a, v)
+        if done:
+            continue
+        # the Order constructor re-runs the b-action and ring-closure checks
+        assert Order(field, seed.denom, seed.cols) == seed
+        assert zb.index_in(seed) == ell
+        rad = _radical(zb, ell)
+        assert colon(rad, rad) == seed == _dedekind_order(field, ell)
+
+
+def test_debug_check_catches_round2_stopped_short(monkeypatch):
+    field = NumberField(CYCLIC_4096)  # (y+1)^2 at 2, irregular: Round 2 runs
+    [(ell, top)] = _index_primes(field)
+    assert top == oracle_local_maximal(field, ell)
+    seed, done = _ore_order(field, ell, _repeated_root(field.p, ell), _valuations(field)[ell])
+    assert not done
+    round2 = orders._local_maximal
+    # v = 0 claims the seed already has the largest index
+    monkeypatch.setattr(orders, "_local_maximal", lambda order, ell, v: round2(order, ell, 0))
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    assert _index_primes(field) == [(ell, seed)]
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+    with pytest.raises(AssertionError, match="one more Round 2 step"):
+        _index_primes(field)
 
 
 @pytest.mark.parametrize("poly, ell, index", [
@@ -463,62 +483,122 @@ def test_ore_index_is_the_local_index(field):
 ])
 def test_ore_index_refuses_irregular_polygons(poly, ell, index):
     # a residual polynomial with a repeated root leaves the count a lower
-    # bound only, so no basis may come from it
+    # bound only, so below v_ℓ(F) no basis may come from it: Round 2 runs
+    # from a seed of index ℓ that is no top
     field = NumberField(poly)
-    assert zbeta(field).index_in(oracle_local_maximal(field, ell)) == index
-    assert _ore_order(field, ell, _repeated_root(field.p, ell)) is None
+    top = oracle_local_maximal(field, ell)
+    assert zbeta(field).index_in(top) == index
+    seed, done = _ore_order(field, ell, _repeated_root(field.p, ell), _valuations(field)[ell])
+    assert not done
+    assert zbeta(field).index_in(seed) == ell and seed != top
 
 
 def test_ore_basis_needs_no_hermite_form(monkeypatch):
-    # the basis is upper triangular with positive pivots, so ZLattice only
-    # size-reduces it
+    # Ore's basis and the seed O₁ are upper triangular with positive
+    # pivots, so ZLattice only size-reduces them
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
     counter = CallCounter(ideals.hnf_cols)
     monkeypatch.setattr(ideals, "hnf_cols", counter)
-    for poly, ell, a, index in [(ORE_REGULAR, 3, 0, 3**7), ("x^5-48", 2, 0, 2**6),
-                                ("x^3-19x^2+3x-1", 2, 1, 2**3)]:
+    for poly, ell, a, index, top in [(ORE_REGULAR, 3, 0, 3**7, True), ("x^5-48", 2, 0, 2**6, True),
+                                     ("x^3-19x^2+3x-1", 2, 1, 2**3, True),
+                                     ("x^3-23x^2+7x-1", 2, 1, 2, False)]:
         field = NumberField(poly)
-        assert zbeta(field).index_in(_ore_order(field, ell, a)) == index
+        order, done = _ore_order(field, ell, a, _valuations(field)[ell])
+        assert (zbeta(field).index_in(order), done) == (index, top)
     assert counter.calls == 0
 
 
-@pytest.mark.parametrize("poly, radical, adjoin, dedekind", [
-    ("x^3-21x^2-3x-1", 0, 0, 0),  # Ore's index is Dedekind's
+@pytest.mark.parametrize("poly, radical, adjoin, local_maximal", [
+    ("x^3-21x^2-3x-1", 0, 0, 0),  # Ore's index is 0
     ("x^3-19x^2+3x-1", 0, 4, 0),
     (ORE_REGULAR, 0, 27, 0),
     ("x^3-23x^2+7x-1", 2, 8, 1),  # irregular at 2: Round 2 runs
+    # irregular at 5, (y+2)^2 mod 5, yet the count 1 is v_5(F): Ore's
+    # basis is O_5 by the index bound
+    ("x^3+19x^2+29x+1", 0, 0, 0),
 ])
 def test_round2_and_the_walk_form_no_ring_whose_answer_is_known(monkeypatch, poly, radical,
-                                                                adjoin, dedekind):
-    # Ore's basis is O_ℓ where p is ℓ-regular, with no Dedekind order and
-    # no Round 2 step, and lines with some ℓ·g^j ∉ R form no ring R[g];
+                                                                adjoin, local_maximal):
+    # Ore's basis is O_ℓ where p is ℓ-regular or its count reaches v_ℓ(F),
+    # with no Round 2, and lines with some ℓ·g^j ∉ R form no ring R[g];
     # 1, 6 and 5, 48 at the bound v_ℓ(F) and with every line formed
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
     counters = {name: CallCounter(getattr(orders, name))
-                for name in ("_radical", "_adjoin", "_dedekind_order")}
+                for name in ("_radical", "_adjoin", "_local_maximal")}
     for name, counter in counters.items():
         monkeypatch.setattr(orders, name, counter)
     enumerate_order_lattice(NumberField(poly))
-    assert [c.calls for c in counters.values()] == [radical, adjoin, dedekind]
+    assert [c.calls for c in counters.values()] == [radical, adjoin, local_maximal]
 
 
 def test_debug_check_catches_an_ore_basis_below_o_ell(monkeypatch):
     field = NumberField(ORE_REGULAR)  # Eisenstein at 2, Ore's index 0 there
     [(ell, top)] = _index_primes(field)
-    short = _dedekind_order(field, ell, _dedekind_u(field.p, ell))
+    rad = _radical(zbeta(field), ell)
+    short = colon(rad, rad)  # the first Round 2 step
     assert zbeta(field).index_in(short) < zbeta(field).index_in(top)
     ore = orders._ore_order
-    monkeypatch.setattr(orders, "_ore_order", lambda f, l, a: short if l == ell else ore(f, l, a))
-    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
-    assert _index_primes(field) == [(ell, short)]
-    monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
-    with pytest.raises(AssertionError, match="one more Round 2 step"):
-        _index_primes(field)
-    # an Ore index of 0 is checked against Dedekind's criterion
-    monkeypatch.setattr(orders, "_ore_order",
-                        lambda f, l, a: zbeta(f) if l == ell else ore(f, l, a))
-    with pytest.raises(AssertionError, match="Ore's index 0"):
-        _index_primes(field)
+    for wrong in (short, zbeta(field)):  # an order below O_ℓ, and Ore's index 0
+        monkeypatch.setattr(orders, "_ore_order", lambda f, l, a, v: (
+            (wrong, True) if l == ell else ore(f, l, a, v)))
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+        assert _index_primes(field) == ([(ell, wrong)] if wrong != zbeta(field) else [])
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+        with pytest.raises(AssertionError, match="one more Round 2 step"):
+            _index_primes(field)
+
+
+# (ℓ, g) for the monic quadratics g, irreducible mod ℓ, coefficients in [0, ℓ)
+IRREDUCIBLE_QUADRATICS = [(ell, [c, b, 1]) for ell in (2, 3, 5)
+                          for b in range(ell) for c in range(ell)
+                          if all((c + b * x + x * x) % ell for x in range(ell))]
+
+
+@st.composite
+def square_factor_fields(draw):
+    """Fields of p = g^e·h + ℓ^s·r of degree 4-6, ℓ = 2, 3, 5, g monic and
+    irreducible of degree 2 mod ℓ, e ≥ 2, h monic, deg r < deg p: the
+    repeated part of p mod ℓ is g, of degree 2, where Round 2 runs from
+    Z[b]."""
+    ell, g = draw(st.sampled_from(IRREDUCIBLE_QUADRATICS))
+    n = draw(st.integers(4, 6))
+    e = draw(st.integers(2, n // 2))
+    base = draw(st.lists(st.integers(-3, 3), min_size=n - 2 * e, max_size=n - 2 * e)) + [1]
+    for _ in range(e):
+        base = _poly_mul(base, g)
+    s = draw(st.integers(1, 3))
+    r = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    p = IntPoly([c + ell**s * x for c, x in zip(base, r)] + [1])
+    assume(p.coeffs[0] != 0 and is_irreducible(p))
+    return NumberField(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_factor_fields())
+@example(NumberField("x^4+2x^3+3x^2+2x+9"))  # (x^2+x+1)^2 mod 2, Z[b] not 2-maximal
+@example(NumberField("x^4-2x^2-32"))  # (x^2+1)^2 mod 3 and 11, Z[b] 3- and 11-maximal
+def test_square_repeated_factors_reach_the_fixed_point(field):
+    tops = dict(_index_primes(field))
+    for ell in _valuations(field):
+        assert tops.get(ell, zbeta(field)) == oracle_local_maximal(field, ell)
+    if str(field.p) == "x^4+2x^3+3x^2+2x+9":
+        assert len(_repeated_part(field.p, 2)) == 3 and 2 in tops
+    if str(field.p) == "x^4-2x^2-32":
+        assert [len(_repeated_part(field.p, ell)) for ell in (3, 11)] == [3, 3]
+        assert not {3, 11} & set(tops)
+
+
+def test_square_repeated_factor_at_a_large_prime_within_half_a_second():
+    # (x^2+1)^2 mod ℓ = 1000003, where x^2+1 is irreducible: Round 2
+    # runs from Z[b] at ℓ
+    ell = 1000003
+    start = time.perf_counter()
+    field = NumberField(f"x^4+2x^2+{ell**2}x+1")
+    top = maximal_order(field)
+    elapsed = time.perf_counter() - start
+    assert len(_repeated_part(field.p, ell)) == 3
+    assert zbeta(field).index_in(top) == ell**2  # F = ℓ^2
+    assert elapsed < 0.5
 
 
 def test_conductor_of_zbeta_forms_no_dual(monkeypatch, K3):
@@ -713,40 +793,6 @@ def test_kernel_mod_prime_against_the_smith_oracle(case):
     # has rank len(basis), so a kernel of dimension n - len(basis)
     padded = [[vec[i] for vec in basis] + [0] * (n - len(basis)) for i in range(n)]
     assert len(kernel_mod_m(padded, ell)) == n - len(basis)
-
-
-@st.composite
-def dedekind_polys(draw):
-    """Monic p of degree 2-7: a product of powers P^e of small monic P
-    plus M·r, deg r < deg p, so that p ≡ Π P^e mod every prime of M and
-    P^e is an ℓ-th power mod ℓ whenever ℓ ≤ e; or random coefficients."""
-    n = draw(st.integers(2, 7))
-    if draw(st.booleans()):
-        return IntPoly(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n)) + [1])
-    base = [1]
-    while len(base) - 1 < n:
-        d = draw(st.integers(1, min(2, n + 1 - len(base))))
-        factor = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) + [1]
-        for _ in range(draw(st.integers(1, (n + 1 - len(base)) // d))):
-            base = _poly_mul(base, factor)
-    m = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 36, 49)))
-    r = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    return IntPoly([c + m * e for c, e in zip(base, r + [0])])
-
-
-@settings(max_examples=200, deadline=None)
-@given(dedekind_polys())
-@example(IntPoly([16, 0, 0, 0, 1]))  # x^4 mod 2, x^4+16
-@example(IntPoly([-54, 0, 0, 1]))  # x^3 mod 3, Z = x
-@example(IntPoly([1, 2, 3, 2, 1]))  # (x^2+x+1)^2
-@example(IntPoly([4, 0, 4, 0, 1]))  # (x^2+2)^2: t = h = x^2 mod 2
-def test_dedekind_maximal_matches_the_full_route(p):
-    for ell in (2, 3, 5, 7, 11, 13):
-        pbar = _gf_normalize(p.coeffs, ell)
-        t = oracle_gf_radical(pbar, ell)
-        # gcd(t, h), h = (p mod ℓ)/t: the factors of multiplicity >= 2
-        repeated = _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)
-        assert _dedekind_maximal(p, ell, t, _gf_divmod(pbar, t, ell)[0]) == oracle_dedekind(p, ell)
 
 
 def _seeded_cubics(count):

@@ -710,6 +710,20 @@ def _express(vectors, target):
     return [rows[j][k] for j in range(k)]
 
 
+def oracle_same_span(gens, basis):
+    """Whether the integer vectors ``gens`` span the Z-module with the
+    independent ``basis``: every generator is an integer combination of
+    the basis (``_express``), and the two have one rank and one gcd of
+    maximal minors, so the index of the one span in the other is 1."""
+    for g in gens:
+        x = _express(basis, g)
+        if x is None or any(e.denominator != 1 for e in x):
+            return False
+    rank = len(basis)
+    minors = [oracle_invariant_factors(_transpose(vecs))[:rank] for vecs in (gens, basis)]
+    return math.prod(minors[0]) == math.prod(minors[1])
+
+
 def oracle_minimal_polynomial(z):
     """Monic minimal polynomial of z, constant first, as Fractions: the
     first power z^k that is a rational combination of 1, z, ..., z^(k-1)."""
@@ -1011,7 +1025,7 @@ def oracle_local_orders(top):
 def oracle_dual_lattice(field, vecs, scale=1):
     """``ideals._dual_lattice`` by the Faddeev-LeVerrier inverse of the
     transposed HNF basis, (Hᵗ)⁻¹ = M/D with M = B_0 and D = -p(0)."""
-    h = [c for c in hnf_cols(vecs)[0] if any(c)]
+    h = [c for c in hnf_cols(vecs) if any(c)]
     if len(h) != field.n:
         raise ValueError("the vectors span rank below n")
     p, adj = oracle_faddeev_leverrier(h)
