@@ -12,8 +12,11 @@ factorisation (``polyring._factor_pattern_mod``); x·A = b·x for the
 Krylov-dual basis of ``matrix_to_ideal``; the char poly of
 ``ideal_to_matrix``; (M : N)·N ⊆ M for every colon; every basis made
 canonical by a size reduction, the lattice duals among them, against
-``hnf_cols``; every ``conductor``, (Z[b] : Z[b]) = Z[b] among them,
-against ``colon(zbeta, R)``; the
+``hnf_cols``; every lattice the library forms from its own integers
+(``ideals.ZLattice._canonical``) against the validating constructor of
+its class, which re-runs the ``operator.index``, b-stability and
+ring-closure checks the fast path skips; every ``conductor``,
+(Z[b] : Z[b]) = Z[b] among them, against ``colon(zbeta, R)``; the
 coefficient ring from the b-action against ``colon(I, I)``; every ring
 taken modulo the gcd of its Krylov determinants (``ideals._power_ring``)
 against the plain dual of all the entry vectors; every answer of the Krylov test
@@ -26,8 +29,7 @@ inconclusive verdict that ``bf_refute`` gives without a search, because
 both ideals are invertible over one ring, against the full search; the
 invertibility of an ideal whose ring is Z[b]; that the last node of the
 order lattice, of the largest index, contains every node, so the
-lattice has a unique top; every enumerated order through the b-action
-and ring-closure checks of ``Order``; the Hasse edges read off the
+lattice has a unique top; the Hasse edges read off the
 local covers against the transitive reduction of containment; that
 one more Round 2 step (radical and coefficient ring) does not grow the
 ℓ-maximal order of any prime ℓ | F, Ore's tops among them, Z[b] where

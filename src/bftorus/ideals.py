@@ -7,8 +7,10 @@ form and the lattice is (1/denom)·(Z-span of the columns), coordinates
 taken over the power basis of the field.  The pair (denom, cols) is
 normalized by dividing out gcd(denom, content), so two equal lattices
 always have identical representations and equality is just tuple
-equality.  Everything downstream — "these two ideals coincide", "this
-module is a ring", "I·I⁻¹ = R" — reduces to that exactness.
+equality.  Lattices the library forms from its own integers take the
+same normal form through ``ZLattice._canonical``, unchecked.
+Everything downstream — "these two ideals coincide", "this module is a
+ring", "I·I⁻¹ = R" — reduces to that exactness.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from .config import debug_asserts_enabled
 from .errors import NonIntegralResult, NotASublattice, NotFullRank
-from .exactmat import eval_at_power_table, power_table, transpose
+from .exactmat import _power_table, eval_at_power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import _trace_gram, format_poly, parse_int_poly
@@ -159,6 +161,16 @@ class ZLattice:
         cols = [[operator.index(e) for e in c] for c in cols]
         if any(len(c) != n for c in cols):
             raise ValueError("basis columns must have length n")
+        self._normalise(field, denom, cols)
+        self._validate()
+
+    def __setattr__(self, *a):
+        raise AttributeError("lattice values are immutable")
+
+    def _normalise(self, field, denom, cols):
+        """Set the canonical form: upper-triangular columns with positive
+        pivots size-reduced in place, else ``hnf_cols``; rank test; gcd."""
+        n = field.n
         h = _size_reduced(cols) if _is_upper(cols, n) else [c for c in hnf_cols(cols) if any(c)]
         if len(h) != n:
             raise NotFullRank(f"generators span rank {len(h)} < {n}")
@@ -169,18 +181,20 @@ class ZLattice:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "cols", tuple(tuple(c) for c in h))
-        self._validate()
-
-    def __setattr__(self, *a):
-        raise AttributeError("lattice values are immutable")
 
     @classmethod
-    def _proven(cls, lattice):
-        """``lattice`` as a ``cls`` without re-running its checks, for
-        callers that have proven the defining property."""
+    def _canonical(cls, field, denom, cols):
+        """``cls(field, denom, cols)`` for a positive denominator and
+        integer columns of length n that the library formed, as lists it
+        may reduce in place, spanning a lattice whose ``cls`` property
+        (b-stability, ring closure) the caller has proven: the canonical
+        form, with no ``operator.index`` pass and no ``_validate``."""
+        # the reference is built first, as ``_normalise`` may change cols
+        expected = cls(field, denom, cols) if debug_asserts_enabled() else None
         out = object.__new__(cls)
-        for name in ZLattice.__slots__:
-            object.__setattr__(out, name, getattr(lattice, name))
+        out._normalise(field, denom, cols)
+        if expected is not None:
+            assert out._key() == expected._key(), "canonical form != the validating constructor"
         return out
 
     def _validate(self):
@@ -404,29 +418,40 @@ def colon(m, n_lat):
     return out
 
 
-def _dual_lattice(field, vecs, scale=1):
-    """scale·W*, W* = {y : w·y ∈ Z for w in W} the dual of the lattice W
-    the integer vectors span; NotFullRank when they span less than Qⁿ.
+def _dual_lattice(field, vecs, scale=1, cls=ZLattice):
+    """scale·W* as a ``cls`` (see ``ZLattice._canonical``), W* = {y : w·y ∈ Z
+    for w in W} the dual of the lattice W the integer vectors span;
+    NotFullRank when they span less than Qⁿ.
     *Orientation lemma.*  W* is spanned by the columns of B⁻ᵀ for every
     basis B of W.  For the lower Hermite basis L = J·H·J (J the reversal,
     H the HNF of J·W), δ·L⁻ᵀ = J·(δ·H⁻ᵀ)·J is upper triangular with
-    positive pivots, so ``ZLattice`` only size-reduces it: one
+    positive pivots, so ``_canonical`` only size-reduces it: one
     ``hnf_cols``, where the lower δ·H⁻ᵀ would need a second."""
     h = [c for c in hnf_cols([c[::-1] for c in vecs]) if any(c)]
     if len(h) != field.n:
         raise NotFullRank(f"generators span rank {len(h)} < {field.n}")
     delta, y = _adjugate_columns(h)
-    return ZLattice(field, delta, [[scale * e for e in c[::-1]] for c in y[::-1]])
+    return cls._canonical(field, delta, [[scale * e for e in c[::-1]] for c in y[::-1]])
 
 
 def _adjugate_columns(h):
     """(δ, Y) for upper-triangular columns H with positive pivots, δ their
-    product and Y the columns of δ·H⁻ᵀ: the rows of adj(H) = δ·H⁻¹, by
-    back substitution of H·x_j = δ·e_j.  Y is lower triangular."""
+    product and Y the columns of δ·H⁻ᵀ: the rows of X = δ·H⁻¹ = adj(H),
+    which is upper triangular, so Y is lower triangular.  Column j of X
+    comes from H·X = δ·I by the triangular recurrence (Cohen, GTM 138,
+    ch. 2): x_jj = δ/h_jj, and x_ij = -(Σ_(k=i+1..j) h_k[i]·x_kj)/h_ii
+    for i = j-1 down to 0, each division exact, as X is integral."""
     n = len(h)
     delta = math.prod(h[i][i] for i in range(n))
-    x = [solve_upper_cols(h, [delta * (r == j) for r in range(n)]) for j in range(n)]
-    return delta, [[xj[i] for xj in x] for i in range(n)]
+    x = [[0] * n for _ in range(n)]
+    for j in range(n):
+        x[j][j] = delta // h[j][j]
+        for i in range(j - 1, -1, -1):
+            s = 0
+            for k in range(i + 1, j + 1):
+                s += h[k][i] * x[k][j]
+            x[i][j] = -s // h[i][i]
+    return delta, x
 
 
 def _zbeta_colon(lattice) -> "FractionalIdeal":
@@ -451,13 +476,13 @@ def _zbeta_colon(lattice) -> "FractionalIdeal":
     beyond.  *Hankel reversal.*  For L = (1/d)·H, L* = (1/δ)·span(Y),
     Y = d·δ·H⁻ᵀ lower triangular; E = J·U with U[s][j] = p_(n-s+j) unit
     lower triangular, so E·Y = J·(U·Y), its column order reversed, is
-    upper triangular with positive pivots: ``ZLattice`` size-reduces it,
+    upper triangular with positive pivots: ``_canonical`` size-reduces it,
     and no ``hnf_cols`` runs, against the HNF of n + n² vectors in ``colon``.
     For L = Z[b], a ring, (Z[b] : Z[b]) = Z[b] is returned with no sum.
     """
     field = lattice.field
     if lattice == zbeta(field):
-        out = FractionalIdeal._proven(lattice)
+        out = FractionalIdeal._canonical(field, 1, [list(c) for c in lattice.cols])
     else:
         if not isinstance(lattice, FractionalIdeal):
             lattice = lattice.as_ideal()
@@ -466,7 +491,7 @@ def _zbeta_colon(lattice) -> "FractionalIdeal":
         delta, dual = _adjugate_columns(lattice.cols)
         cols = [[lattice.denom * sum(p[r + 1 + j] * y[j] for j in range(n - r)) for r in range(n)]
                 for y in reversed(dual)]
-        out = FractionalIdeal._proven(ZLattice(field, delta, cols))
+        out = FractionalIdeal._canonical(field, delta, cols)
     if debug_asserts_enabled():
         assert out == colon(zbeta(field), lattice), "Euler's (Z[b] : L) != colon"
     return out
@@ -499,7 +524,7 @@ def _power_ring(field, table) -> Order:
     else:
         gens = [[m * (r == i) for r in range(n)] for i in range(n)]
         gens += ([e % m for e in entry] for row in table for entry in row)
-        ring = Order._proven(_dual_lattice(field, gens))
+        ring = _dual_lattice(field, gens, cls=Order)
     if debug_asserts_enabled():
         plain = _dual_lattice(field, [list(e) for row in table for e in row])
         assert ring == plain, "Krylov-modular ring != the plain dual"
@@ -547,7 +572,10 @@ def _locally_cyclic(table, ring) -> bool:
 
 def _in_power_ring(table, ring) -> bool:
     """R ⊆ {g : g(X) integral} for ``table = power_table(X)``: g(X) is
-    integral for each basis element g of R."""
+    integral for each basis element g of R.  An order R over denominator
+    1 is Z[b], inside every such ring."""
+    if ring.denom == 1:
+        return True
     try:
         for c in ring.cols:
             eval_at_power_table(table, ring.denom, c)
@@ -563,7 +591,7 @@ def coefficient_ring(ideal) -> Order:
     x = _beta_action(ideal.cols, ideal.field)
     if x is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
-    ring = _power_ring(ideal.field, power_table(x))
+    ring = _power_ring(ideal.field, _power_table(x))
     if debug_asserts_enabled():
         assert ring == colon(ideal, ideal).as_order(), "ring of the b-action != (I : I)"
     return ring
@@ -585,16 +613,24 @@ def product(i, j):
         mult = _mult_columns(field, a)
         for b in j.cols:
             cols.append([sum(mult[r][t] * b[r] for r in range(nn)) for t in range(nn)])
-    return _joint_class(i, j)(field, i.denom * j.denom, cols)
+    return _joint_class(i, j)._canonical(field, i.denom * j.denom, cols)
 
 
 def lattice_sum(i, j):
     """I + J (smallest lattice containing both)."""
     i._require_same_field(j)
-    d = math.lcm(i.denom, j.denom)
-    cols = [[e * (d // i.denom) for e in c] for c in i.cols]
-    cols += [[e * (d // j.denom) for e in c] for c in j.cols]
-    return _joint_class(i, j)(i.field, d, cols)
+    return _sum(_joint_class(i, j), (i, j))
+
+
+def _sum(cls, lattices):
+    """The sum of lattices of one field as a ``cls`` (see
+    ``ZLattice._canonical``), in one canonical form; a single lattice,
+    already a ``cls``, is returned as it is."""
+    if len(lattices) == 1:
+        return lattices[0]
+    d = math.lcm(*(x.denom for x in lattices))
+    cols = [[e * (d // x.denom) for e in c] for x in lattices for c in x.cols]
+    return cls._canonical(lattices[0].field, d, cols)
 
 
 def intersect(i, j):
@@ -604,12 +640,12 @@ def intersect(i, j):
     i._require_same_field(j)
     field = i.field
     s = lattice_sum(*(_dual_lattice(field, x.cols, x.denom) for x in (i, j)))
-    return _joint_class(i, j)._proven(_dual_lattice(field, s.cols, s.denom))
+    return _dual_lattice(field, s.cols, s.denom, _joint_class(i, j))
 
 
-def _trace_dual_lattice(lattice):
+def _trace_dual_lattice(lattice, cls=ZLattice):
     """The trace dual L^♯ = {z : Tr(z·w) ∈ Z for all w in L} of
-    L = (1/d)·C, in integers.
+    L = (1/d)·C as a ``cls`` (see ``ZLattice._canonical``), in integers.
 
     With G = ``polyring._trace_gram`` of p, Tr(z·w) = yᵗ·(G·c) for the
     coordinates y of z and c of w, so z ∈ L^♯ exactly when y pairs
@@ -619,7 +655,7 @@ def _trace_dual_lattice(lattice):
     field = lattice.field
     # G is symmetric, so the row c·G is the column G·c.
     return _dual_lattice(field, mat_mul_rows(lattice.cols, _trace_gram(field.p.coeffs)),
-                         lattice.denom)
+                         lattice.denom, cls)
 
 
 def trace_dual(ideal) -> "FractionalIdeal":
@@ -627,12 +663,11 @@ def trace_dual(ideal) -> "FractionalIdeal":
     G the trace Gram matrix of the power basis (``_trace_dual_lattice``).
     The dual of a b-stable lattice is b-stable, as Tr(bz·y) = Tr(z·by);
     any other lattice is checked."""
-    out = _trace_dual_lattice(ideal)
+    stable = isinstance(ideal, FractionalIdeal)
+    out = _trace_dual_lattice(ideal, FractionalIdeal if stable else ZLattice)
     if debug_asserts_enabled():
         assert _trace_dual_lattice(out) == ideal, "trace dual is not an involution"
-    if isinstance(ideal, FractionalIdeal):
-        return FractionalIdeal._proven(out)
-    return out.as_ideal()
+    return out if stable else out.as_ideal()
 
 
 def _invertibility_index(table, ring, ideal) -> int:
@@ -673,7 +708,7 @@ def is_invertible(ideal, ring) -> bool:
     x = _beta_action(ideal.cols, ideal.field)
     if x is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
-    table = power_table(transpose(x))
+    table = _power_table(transpose(x))
     result = _in_power_ring(table, ring) and _invertibility_index(table, ring, lambda: ideal) == 1
     if debug_asserts_enabled():
         alt = coefficient_ring(ideal) == ring and is_divisorial(ideal, ring)

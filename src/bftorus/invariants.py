@@ -225,7 +225,7 @@ def _ideal_in(field, table):
             lhs = sum((x[j] * table[j][i][1] for j in range(n)), field.zero())
             assert lhs == field.beta() * x[i], "x.A != beta.x"
     # The first HNF column spans the intersection with Q; rescale it to Z.
-    return FractionalIdeal._proven(ZLattice(field, raw.cols[0][0], raw.cols))
+    return FractionalIdeal._canonical(field, raw.cols[0][0], [list(c) for c in raw.cols])
 
 
 def _matrix_ring(field, table) -> ZLattice:

@@ -31,9 +31,11 @@ class NumberField:
 
     Degree 1 is allowed (K = Q); the whole ideal machinery degenerates
     gracefully there, which keeps 1x1 matrices on the main code path.
+    ``disc``, the reduced powers of b (``_powers``) and their traces
+    (``_power_sums``) are each formed once per field, on first read.
     """
 
-    __slots__ = ("p", "n", "_powers", "_power_sums", "_disc")
+    __slots__ = ("p", "n", "_disc", "_b_powers", "_b_traces")
 
     def __init__(self, p):
         if isinstance(p, str):
@@ -49,9 +51,8 @@ class NumberField:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_disc", disc)
         object.__setattr__(self, "n", p.degree)
-        object.__setattr__(self, "_powers", self._build_powers())
-        # s_k = Tr(b^k) for k = 0..n-1, the Newton power sums of p
-        object.__setattr__(self, "_power_sums", tuple(_power_sums(p.coeffs, p.degree)))
+        object.__setattr__(self, "_b_powers", None)
+        object.__setattr__(self, "_b_traces", None)
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
@@ -65,6 +66,19 @@ class NumberField:
         if self._disc is None:
             object.__setattr__(self, "_disc", discriminant(self.p) if self.n > 1 else 1)
         return self._disc
+
+    @property
+    def _powers(self):
+        if self._b_powers is None:
+            object.__setattr__(self, "_b_powers", self._build_powers())
+        return self._b_powers
+
+    @property
+    def _power_sums(self):
+        """s_k = Tr(b^k) for k = 0..n-1, the Newton power sums of p."""
+        if self._b_traces is None:
+            object.__setattr__(self, "_b_traces", tuple(_power_sums(self.p.coeffs, self.n)))
+        return self._b_traces
 
     def _build_powers(self):
         # b^k for k = 0 .. 2n-2, reduced mod p.  Since p is monic over Z

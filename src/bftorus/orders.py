@@ -124,7 +124,6 @@ consulted.
 """
 
 import collections
-import functools
 import itertools
 import math
 from typing import List, NamedTuple, Tuple
@@ -132,8 +131,7 @@ from typing import List, NamedTuple, Tuple
 from .config import debug_asserts_enabled
 from .errors import BudgetExceeded
 from .ideals import (
-    FractionalIdeal, Order, ZLattice, _coordinates, _zbeta_index, coefficient_ring, lattice_sum,
-    _zbeta_colon, zbeta,
+    FractionalIdeal, Order, _coordinates, _sum, _zbeta_colon, _zbeta_index, coefficient_ring, zbeta,
 )
 from .kernels import solve_upper_cols
 from .numberfield import NumberField, _mult_columns
@@ -186,11 +184,11 @@ def _ore_order(field, ell, a, v):
         floors += [(y1 * dx - (x - x1) * dy) // dx for x in range(x1 + 1, x2 + 1)]
     e, top = len(t) - 1, floors[1]  # N falls, so ⌊N(1)⌋ is the largest
     if not regular and sum(floors[1:e]) < v:
-        return ZLattice(field, ell, [[ell * (r == i) for r in range(n)] for i in range(n - 1)]
-                        + quotients[:1]), False
+        cols = [[ell * (r == i) for r in range(n)] for i in range(n - 1)]
+        return Order._canonical(field, ell, cols + quotients[:1]), False
     cols = [[ell**top * (r == i) for r in range(n)] for i in range(n - e + 1)]
-    return ZLattice(field, ell**top, cols + [[c * ell ** (top - floors[j]) for c in quotients[j - 1]]
-                                             for j in range(e - 1, 0, -1)]), True
+    cols += ([c * ell ** (top - floors[j]) for c in quotients[j - 1]] for j in range(e - 1, 0, -1))
+    return Order._canonical(field, ell**top, cols), True
 
 
 def _index_primes(field):
@@ -288,7 +286,7 @@ def _radical(order, ell):
     gens = [[ell * e for e in c] for c in cols]
     for k in _kernel_mod_prime(rows, ell):
         gens.append([sum(cols[j][r] * k[j] for j in range(n)) for r in range(n)])
-    return ZLattice(field, d, gens)
+    return FractionalIdeal._canonical(field, d, gens)
 
 
 def _local_maximal(order, ell, v):
@@ -330,7 +328,7 @@ def _adjoin(ring, mult_g, den):
         power = [[sum(mult_g[t][r] * c[t] for t in range(n)) // den for r in range(n)]
                  for c in power]
         gens.extend(power)
-    return ZLattice(field, ring.denom * den ** (n - 1), gens)
+    return Order._canonical(field, ring.denom * den ** (n - 1), gens)
 
 
 def _lines(basis, ell):
@@ -399,7 +397,7 @@ def enumerate_order_lattice(field) -> OrderLattice:
     found = {}  # choice of one local order per prime -> (index, node)
     for choice in itertools.product(*(range(len(orders)) for orders, _, _ in local)):
         parts = [orders[c] for c, (orders, _, index) in zip(choice, local) if index[c] > 1]
-        node = Order._proven(functools.reduce(lattice_sum, parts)) if parts else zb
+        node = _sum(Order, parts) if parts else zb
         found[choice] = (math.prod(index[c] for c, (_, _, index) in zip(choice, local)), node)
     choices = sorted(found, key=lambda c: (found[c][0], found[c][1].denom, found[c][1].cols))
     position = {c: k for k, c in enumerate(choices)}
@@ -411,8 +409,6 @@ def enumerate_order_lattice(field) -> OrderLattice:
         # the nodes are sorted by index, so a unique top is the last one
         assert all(nodes[-1].contains_lattice(r) for r in nodes), (
             "order lattice has no unique maximal node")
-        for r in nodes:
-            assert Order(field, r.denom, r.cols) == r, "a sum of local orders is not an order"
         m = len(nodes)
         incl = [[r != s and s.contains_lattice(r) for s in nodes] for r in nodes]
         assert edges == [(i, j) for i in range(m) for j in range(m) if incl[i][j] and not any(
@@ -423,10 +419,8 @@ def enumerate_order_lattice(field) -> OrderLattice:
 def maximal_order(field) -> Order:
     """The ring of integers Z_K: the sum of the ℓ-maximal orders O_ℓ
     over the primes ℓ that may divide the index (see the module doc)."""
-    total = zbeta(field)
-    for _ell, top in _index_primes(field):
-        total = lattice_sum(total, top)
-    return Order._proven(total)
+    tops = [top for _ell, top in _index_primes(field)]
+    return _sum(Order, tops) if tops else zbeta(field)
 
 
 def conductor(ring) -> FractionalIdeal:

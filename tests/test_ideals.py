@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import bftorus.config as config
+import bftorus.ideals as ideals
 from bftorus.errors import NotASublattice, NotFullRank
 from bftorus.ideals import (
     AbelianGroup,
@@ -35,7 +36,10 @@ from bftorus.numberfield import NumberField
 from bftorus.orders import enumerate_order_lattice
 from bftorus.polyring import IntPoly
 
-from util import I7_COLS, J7_COLS, NON_GORENSTEIN_FIELDS, P_QUAD, R7_COLS, R7_DENOM, oracle_norm
+from util import (
+    I7_COLS, J7_COLS, NON_GORENSTEIN_FIELDS, P_QUAD, R7_COLS, R7_DENOM, CallCounter,
+    count_validations, oracle_norm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +301,16 @@ class TestInvertibility:
             for r in nodes:
                 assert is_invertible(s, r) == (s == r)
 
+    def test_zbeta_ring_needs_no_power_evaluation(self, K, zb, monkeypatch):
+        # Z[b] ⊆ C(I) for every b-stable I, so R ⊆ C(I) is not evaluated
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+        counter = CallCounter(ideals.eval_at_power_table)
+        monkeypatch.setattr(ideals, "eval_at_power_table", counter)
+        principal = ideal_of(zb.scaled(K.element([2, 1, 0])))
+        assert principal != zb and coefficient_ring(principal) == zb
+        assert is_invertible(principal, zb)
+        assert counter.calls == 0
+
     def test_lattice_that_is_not_b_stable_raises(self):
         # span{1, 2b} in Q(b), b² = 12, over Z[b] and over Z[√3] = Z[b/2]
         field = NumberField("x^2-12")
@@ -379,6 +393,34 @@ class TestQuotientGroup:
             li = chain(quotient_group(R.as_ideal(), R.as_ideal().scaled(alpha)), 3)
             assert ki[0] == li[0]
             assert ki[-1] == li[-1]
+
+
+class TestLibraryBuiltLattices:
+    # Lattices formed from the library's own integers take one canonical
+    # path, ZLattice._canonical, with no re-validation; under debug
+    # assertions each is rebuilt through the validating constructor.
+    def test_products_sums_and_duals_skip_revalidation(self, I, J, R, monkeypatch):
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+        calls = count_validations(monkeypatch)
+        out = [product(I, J), lattice_sum(I, J), trace_dual(I), intersect(I, J), product(R, J)]
+        assert calls == []
+        assert [type(x) for x in out] == [FractionalIdeal] * 5
+        assert type(lattice_sum(ZLattice(I.field, 1, I7_COLS), J)) is ZLattice
+
+    def test_debug_assertions_rebuild_through_the_constructor(self, I, J, monkeypatch):
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+        calls = count_validations(monkeypatch)
+        product(I, J)
+        assert calls == [FractionalIdeal]
+
+    def test_debug_check_catches_a_false_proof(self, monkeypatch):
+        # span{1, (1 + b)/2} in Q(√2) is not b-stable, so it is no order
+        field = NumberField("x^2-2")
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+        assert Order._canonical(field, 2, [[2, 0], [1, 1]]).cols == ((2, 0), (1, 1))
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", True)
+        with pytest.raises(NotASublattice, match="not stable"):
+            Order._canonical(field, 2, [[2, 0], [1, 1]])
 
 
 class TestLatticeOps:

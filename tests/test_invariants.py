@@ -651,6 +651,21 @@ def test_int_and_fraction_coefficients_unchanged():
     assert FieldElement(field, (1, 0)) == field.one()
 
 
+@pytest.mark.parametrize("a, b", [(EX1_A, EX1_B), (EX1_B, EX1_C), (EX2_M, EX2_MP),
+                                  (EX1_B, EX1_B)])
+def test_refute_forms_no_field_powers(a, b, monkeypatch):
+    # bf_refute reads rings and ideals off integer matrices; the reduced
+    # powers of b are formed only when a field element is multiplied
+    import bftorus.config as config
+
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    calls = []
+    build = NumberField._build_powers
+    monkeypatch.setattr(NumberField, "_build_powers", lambda self: calls.append(self) or build(self))
+    bf_refute(a, b)
+    assert calls == []
+
+
 @pytest.mark.parametrize("engine", [bf_certify, l_equivalent])
 def test_one_irreducibility_test_per_verdict(engine, monkeypatch):
     import bftorus.config as config

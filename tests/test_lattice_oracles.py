@@ -9,11 +9,13 @@ field products, the trace Gram determinant, the determinant of the
 rational multiplication matrix).  The dual lattice under the dot
 product, which ``colon``, ``intersect`` and the rings of the b-action
 share, is checked against the Faddeev-LeVerrier inverse, its size
-reduction against ``hnf_cols``, and its count of ``hnf_cols`` calls is
-pinned.  Inputs are seeded: ideals of random
-irreducible matrices, random lattices with denominators, and every
-node of the order lattices of random fields, n = 2..4; the trace dual
-also in n = 1..6, over discriminants of both signs.
+reduction against ``hnf_cols``, its adjugate recurrence against a
+Fraction inverse, and its count of ``hnf_cols`` calls is pinned;
+``ZLattice._canonical`` is checked against the validating constructor.
+Inputs are seeded: ideals of random irreducible matrices, random
+lattices with denominators, and every node of the order lattices of
+random fields, n = 2..4; the trace dual also in n = 1..6, over
+discriminants of both signs.
 """
 
 import math
@@ -35,6 +37,7 @@ from bftorus.errors import (
 from bftorus.ideals import (
     Order,
     ZLattice,
+    _adjugate_columns,
     _dual_lattice,
     _size_reduced,
     _trace_dual_lattice,
@@ -59,6 +62,7 @@ from util import (
     oracle_colon,
     oracle_dual_lattice,
     oracle_ideal_to_matrix,
+    oracle_inverse,
     oracle_irreducible,
     oracle_norm,
     oracle_trace_dual,
@@ -328,6 +332,54 @@ def _upper_triangular(n):
 @given(st.integers(1, 6).flatmap(_upper_triangular))
 def test_size_reduction_is_the_hnf(cols):
     assert _size_reduced([list(c) for c in cols]) == hnf_cols(cols)
+
+
+def _column_sets(n):
+    """n upper-triangular columns, or 1 to n + 2 small combinations of
+    ``rank`` ≤ n random vectors with entries up to 2^64: a span of rank
+    below n where ``rank`` < n or the columns are too few."""
+    big = 2**64
+    general = st.tuples(st.integers(0, n), st.integers(1, n + 2), st.randoms()).map(
+        lambda t: _in_rank(n, *t, big))
+    return st.one_of(_upper_triangular(n), general)
+
+
+def _in_rank(n, rank, count, rng, big):
+    basis = [[rng.randint(-big, big) for _ in range(n)] for _ in range(rank)]
+    return [[sum(rng.randint(-3, 3) * b[r] for b in basis) for r in range(n)]
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(_column_sets), st.integers(1, 2**64))
+def test_canonical_is_the_validating_constructor(cols, denom):
+    # the fast path gives ZLattice(...) in denom, cols and class, and
+    # NotFullRank where the columns span less than Qⁿ
+    n = len(cols[0])
+    field = NumberField(IntPoly([-2] + [0] * (n - 1) + [1]))
+    try:
+        expected = ZLattice(field, denom, cols)
+    except NotFullRank:
+        with pytest.raises(NotFullRank, match="span rank"):
+            ZLattice._canonical(field, denom, [list(c) for c in cols])
+        return
+    got = ZLattice._canonical(field, denom, [list(c) for c in cols])
+    assert type(got) is ZLattice
+    assert (got.denom, got.cols) == (expected.denom, expected.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(_upper_triangular))
+def test_adjugate_recurrence_is_delta_times_the_inverse(cols):
+    # on the HNF of random upper-triangular columns, pivots up to 2^64:
+    # the rows of X = δ·H⁻¹ against a Fraction Gauss-Jordan inverse
+    h = hnf_cols(cols)
+    n = len(h)
+    delta, x = _adjugate_columns(h)
+    assert delta == math.prod(h[i][i] for i in range(n))
+    inverse = oracle_inverse([[c[i] for c in h] for i in range(n)])
+    assert x == [[delta * e for e in row] for row in inverse]
+    assert all(type(e) is int for row in x for e in row)
 
 
 def test_one_hnf_per_dual_and_none_for_the_conductor(monkeypatch):

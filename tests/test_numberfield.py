@@ -63,6 +63,19 @@ def test_disc(poly, disc):
     assert NumberField(poly).disc == disc
 
 
+def test_tables_are_formed_on_first_read():
+    # a fresh field forms no power table until an element is multiplied
+    # or traced, and the tables it forms then give the old values:
+    # b^3 = 23b^2 - 7b + 1, Tr(b^k) = 3, 23, 23^2 - 2·7
+    field = NumberField("x^3-23x^2+7x-1")
+    assert (field._b_powers, field._b_traces) == (None, None)
+    b2 = field.element([0, 0, 1])
+    assert b2 * b2 == field.element([23, -160, 522])
+    assert field._b_traces is None
+    assert (b2 + Fraction(1, 2)).trace() == Fraction(3, 2) + 515
+    assert field._power_sums == (3, 23, 515)
+
+
 class TestArithmetic:
     def test_beta_times_inverse(self, K):
         b = K.beta()

@@ -74,6 +74,7 @@ from bftorus.polyring import (
 
 from util import (
     CallCounter,
+    count_validations,
     J7_COLS,
     NON_GORENSTEIN_FIELDS,
     P_CUBIC,
@@ -495,7 +496,7 @@ def test_ore_index_refuses_irregular_polygons(poly, ell, index):
 
 def test_ore_basis_needs_no_hermite_form(monkeypatch):
     # Ore's basis and the seed O₁ are upper triangular with positive
-    # pivots, so ZLattice only size-reduces them
+    # pivots, so ``Order._canonical`` only size-reduces them
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
     counter = CallCounter(ideals.hnf_cols)
     monkeypatch.setattr(ideals, "hnf_cols", counter)
@@ -809,6 +810,21 @@ def _seeded_cubics(count):
         if big_f <= 64 and any(len(oracle_dedekind(p, ell)) <= 3 for ell in factorint(big_f)):
             found.append(str(p))
     return found
+
+
+@pytest.mark.parametrize("poly", ["x^4-2x^2-32", "x^4-72", "x^5-48"])
+def test_lattice_and_maximal_order_skip_revalidation(monkeypatch, poly):
+    # Ore's bases, Round 2's radicals and rings, the rings R[g] of the walk
+    # and the sums of local orders are formed by ``_canonical``: no
+    # b-action or ring-closure check of a constructor runs
+    monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    field = NumberField(poly)
+    calls = count_validations(monkeypatch)
+    lat = enumerate_order_lattice(field)
+    top = maximal_order(field)
+    assert calls == []
+    assert len(lat.nodes) > 2 and top == lat.nodes[-1]
+    assert all(type(r) is Order for r in lat.nodes + [top])
 
 
 @pytest.mark.parametrize("poly", NON_GORENSTEIN_FIELDS + tuple(_seeded_cubics(6)))

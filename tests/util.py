@@ -40,6 +40,7 @@ from bftorus.errors import NonIntegralResult, ReduciblePolynomial
 from bftorus.exactmat import _integer_inverse, copy_matrix
 from bftorus.ideals import (
     AbelianGroup,
+    FractionalIdeal,
     Order,
     ZLattice,
     _beta_action,
@@ -1055,6 +1056,21 @@ class CallCounter:
     def __call__(self, *args):
         self.calls += 1
         return self.fn(*args)
+
+
+def count_validations(monkeypatch):
+    """The list of the types of the lattices ``FractionalIdeal._validate``
+    checks from now on: every b-action check a constructor runs, ``Order``'s
+    among them, as it calls super."""
+    calls = []
+    validate = FractionalIdeal._validate
+
+    def counting(self):
+        calls.append(type(self))
+        validate(self)
+
+    monkeypatch.setattr(FractionalIdeal, "_validate", counting)
+    return calls
 
 
 # Fields with a non-Gorenstein order: its trace dual has the same
