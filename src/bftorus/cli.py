@@ -328,7 +328,7 @@ def _cmd_invertible(ns):
             "invertible": ok,
         }
         if ok:
-            inv = colon(ring, ideal).as_ideal()
+            inv = colon(ring, ideal)
             lines.append("  inverse basis: " + inv.basis_text())
             obj["inverse"] = inv.to_json_dict()
         reports.append(("\n".join(lines), obj))

@@ -9,7 +9,8 @@ independent transform loop ``snf_rows``; k-periodicity of the
 periodic-point generators; every factor pattern of ``is_irreducible``
 read off a root count and Stickelberger's parity against distinct-degree
 factorisation (``polyring._factor_pattern_mod``); x·A = b·x for the
-Krylov-dual basis of ``matrix_to_ideal``; the char poly of
+Krylov-dual basis of ``matrix_to_ideal``, which also guards the power
+table of A that the ideal carries (``ideals._Action``); the char poly of
 ``ideal_to_matrix``; (M : N)·N ⊆ M for every colon; every basis made
 canonical by a size reduction, the lattice duals among them, against
 ``hnf_cols``; every lattice the library forms from its own integers

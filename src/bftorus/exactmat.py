@@ -5,10 +5,10 @@ precision; nothing here ever overflows or rounds).  They act on column
 vectors from the left.  The Smith form carries its unimodular
 transforms so callers can recover generators, not just diagonal data.
 
-Everything polynomial in A comes from one ``power_table``, the powers
-A^0..A^(n-1).  By Cayley-Hamilton g(A) = r(A) for r = g mod p, so the
-char poly p is read off the traces of the powers (Newton's
-identities), A⁻¹ is a combination of them over p(0), A^k is
+Everything polynomial in A comes from one power table of A, the powers
+A^0..A^(n-1) (``_power_table``).  By Cayley-Hamilton g(A) = r(A) for
+r = g mod p, so the char poly p is read off the traces of the powers
+(Newton's identities), A⁻¹ is a combination of them over p(0), A^k is
 (x^k mod p)(A), and a rational g(A) is an integer matrix over one
 denominator.
 """
@@ -56,16 +56,12 @@ def det(a) -> int:
     return det_bareiss(copy_matrix(a))
 
 
-def power_table(a):
-    """Entry (i, j) holds the tuple (A^0[i][j], ..., A^(n-1)[i][j]): the
-    only place the powers of a matrix are formed.  By Cayley-Hamilton each
-    g(A) is r(A) for r = g mod p, an integer combination of the entries
-    (``eval_at_power_table``)."""
-    return _power_table(copy_matrix(a))
-
-
 def _power_table(a):
-    """``power_table`` of a matrix ``copy_matrix`` has already validated."""
+    """The power table of a matrix ``copy_matrix`` has already validated:
+    entry (i, j) holds the tuple (A^0[i][j], ..., A^(n-1)[i][j]), the only
+    place the powers of a matrix are formed.  By Cayley-Hamilton each g(A)
+    is r(A) for r = g mod p, an integer combination of the entries
+    (``eval_at_power_table``)."""
     powers = [identity_matrix(len(a)), a][:len(a)]
     while len(powers) < len(a):
         powers.append(mat_mul_rows(powers[-1], a))
@@ -73,7 +69,7 @@ def _power_table(a):
 
 
 def eval_at_power_table(table, d, r) -> IntMatrix:
-    """g(A) = (sum_k r_k A^k)/d from ``table = power_table(A)``, for a
+    """g(A) = (sum_k r_k A^k)/d from ``table``, the power table of A, for a
     positive integer d and integers r_0..r_(n-1) (missing ones are 0);
     NonIntegralResult when some entry is not divisible by d."""
     out = [[sum(map(operator.mul, r, e)) for e in row] for row in table]
@@ -91,7 +87,7 @@ def _adjugate_b0(table, p):
 
 
 def powers_and_char_poly(a):
-    """(``power_table(A)``, det(xI - A)), the char poly read off the table.
+    """(the power table of A, det(xI - A)), the char poly read off the table.
 
     Newton's identities give the coefficients c_k of p from the power
     sums s_k = tr A^k: k·c_(n-k) = -sum_(i=1..k) c_(n-k+i)·s_i, with

@@ -23,7 +23,7 @@ from .errors import NonIntegralResult, NotASublattice, NotFullRank
 from .exactmat import _power_table, eval_at_power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
-from .polyring import _trace_gram, format_poly, parse_int_poly
+from .polyring import format_poly, parse_int_poly
 
 
 def _beta_action(cols, field):
@@ -41,6 +41,55 @@ def _beta_action(cols, field):
             return None
         out.append(x)
     return out
+
+
+class _Action:
+    """How b acts on a Z-basis w_0..w_(n-1) of a b-stable lattice: by the
+    integer matrix M with b·w_j = Σ_i M[i][j]·w_i.  ``table`` is the power
+    table of M (entry (i, j) holds (M^0[i][j], ..., M^(n-1)[i][j])), and
+    ``krylov_det(j)`` is det K_(e_j), K_u = [u, M·u, ..., M^(n-1)·u].
+    ``x`` is the action on the canonical basis: M when the table is formed
+    from it, None until ``_action`` needs it when M acts on another basis
+    (the ideal of A carries A).  The table and each determinant are formed
+    on first read, so ``_power_ring`` and ``_locally_cyclic`` share them."""
+
+    __slots__ = ("_table", "x", "_dets")
+
+    def __init__(self, table=None, x=None):
+        self._table = table
+        self.x = x
+        self._dets = [None] * len(x if table is None else table)
+
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = _power_table(self.x)
+        return self._table
+
+    def krylov_det(self, j):
+        """det K_(e_j), whose row i is the entry vector table[i][j]."""
+        d = self._dets[j]
+        if d is None:
+            d = self._dets[j] = det_bareiss([row[j] for row in self.table])
+        return d
+
+
+def _action(lattice, canonical=False):
+    """The ``_Action`` in the lattice's slot, formed on first read from the
+    b-action on the canonical basis (``_beta_action``), or None when the
+    lattice is not b-stable.  With ``canonical`` its ``x`` is formed too
+    where the slot holds only a table handed over (``_canonical``)."""
+    act = getattr(lattice, "_b_action", None)  # the slot is unset until then
+    if act is None or (canonical and act and act.x is None):
+        cols = _beta_action(lattice.cols, lattice.field)
+        if cols is None:
+            act = False
+        elif act is None:
+            act = _Action(x=transpose(cols))
+        else:
+            act.x = transpose(cols)
+        object.__setattr__(lattice, "_b_action", act)
+    return act or None
 
 
 def _escaping_product(field, cols, d):
@@ -149,9 +198,11 @@ def _size_reduced(cols):
 
 
 class ZLattice:
-    """A full-rank Z-lattice in K, in canonical form (see module doc)."""
+    """A full-rank Z-lattice in K, in canonical form (see module doc).
+    The private slot ``_b_action`` holds how b acts on it (``_action``),
+    formed on first read; equality, hashing, ``repr`` and JSON ignore it."""
 
-    __slots__ = ("field", "denom", "cols")
+    __slots__ = ("field", "denom", "cols", "_b_action")
 
     def __init__(self, field, denom, cols):
         denom = operator.index(denom)
@@ -183,16 +234,19 @@ class ZLattice:
         object.__setattr__(self, "cols", tuple(tuple(c) for c in h))
 
     @classmethod
-    def _canonical(cls, field, denom, cols):
+    def _canonical(cls, field, denom, cols, action=None):
         """``cls(field, denom, cols)`` for a positive denominator and
         integer columns of length n that the library formed, as lists it
         may reduce in place, spanning a lattice whose ``cls`` property
         (b-stability, ring closure) the caller has proven: the canonical
-        form, with no ``operator.index`` pass and no ``_validate``."""
+        form, with no ``operator.index`` pass and no ``_validate``.  An
+        ``action`` the caller has proven (see ``_Action``) goes in the slot."""
         # the reference is built first, as ``_normalise`` may change cols
         expected = cls(field, denom, cols) if debug_asserts_enabled() else None
         out = object.__new__(cls)
         out._normalise(field, denom, cols)
+        if action is not None:
+            object.__setattr__(out, "_b_action", action)
         if expected is not None:
             assert out._key() == expected._key(), "canonical form != the validating constructor"
         return out
@@ -306,7 +360,7 @@ class FractionalIdeal(ZLattice):
     __slots__ = ()
 
     def _validate(self):
-        if _beta_action(self.cols, self.field) is None:
+        if _action(self) is None:
             raise NotASublattice("lattice is not stable under multiplication by b")
 
 
@@ -410,9 +464,11 @@ def colon(m, n_lat):
     z·N ⊆ M exactly when Tr(z·y·w) ∈ Z for every y in N and w in M^♯.
     The trace is additive, so that says Tr(z·x) ∈ Z for every x in the
     span N·M^♯ of those products, which is z ∈ (N·M^♯)^♯: two trace
-    duals and one ``product``.
+    duals and one ``product``.  For b-stable M and N, (M : N) is b-stable
+    (b·z·N = z·b·N ⊆ z·N), so the colon of two ideals is an ideal.
     """
-    out = _trace_dual_lattice(product(n_lat, _trace_dual_lattice(m)))
+    cls = _joint_class(m, n_lat)
+    out = _trace_dual_lattice(product(n_lat, _trace_dual_lattice(m, cls)), cls)
     if debug_asserts_enabled():
         assert m.contains_lattice(product(out, n_lat)), "(M : N)·N is not inside M"
     return out
@@ -497,12 +553,13 @@ def _zbeta_colon(lattice) -> "FractionalIdeal":
     return out
 
 
-def _power_ring(field, table) -> Order:
-    """{g(b) : g(X) integral} for ``table = power_table(X)``, X the
-    b-action on some lattice basis (or its transpose): g(X) = sum c_k X^k
-    is integral exactly when c pairs integrally with every entry vector
-    (X^0[i][j], ..., X^(n-1)[i][j]), so the ring is the dual of the
-    lattice W they span.
+def _power_ring(field, action) -> Order:
+    """{g(b) : g(X) integral} for the ``_Action`` of X, the b-action on
+    some lattice basis (or its transpose, which has the same entry
+    vectors): g(X) = sum c_k X^k is integral exactly when c pairs
+    integrally with every entry vector (X^0[i][j], ..., X^(n-1)[i][j]) of
+    the power table of X, so the ring is the dual of the lattice W they
+    span.
 
     W is found modulo a Krylov determinant.  The entry vectors of column
     j are the rows of K_j = [e_j, X·e_j, ..., X^(n-1)·e_j], so they span
@@ -511,12 +568,14 @@ def _power_ring(field, table) -> Order:
     simple Q[X]-module, every u ≠ 0 generates it and m ≠ 0.  m = 1 means
     W = Zⁿ and the ring is Z[b]; otherwise m·Zⁿ ⊆ W, and W is the span of
     the m·e_i and the entry vectors reduced mod m: one HNF whose entries
-    stay below m.
+    stay below m.  Each det K_j is the action's ``krylov_det(j)``, which
+    ``_locally_cyclic`` reads again rather than forming it twice.
     """
     n = field.n
+    table = action.table
     m = 0
     for j in range(n):
-        m = math.gcd(m, det_bareiss([row[j] for row in table]))
+        m = math.gcd(m, action.krylov_det(j))
         if m == 1:
             break
     if m == 1:
@@ -531,23 +590,24 @@ def _power_ring(field, table) -> Order:
     return ring
 
 
-def _krylov_rows(table):
-    """K_u for u = e_j, then u = e_i + e_j (i < j), as lists of rows,
-    K_u = [u, X·u, ..., X^(n-1)·u] for ``table = power_table(X)``: row i
-    of K_(e_j) is the entry vector table[i][j], and K_u is linear in u."""
+def _krylov_dets(action):
+    """det K_u for u = e_j (the action's ``krylov_det(j)``), then for
+    u = e_i + e_j (i < j), K_u = [u, X·u, ..., X^(n-1)·u]: K_u is linear
+    in u, so row k of K_(e_i+e_j) is table[k][i] + table[k][j]."""
+    table = action.table
     n = len(table)
-    basic = [[row[j] for row in table] for j in range(n)]
-    yield from basic
+    for j in range(n):
+        yield action.krylov_det(j)
     for i, j in itertools.combinations(range(n), 2):
-        yield [list(map(operator.add, a, b)) for a, b in zip(basic[i], basic[j])]
+        yield det_bareiss([list(map(operator.add, row[i], row[j])) for row in table])
 
 
-def _locally_cyclic(table, ring) -> bool:
-    """True when the ideal I on whose basis b acts by X (``table =
-    power_table(X)``, X itself, not its transpose) is locally principal
-    over the order R, so that [R : I·(R:I)] = 1.  R must lie in
-    {g : g(X) integral}; see ``_in_power_ring``.  False means only that
-    the test did not answer.
+def _locally_cyclic(action, ring) -> bool:
+    """True when the ideal I on whose basis b acts by X (the ``_Action`` of
+    X itself, not its transpose) is locally principal over the order R,
+    so that [R : I·(R:I)] = 1.  R must lie in {g : g(X) integral}; see
+    ``_in_power_ring``.  False means only that the test did not answer.
+    The det K_(e_j) that ``_power_ring`` formed for C(I) are read again.
 
     Proof.  For u ≠ 0 the map g -> g(X)·u is injective on K, so
     [R·u : Z[b]·u] = [R : Z[b]], and Z[b]·u is spanned by the columns of
@@ -561,8 +621,8 @@ def _locally_cyclic(table, ring) -> bool:
     """
     index = _zbeta_index(ring)
     g = 0
-    for rows in _krylov_rows(table):
-        q, rem = divmod(det_bareiss(rows), index)
+    for det_k in _krylov_dets(action):
+        q, rem = divmod(det_k, index)
         assert not rem, "[R : Z[b]] does not divide det K_u: R is not in C(I)"
         g = math.gcd(g, q)
         if g == 1:
@@ -571,8 +631,8 @@ def _locally_cyclic(table, ring) -> bool:
 
 
 def _in_power_ring(table, ring) -> bool:
-    """R ⊆ {g : g(X) integral} for ``table = power_table(X)``: g(X) is
-    integral for each basis element g of R.  An order R over denominator
+    """R ⊆ {g : g(X) integral} for ``table``, the power table of X: g(X)
+    is integral for each basis element g of R.  An order R over denominator
     1 is Z[b], inside every such ring."""
     if ring.denom == 1:
         return True
@@ -586,12 +646,15 @@ def _in_power_ring(table, ring) -> bool:
 
 def coefficient_ring(ideal) -> Order:
     """C(I) = (I : I), the largest order I is a module over: g(b)·I ⊆ I
-    exactly when g(X) is integral, X the b-action of I, so C(I) is
-    ``_power_ring`` of X.  NotASublattice when I is not b-stable."""
-    x = _beta_action(ideal.cols, ideal.field)
-    if x is None:
+    exactly when g(X) is integral, X the b-action on a Z-basis of I, so
+    C(I) is ``_power_ring`` of X.  X is the lattice's ``_action``: for the
+    ideal of A it is A (``invariants._ideal_in``), otherwise the action
+    on the canonical basis, formed on first read.  NotASublattice when I
+    is not b-stable."""
+    action = _action(ideal)
+    if action is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
-    ring = _power_ring(ideal.field, _power_table(x))
+    ring = _power_ring(ideal.field, action)
     if debug_asserts_enabled():
         assert ring == colon(ideal, ideal).as_order(), "ring of the b-action != (I : I)"
     return ring
@@ -647,15 +710,15 @@ def _trace_dual_lattice(lattice, cls=ZLattice):
     """The trace dual L^♯ = {z : Tr(z·w) ∈ Z for all w in L} of
     L = (1/d)·C as a ``cls`` (see ``ZLattice._canonical``), in integers.
 
-    With G = ``polyring._trace_gram`` of p, Tr(z·w) = yᵗ·(G·c) for the
-    coordinates y of z and c of w, so z ∈ L^♯ exactly when y pairs
-    integrally with every vector of G·L = (1/d)·span(G·C): L^♯ is the
-    coordinate dual of G·L, one ``_dual_lattice`` with no inverse of G.
+    With G the field's trace Gram matrix (``NumberField._gram``, formed
+    once per field), Tr(z·w) = yᵗ·(G·c) for the coordinates y of z and c
+    of w, so z ∈ L^♯ exactly when y pairs integrally with every vector of
+    G·L = (1/d)·span(G·C): L^♯ is the coordinate dual of G·L, one
+    ``_dual_lattice`` with no inverse of G.
     """
     field = lattice.field
     # G is symmetric, so the row c·G is the column G·c.
-    return _dual_lattice(field, mat_mul_rows(lattice.cols, _trace_gram(field.p.coeffs)),
-                         lattice.denom, cls)
+    return _dual_lattice(field, mat_mul_rows(lattice.cols, field._gram), lattice.denom, cls)
 
 
 def trace_dual(ideal) -> "FractionalIdeal":
@@ -670,13 +733,13 @@ def trace_dual(ideal) -> "FractionalIdeal":
     return out if stable else out.as_ideal()
 
 
-def _invertibility_index(table, ring, ideal) -> int:
+def _invertibility_index(action, ring, ideal) -> int:
     """[R : I·(R:I)] for an order R inside C(I), 1 exactly when I is
-    invertible over R.  ``table = power_table(X)``, X the b-action of I
-    as ``_locally_cyclic`` takes it, answers 1 when it can; ``ideal()``
+    invertible over R.  ``action``, the b-action of I as
+    ``_locally_cyclic`` takes it, answers 1 when it can; ``ideal()``
     forms I for the exact ``_colon_index`` otherwise, or to check the
     Krylov answer under debug assertions."""
-    if not _locally_cyclic(table, ring):
+    if not _locally_cyclic(action, ring):
         return _colon_index(ideal(), ring)
     if debug_asserts_enabled():
         assert _colon_index(ideal(), ring) == 1, "locally cyclic, yet not invertible"
@@ -703,13 +766,15 @@ def is_invertible(ideal, ring) -> bool:
     for z in C(I).  The product condition alone would hold for every
     order I = S ⊊ R, as 1 ∈ S gives S·(R:S) = R.  R ⊆ C(I) is read off
     the b-action X of I (``_in_power_ring``), and the index off X or the
-    colon (``_invertibility_index``).  NotASublattice when I is not
-    b-stable, as in ``coefficient_ring``."""
-    x = _beta_action(ideal.cols, ideal.field)
-    if x is None:
+    colon (``_invertibility_index``).  X is the lattice's ``_action``, as
+    in ``coefficient_ring``, so the power table and the Krylov
+    determinants C(I) was read off serve here too.  NotASublattice when
+    I is not b-stable."""
+    action = _action(ideal)
+    if action is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
-    table = _power_table(transpose(x))
-    result = _in_power_ring(table, ring) and _invertibility_index(table, ring, lambda: ideal) == 1
+    result = (_in_power_ring(action.table, ring)
+              and _invertibility_index(action, ring, lambda: ideal) == 1)
     if debug_asserts_enabled():
         alt = coefficient_ring(ideal) == ring and is_divisorial(ideal, ring)
         assert result == alt, "invertibility characterizations disagree"

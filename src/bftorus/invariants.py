@@ -52,13 +52,13 @@ from .exactmat import (
     eval_poly_at_matrix,
     mat_pow,
     powers_and_char_poly,
-    transpose,
 )
 from .ideals import (
     AbelianGroup,
     FractionalIdeal,
     ZLattice,
-    _beta_action,
+    _Action,
+    _action,
     _dual_lattice,
     _invertibility_index,
     _power_ring,
@@ -87,8 +87,8 @@ def _as_rat_poly(g):
 
 
 def _same_char_poly(a, b):
-    """(p, (power_table(A), power_table(B))); CharPolyMismatch unless A
-    and B share the char poly p."""
+    """(p, (the power tables of A and B)); CharPolyMismatch unless A and
+    B share the char poly p."""
     (table_a, pa), (table_b, pb) = powers_and_char_poly(a), powers_and_char_poly(b)
     if pa != pb:
         raise CharPolyMismatch(f"characteristic polynomials differ: {pa} vs {pb}")
@@ -186,7 +186,7 @@ def matrix_to_ideal(a) -> FractionalIdeal:
     this normalization in general.
     """
     table, p = powers_and_char_poly(a)
-    return _ideal_in(_dictionary_field(p), table)
+    return _ideal_in(_dictionary_field(p), _Action(table))
 
 
 def _dictionary_field(p):
@@ -202,9 +202,10 @@ def _dictionary_field(p):
         ) from None
 
 
-def _ideal_in(field, table):
-    """``matrix_to_ideal(A)`` in the field of its char poly, from ``table =
-    power_table(A)``: the dual of the Krylov lattice of e_0, rescaled.
+def _ideal_in(field, action):
+    """``matrix_to_ideal(A)`` in the field of its char poly, from the
+    ``ideals._Action`` of A: the dual of the Krylov lattice of e_0,
+    rescaled, carrying that action in its slot.
 
     Let K = [e_0, A·e_0, ..., A^(n-1)·e_0]; its rows are the entry
     vectors table[i][0].  p is irreducible, so e_0 is a cyclic vector and
@@ -214,8 +215,13 @@ def _ideal_in(field, table):
     K·e_0 = e_0: x is the row eigenvector divided by its first entry.
     The coordinates of x_i are column i of K⁻¹, so the entries of x span
     the dual of the lattice of the rows of K, one ``_dual_lattice``.
+    b·x_j = (x·A)_j = Σ_i x_i·A[i][j], so b acts on the Z-basis c·x of
+    the ideal, c the rescaling rational, by A itself: the ideal is handed
+    A's power table and Krylov determinants, and ``coefficient_ring`` and
+    ``is_invertible`` read them with no b-action solve.
     """
     n = field.n
+    table = action.table
     krylov = [list(row[0]) for row in table]
     raw = _dual_lattice(field, krylov)
     if debug_asserts_enabled():
@@ -225,21 +231,21 @@ def _ideal_in(field, table):
             lhs = sum((x[j] * table[j][i][1] for j in range(n)), field.zero())
             assert lhs == field.beta() * x[i], "x.A != beta.x"
     # The first HNF column spans the intersection with Q; rescale it to Z.
-    return FractionalIdeal._canonical(field, raw.cols[0][0], [list(c) for c in raw.cols])
+    return FractionalIdeal._canonical(field, raw.cols[0][0], [list(c) for c in raw.cols], action)
 
 
-def _matrix_ring(field, table) -> ZLattice:
-    """coefficient_ring(matrix_to_ideal(A)) from ``table = power_table(A)``,
-    ``field`` being the number field of the char poly of A (degree >= 2).
+def _matrix_ring(field, action) -> ZLattice:
+    """coefficient_ring(matrix_to_ideal(A)) from the ``ideals._Action`` of
+    A, ``field`` being the number field of the char poly of A (degree >= 2).
 
     The entries of a row eigenvector v are a basis of the ideal I (up to
     the scalar ``matrix_to_ideal`` normalizes by, which leaves C(I)
     alone), and g(beta).v = v.g(A), so g(beta).I lies in I exactly when
     g(A) is integral: C(I) is ``ideals._power_ring`` of A.
     """
-    ring = _power_ring(field, table)
+    ring = _power_ring(field, action)
     if debug_asserts_enabled():
-        a = [[e[1] for e in row] for row in table]
+        a = [[e[1] for e in row] for row in action.table]
         got = coefficient_ring(matrix_to_ideal(a))
         assert (got.denom, got.cols) == (ring.denom, ring.cols), "ring of g(A) != C(I)"
     return ring
@@ -249,13 +255,15 @@ def ideal_to_matrix(ideal) -> IntMatrix:
     """The matrix of multiplication by beta on the canonical basis.
 
     Inverse direction of the dictionary: beta-stability of the lattice
-    is exactly integrality of the result.
+    is exactly integrality of the result.  The matrix is the ``x`` of the
+    lattice's ``ideals._action``, formed only when the slot lacks it (the
+    ideal of A carries A, which acts on another basis).
     """
     field = ideal.field
-    x = _beta_action(ideal.cols, field)
-    if x is None:
+    action = _action(ideal, canonical=True)
+    if action is None:
         raise NonIntegralResult("multiplication by beta does not preserve this lattice")
-    out = transpose(x)
+    out = [list(row) for row in action.x]
     if debug_asserts_enabled():
         assert char_poly(out) == field.p, "dictionary broke the char poly"
     return out
@@ -347,7 +355,7 @@ def l_equivalent(a, b) -> EquivalenceVerdict:
     """
     p, tables = _same_char_poly(a, b)
     field = _dictionary_field(p)
-    ring_a, ring_b = (_matrix_ring(field, table) for table in tables)
+    ring_a, ring_b = (_matrix_ring(field, _Action(table)) for table in tables)
     if ring_a == ring_b:
         return EquivalenceVerdict(
             "L-equivalent", witness=f"common coefficient ring ({ring_a.basis_text()})"
@@ -469,8 +477,10 @@ def _rings_and_index(field, tables):
     ``ideals._invertibility_index`` of the powers of A: beta acts on I by
     A in the coordinates c -> v.c, and R = C(I) = {g : g(A) integral} by
     construction.  I is formed (``_ideal_in``) only when the Krylov test
-    does not answer."""
-    rings = tuple(_matrix_ring(field, table) for table in tables)
+    does not answer.  One ``ideals._Action`` per table carries its Krylov
+    determinants from the ring to the index, and on to I."""
+    actions = [_Action(table) for table in tables]
+    rings = tuple(_matrix_ring(field, action) for action in actions)
     if rings[0] != rings[1]:
         return rings, None
     ring = rings[0]
@@ -478,8 +488,8 @@ def _rings_and_index(field, tables):
     if gorenstein and not debug_asserts_enabled():
         return rings, 1
     index = 1
-    for table in tables:
-        index *= _invertibility_index(table, ring, functools.partial(_ideal_in, field, table))
+    for action in actions:
+        index *= _invertibility_index(action, ring, functools.partial(_ideal_in, field, action))
     assert index == 1 or not gorenstein, "an ideal with ring Z[beta] is not invertible"
     return rings, index
 

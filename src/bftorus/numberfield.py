@@ -12,14 +12,14 @@ from fractions import Fraction
 
 from .errors import ReduciblePolynomial, ZeroInverse
 from .exactmat import _integer_inverse
+from .kernels import det_bareiss
 from .polyring import (
     IntPoly,
     RatPoly,
     _as_fraction,
     _cleared,
     _is_irreducible,
-    _power_sums,
-    discriminant,
+    _trace_gram,
     format_poly,
     parse_int_poly,
     parse_poly,
@@ -31,11 +31,13 @@ class NumberField:
 
     Degree 1 is allowed (K = Q); the whole ideal machinery degenerates
     gracefully there, which keeps 1x1 matrices on the main code path.
-    ``disc``, the reduced powers of b (``_powers``) and their traces
-    (``_power_sums``) are each formed once per field, on first read.
+    The reduced powers of b (``_powers``) and the Hankel trace Gram
+    matrix G = (Tr(b^(i+j))) (``_gram``) are each formed once per field,
+    on first read; ``disc`` is det G, traces read G's first row, and
+    every trace dual (``ideals._trace_dual_lattice``) reads G itself.
     """
 
-    __slots__ = ("p", "n", "_disc", "_b_powers", "_b_traces")
+    __slots__ = ("p", "n", "_disc", "_b_powers", "_b_gram")
 
     def __init__(self, p):
         if isinstance(p, str):
@@ -44,27 +46,27 @@ class NumberField:
             p = p.to_int_poly()
         if not p.is_monic():
             raise ReduciblePolynomial(f"defining polynomial must be monic: {p}")
-        # the sieve needs disc(p) from degree 4 on; below, ``disc`` forms it
-        disc = discriminant(p) if p.degree >= 4 else None
-        if not _is_irreducible(p, disc):
-            raise ReduciblePolynomial(f"defining polynomial is reducible: {p}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_disc", disc)
         object.__setattr__(self, "n", p.degree)
+        object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_b_powers", None)
-        object.__setattr__(self, "_b_traces", None)
+        object.__setattr__(self, "_b_gram", None)
+        # the sieve needs disc(p) from degree 4 on; below, ``disc`` forms it
+        if not _is_irreducible(p, self.disc if p.degree >= 4 else None):
+            raise ReduciblePolynomial(f"defining polynomial is reducible: {p}")
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
 
     @property
     def disc(self):
-        """disc(p), the determinant of the trace form on the power basis
-        (1 in degree 1, where it is [[Tr 1]]), computed once per field:
-        when the field is built in degree >= 4, where the irreducibility
-        sieve needs it, and otherwise when first read."""
+        """disc(p) = det G, G the trace Gram matrix (``_gram``): for the
+        Vandermonde matrix V of the roots, disc(p) = det(V)² = det(V·Vᵀ) and
+        V·Vᵀ = G (1 in degree 1, where G = [[Tr 1]]).  Computed once per
+        field: when the field is built in degree >= 4, where the
+        irreducibility sieve needs it, and otherwise when first read."""
         if self._disc is None:
-            object.__setattr__(self, "_disc", discriminant(self.p) if self.n > 1 else 1)
+            object.__setattr__(self, "_disc", det_bareiss(self._gram))
         return self._disc
 
     @property
@@ -74,11 +76,12 @@ class NumberField:
         return self._b_powers
 
     @property
-    def _power_sums(self):
-        """s_k = Tr(b^k) for k = 0..n-1, the Newton power sums of p."""
-        if self._b_traces is None:
-            object.__setattr__(self, "_b_traces", tuple(_power_sums(self.p.coeffs, self.n)))
-        return self._b_traces
+    def _gram(self):
+        """G = (s_(i+j)), s_k = Tr(b^k), the Gram matrix of the trace form
+        on the power basis (``polyring._trace_gram``), as tuples."""
+        if self._b_gram is None:
+            object.__setattr__(self, "_b_gram", tuple(map(tuple, _trace_gram(self.p.coeffs))))
+        return self._b_gram
 
     def _build_powers(self):
         # b^k for k = 0 .. 2n-2, reduced mod p.  Since p is monic over Z
@@ -263,7 +266,7 @@ class FieldElement:
     # -- invariants ---------------------------------------------------
 
     def trace(self):
-        s = self.field._power_sums
+        s = self.field._gram[0]  # Tr(b^k) for k = 0..n-1
         return sum((c * s[i] for i, c in enumerate(self.coords)), Fraction(0))
 
     def __repr__(self):

@@ -8,8 +8,9 @@ import pytest
 import bftorus.invariants
 import bftorus.polyring
 from bftorus import cli, config
+from bftorus.ideals import FractionalIdeal
 
-from util import EX1_A, EX1_B, EX1_C, EX2_M, EX2_MP, I7_COLS, companion
+from util import EX1_A, EX1_B, EX1_C, EX2_M, EX2_MP, I7_COLS, companion, count_validations
 
 
 def run_cli(*argv):
@@ -280,6 +281,16 @@ class TestCoeffRingAndInvertible:
         code, out, _ = run_cli("invertible", "--ideal", i_path, "--ring", "zbeta")
         assert code == 0
         assert "not invertible over Z[b]" in out
+
+    def test_invertible_validates_only_the_loaded_ideal(self, ideal_files, monkeypatch):
+        # the ring, the colon and the printed inverse are formed by the
+        # library, so only the ideal read from the file runs the b-action check
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+        calls = count_validations(monkeypatch)
+        code, out, _ = run_cli("invertible", "--ideal", ideal_files[0])
+        assert code == 0
+        assert "  inverse basis: 1, (1/2)b+(1/2), (1/16)b^2+(1/8)b+(9/16)" in out
+        assert calls == [FractionalIdeal]
 
     def test_invertible_json(self, ideal_files):
         i_path, _ = ideal_files

@@ -21,7 +21,6 @@ from bftorus.exactmat import (
     eval_poly_at_matrix,
     identity_matrix,
     mat_pow,
-    power_table,
     powers_and_char_poly,
     smith_normal_form,
     transpose,
@@ -41,6 +40,7 @@ from util import (
     oracle_horner,
     oracle_inverse,
     oracle_mat_pow_squaring,
+    power_table,
     random_unimodular_pair,
     rational_inverse,
 )
@@ -214,7 +214,7 @@ def test_non_integer_entries_rejected(entry):
     with pytest.raises(TypeError):
         det(m)
     with pytest.raises(TypeError):
-        power_table(m)
+        powers_and_char_poly(m)
     with pytest.raises(TypeError):
         eval_poly_at_matrix(RatPoly([0, 1]), m)
 

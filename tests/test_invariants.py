@@ -18,11 +18,12 @@ from bftorus.errors import (
     NonIntegralResult,
     ReduciblePolynomial,
 )
-from bftorus.exactmat import char_poly, det, eval_poly_at_matrix, power_table
+from bftorus.exactmat import char_poly, det, eval_poly_at_matrix
 from bftorus.ideals import (
     AbelianGroup,
     FractionalIdeal,
     ZLattice,
+    _Action,
     coefficient_ring,
     fractional_ideal,
     quotient_group,
@@ -79,6 +80,7 @@ from util import (
     oracle_irreducible,
     oracle_norm,
     oracle_row_eigenvector,
+    power_table,
     random_admissible_poly,
     random_similar_pair,
     random_unimodular_pair,
@@ -308,7 +310,7 @@ class TestDictionary:
             # the check is live: in the field of another char poly the
             # Krylov-dual basis of EX1_A is no eigenvector
             with pytest.raises(AssertionError, match="x.A != beta.x"):
-                _ideal_in(NumberField(IntPoly([-1, 0, 1, 1])), power_table(EX1_A))
+                _ideal_in(NumberField(IntPoly([-1, 0, 1, 1])), _Action(power_table(EX1_A)))
         finally:
             set_debug_asserts(saved)
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bftorus.polyring as polyring
 from bftorus.errors import ReduciblePolynomial, ZeroInverse
 from bftorus.exactmat import char_poly
-from bftorus.ideals import FractionalIdeal
+from bftorus.ideals import FractionalIdeal, trace_dual, zbeta
 from bftorus.invariants import ideal_to_matrix
 from bftorus.numberfield import NumberField, multiplication_matrix
 from bftorus.polyring import IntPoly, RatPoly
@@ -16,6 +17,7 @@ from bftorus.polyring import IntPoly, RatPoly
 from util import (
     I7_COLS,
     P_CUBIC,
+    CallCounter,
     oracle_minimal_polynomial,
     oracle_norm,
     oracle_resultant,
@@ -64,16 +66,32 @@ def test_disc(poly, disc):
 
 
 def test_tables_are_formed_on_first_read():
-    # a fresh field forms no power table until an element is multiplied
-    # or traced, and the tables it forms then give the old values:
-    # b^3 = 23b^2 - 7b + 1, Tr(b^k) = 3, 23, 23^2 - 2·7
+    # a fresh cubic field forms no power table and no trace Gram until an
+    # element is multiplied or traced, and the tables it forms then give
+    # the old values: b^3 = 23b^2 - 7b + 1, Tr(b^k) = 3, 23, 23^2 - 2·7
     field = NumberField("x^3-23x^2+7x-1")
-    assert (field._b_powers, field._b_traces) == (None, None)
+    assert (field._b_powers, field._b_gram) == (None, None)
     b2 = field.element([0, 0, 1])
     assert b2 * b2 == field.element([23, -160, 522])
-    assert field._b_traces is None
+    assert field._b_gram is None
     assert (b2 + Fraction(1, 2)).trace() == Fraction(3, 2) + 515
-    assert field._power_sums == (3, 23, 515)
+    assert field._gram[0] == (3, 23, 515)
+
+
+def test_one_trace_gram_per_field(monkeypatch):
+    # disc, traces and trace duals all read the field's one Hankel matrix
+    # G = (Tr(b^(i+j))): one run of Newton's identities per field.  In
+    # x^4 - 48, Tr(b^k) = 4, 0, 0, 0, 192, 0, 0.
+    counter = CallCounter(polyring._power_sums)
+    monkeypatch.setattr(polyring, "_power_sums", counter)
+    field = NumberField("x^4-48")
+    assert field.disc == -28311552
+    assert field.element([1, 2, 3, 4]).trace() == 4
+    dual = trace_dual(zbeta(field))
+    assert counter.calls == 1
+    assert field._gram == ((4, 0, 0, 0), (0, 0, 0, 192), (0, 0, 192, 0), (0, 192, 0, 0))
+    # Z[b]^♯ = Z[b]/p'(b), p'(b) = 4b^3
+    assert dual.scaled(field.element([0, 0, 0, 4])) == zbeta(field)
 
 
 class TestArithmetic:

@@ -829,22 +829,23 @@ def test_lattice_and_maximal_order_skip_revalidation(monkeypatch, poly):
 
 @pytest.mark.parametrize("poly", NON_GORENSTEIN_FIELDS + tuple(_seeded_cubics(6)))
 def test_lattice_forms_no_smith_form_and_one_discriminant(monkeypatch, poly):
-    # Every kernel mod ℓ is an elimination over F_ℓ, and disc(p) is
-    # computed once per field: when a quartic is built, when a cubic
-    # first reads it.
+    # Every kernel mod ℓ is an elimination over F_ℓ, and disc(p) = det G
+    # is computed once per field from its one trace Gram matrix G: when a
+    # quartic is built, when a cubic first reads it.
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+    expected = discriminant(polyring.parse_int_poly(poly))
     counters = {"snf_rows": CallCounter(kernels.snf_rows),
-                "discriminant": CallCounter(polyring.discriminant)}
+                "_trace_gram": CallCounter(polyring._trace_gram)}
     # every binding of the two names in the package, as the imports copy them
     for module in [m for name, m in sys.modules.items() if name.startswith("bftorus")]:
         for name, counter in counters.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counter)
     field = NumberField(poly)
-    assert counters["discriminant"].calls == (field.n >= 4)
-    assert field.disc == discriminant(field.p)
-    assert counters["discriminant"].calls == 1
-    counters["discriminant"].calls = 0
+    assert counters["_trace_gram"].calls == (field.n >= 4)
+    assert field.disc == expected
+    assert counters["_trace_gram"].calls == 1
+    counters["_trace_gram"].calls = 0
     lat = enumerate_order_lattice(field)
     assert len(lat.nodes) > 1
     for node in lat.nodes:

@@ -37,7 +37,7 @@ import random
 from fractions import Fraction
 
 from bftorus.errors import NonIntegralResult, ReduciblePolynomial
-from bftorus.exactmat import _integer_inverse, copy_matrix
+from bftorus.exactmat import _integer_inverse, _power_table, copy_matrix
 from bftorus.ideals import (
     AbelianGroup,
     FractionalIdeal,
@@ -107,6 +107,12 @@ P_QUAD = [1, -34, 1]  # x^2 - 34x + 1, discriminant 24^2 * 2
 # and yet (1/2)x^2 separates it.
 R48 = [[0, 0, 0, 12], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]]
 I48 = [[0, -2, -2, 3], [2, -2, 0, 1], [0, 4, 2, 0], [0, 0, 2, 0]]
+
+
+def power_table(a):
+    """The power table of a validated copy of A: entry (i, j) holds
+    (A^0[i][j], ..., A^(n-1)[i][j]), as ``exactmat._power_table`` forms it."""
+    return _power_table(copy_matrix(a))
 
 
 def companion(p):
@@ -1036,7 +1042,7 @@ def oracle_dual_lattice(field, vecs, scale=1):
 
 def oracle_power_ring(field, table):
     """``ideals._power_ring`` as the plain dual of all n² entry vectors of
-    ``table = power_table(X)``, with no Krylov modulus."""
+    ``table``, the power table of X, with no Krylov modulus."""
     return oracle_dual_lattice(field, [list(e) for row in table for e in row])
 
 
