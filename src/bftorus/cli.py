@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 
 from . import config
-from .errors import BFTorusError
+from .errors import BFTorusError, ReduciblePolynomial
 from .ideals import (
     FractionalIdeal, _zbeta_index, coefficient_ring, colon, is_invertible, trace_dual, zbeta,
 )
@@ -366,9 +366,13 @@ def _cmd_equiv(ns):
     refute = strong_bf_refute if ns.strong else bf_refute
     verdict = refute(a, b, bound=ns.bound)
     if verdict.kind == "inconclusive":
-        certified = bf_certify(a, b)
-        if certified.kind != "inconclusive":
-            verdict = certified
+        try:
+            certified = bf_certify(a, b)
+        except ReduciblePolynomial:
+            pass  # certificates need an irreducible char poly; the search's verdict stands
+        else:
+            if certified.kind != "inconclusive":
+                verdict = certified
     return [(_render_verdict(verdict), verdict.to_json_dict())]
 
 

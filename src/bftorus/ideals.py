@@ -19,8 +19,8 @@ import operator
 from fractions import Fraction
 
 from .config import debug_asserts_enabled
-from .errors import NonIntegralResult, NotASublattice, NotFullRank
-from .exactmat import _power_table, eval_at_power_table, transpose
+from .errors import NotASublattice, NotFullRank
+from .exactmat import _power_table, transpose
 from .kernels import det_bareiss, hnf_cols, mat_mul_rows, snf_diag, solve_upper_cols
 from .numberfield import FieldElement, NumberField, _mult_columns
 from .polyring import format_poly, parse_int_poly
@@ -50,15 +50,19 @@ class _Action:
     ``krylov_det(j)`` is det K_(e_j), K_u = [u, M·u, ..., M^(n-1)·u].
     ``x`` is the action on the canonical basis: M when the table is formed
     from it, None until ``_action`` needs it when M acts on another basis
-    (the ideal of A carries A).  The table and each determinant are formed
-    on first read, so ``_power_ring`` and ``_locally_cyclic`` share them."""
+    (the ideal of A carries A).  The table, each determinant and
+    ``ring(field)``, the ring {g : g(M) integral} (C(I), whichever basis M
+    acts on), are formed on first read, so ``_power_ring``,
+    ``_locally_cyclic``, ``coefficient_ring`` and ``is_invertible`` share
+    them."""
 
-    __slots__ = ("_table", "x", "_dets")
+    __slots__ = ("_table", "x", "_dets", "_ring")
 
     def __init__(self, table=None, x=None):
         self._table = table
         self.x = x
         self._dets = [None] * len(x if table is None else table)
+        self._ring = None
 
     @property
     def table(self):
@@ -72,6 +76,12 @@ class _Action:
         if d is None:
             d = self._dets[j] = det_bareiss([row[j] for row in self.table])
         return d
+
+    def ring(self, field):
+        """``_power_ring`` of this action in ``field``, formed once."""
+        if self._ring is None:
+            self._ring = _power_ring(field, self)
+        return self._ring
 
 
 def _action(lattice, canonical=False):
@@ -380,14 +390,20 @@ class Order(FractionalIdeal):
 
 
 def zbeta(field) -> Order:
-    """The monogenic order Z[b] (identity basis).  The identity already
-    is a canonical basis, so none of the ``ZLattice`` checks run: callers
-    test ``ring == zbeta(field)`` in their hot paths."""
-    n = field.n
-    out = object.__new__(Order)
-    object.__setattr__(out, "field", field)
-    object.__setattr__(out, "denom", 1)
-    object.__setattr__(out, "cols", tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)))
+    """The monogenic order Z[b] (identity basis), one object per field:
+    formed on first read and kept in the field's ``_zbeta`` slot, so that
+    its b-action is solved once.  The identity already is a canonical
+    basis, so none of the ``ZLattice`` checks run: callers test
+    ``ring == zbeta(field)`` in their hot paths."""
+    out = field._zbeta
+    if out is None:
+        n = field.n
+        out = object.__new__(Order)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "denom", 1)
+        object.__setattr__(out, "cols", tuple((0,) * j + (1,) + (0,) * (n - 1 - j)
+                                              for j in range(n)))
+        object.__setattr__(field, "_zbeta", out)
     return out
 
 
@@ -605,8 +621,8 @@ def _krylov_dets(action):
 def _locally_cyclic(action, ring) -> bool:
     """True when the ideal I on whose basis b acts by X (the ``_Action`` of
     X itself, not its transpose) is locally principal over the order R,
-    so that [R : I·(R:I)] = 1.  R must lie in {g : g(X) integral}; see
-    ``_in_power_ring``.  False means only that the test did not answer.
+    so that [R : I·(R:I)] = 1.  R must lie in {g : g(X) integral}, as
+    ``is_invertible`` checks.  False means only that the test did not answer.
     The det K_(e_j) that ``_power_ring`` formed for C(I) are read again.
 
     Proof.  For u ≠ 0 the map g -> g(X)·u is injective on K, so
@@ -616,7 +632,7 @@ def _locally_cyclic(action, ring) -> bool:
     that index, I_ℓ = R_ℓ·u at the localisation at ℓ, and
     I_ℓ·(R_ℓ : I_ℓ) = u·R_ℓ·u⁻¹·R_ℓ = R_ℓ.  Colons and products commute
     with localisation, so ℓ does not divide [R : I·(R:I)].  When the gcd
-    of the indices over the u of ``_krylov_rows`` is 1, no prime divides
+    of the indices over the u of ``_krylov_dets`` is 1, no prime divides
     it, and the index is 1.  The set of u is fixed.
     """
     index = _zbeta_index(ring)
@@ -630,31 +646,18 @@ def _locally_cyclic(action, ring) -> bool:
     return False
 
 
-def _in_power_ring(table, ring) -> bool:
-    """R ⊆ {g : g(X) integral} for ``table``, the power table of X: g(X)
-    is integral for each basis element g of R.  An order R over denominator
-    1 is Z[b], inside every such ring."""
-    if ring.denom == 1:
-        return True
-    try:
-        for c in ring.cols:
-            eval_at_power_table(table, ring.denom, c)
-    except NonIntegralResult:
-        return False
-    return True
-
-
 def coefficient_ring(ideal) -> Order:
     """C(I) = (I : I), the largest order I is a module over: g(b)·I ⊆ I
     exactly when g(X) is integral, X the b-action on a Z-basis of I, so
     C(I) is ``_power_ring`` of X.  X is the lattice's ``_action``: for the
     ideal of A it is A (``invariants._ideal_in``), otherwise the action
-    on the canonical basis, formed on first read.  NotASublattice when I
-    is not b-stable."""
+    on the canonical basis, formed on first read; it keeps C(I), so the
+    ring is formed once per lattice.  NotASublattice when I is not
+    b-stable."""
     action = _action(ideal)
     if action is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
-    ring = _power_ring(ideal.field, action)
+    ring = action.ring(ideal.field)
     if debug_asserts_enabled():
         assert ring == colon(ideal, ideal).as_order(), "ring of the b-action != (I : I)"
     return ring
@@ -764,8 +767,10 @@ def is_invertible(ideal, ring) -> bool:
     """True when I is invertible over the order R: I is an R-module
     (R ⊆ C(I)) and I·(R:I) = R.  Then C(I) = R, as z·R = z·I·(R:I) ⊆ R
     for z in C(I).  The product condition alone would hold for every
-    order I = S ⊊ R, as 1 ∈ S gives S·(R:S) = R.  R ⊆ C(I) is read off
-    the b-action X of I (``_in_power_ring``), and the index off X or the
+    order I = S ⊊ R, as 1 ∈ S gives S·(R:S) = R.  R ⊆ C(I) is one
+    containment test against C(I), the ring the b-action X of I keeps
+    once ``coefficient_ring`` forms it; R over denominator 1 is Z[b],
+    inside every C(I), and needs none.  The index is read off X or the
     colon (``_invertibility_index``).  X is the lattice's ``_action``, as
     in ``coefficient_ring``, so the power table and the Krylov
     determinants C(I) was read off serve here too.  NotASublattice when
@@ -773,8 +778,12 @@ def is_invertible(ideal, ring) -> bool:
     action = _action(ideal)
     if action is None:
         raise NotASublattice("lattice is not stable under multiplication by b")
-    result = (_in_power_ring(action.table, ring)
-              and _invertibility_index(action, ring, lambda: ideal) == 1)
+    if ring.denom == 1:
+        inside = True
+    else:
+        own = action.ring(ideal.field)
+        inside = ring == own or own.contains_lattice(ring)
+    result = inside and _invertibility_index(action, ring, lambda: ideal) == 1
     if debug_asserts_enabled():
         alt = coefficient_ring(ideal) == ring and is_divisorial(ideal, ring)
         assert result == alt, "invertibility characterizations disagree"

@@ -61,7 +61,6 @@ from .ideals import (
     _action,
     _dual_lattice,
     _invertibility_index,
-    _power_ring,
     coefficient_ring,
     zbeta,
 )
@@ -243,7 +242,7 @@ def _matrix_ring(field, action) -> ZLattice:
     alone), and g(beta).v = v.g(A), so g(beta).I lies in I exactly when
     g(A) is integral: C(I) is ``ideals._power_ring`` of A.
     """
-    ring = _power_ring(field, action)
+    ring = action.ring(field)
     if debug_asserts_enabled():
         a = [[e[1] for e in row] for row in action.table]
         got = coefficient_ring(matrix_to_ideal(a))

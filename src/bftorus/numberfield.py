@@ -35,9 +35,11 @@ class NumberField:
     matrix G = (Tr(b^(i+j))) (``_gram``) are each formed once per field,
     on first read; ``disc`` is det G, traces read G's first row, and
     every trace dual (``ideals._trace_dual_lattice``) reads G itself.
+    The slot ``_zbeta`` holds the one Z[b] of the field, filled on first
+    read by ``ideals.zbeta``; equality, hashing and ``repr`` read only p.
     """
 
-    __slots__ = ("p", "n", "_disc", "_b_powers", "_b_gram")
+    __slots__ = ("p", "n", "_disc", "_b_powers", "_b_gram", "_zbeta")
 
     def __init__(self, p):
         if isinstance(p, str):
@@ -51,6 +53,7 @@ class NumberField:
         object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_b_powers", None)
         object.__setattr__(self, "_b_gram", None)
+        object.__setattr__(self, "_zbeta", None)
         # the sieve needs disc(p) from degree 4 on; below, ``disc`` forms it
         if not _is_irreducible(p, self.disc if p.degree >= 4 else None):
             raise ReduciblePolynomial(f"defining polynomial is reducible: {p}")

@@ -44,12 +44,13 @@ without the radical and colon that would confirm the fixed point.
 *The repeated part.*  Let t be the product of the distinct monic
 irreducible factors of p mod ℓ and h = (p mod ℓ)/t, so that gcd(t, h)
 is the product of the repeated factors; it is not 1, as ℓ² | disc(p)
-and disc(p) ≡ disc(p mod ℓ) mod ℓ.  t, the radical of p mod ℓ, comes
-from squarefree decomposition (``polyring._gf_radical``): p/gcd(p, p')
-is the product of the factors whose multiplicity is prime to ℓ, which
-is all of them when ℓ > deg p; otherwise what is left after they are
-divided out of the gcd is an ℓ-th power g(x^ℓ), whose radical is that
-of g.  Where gcd(t, h) has degree 2 or more (deg p ≥ 4), Round 2 runs
+and disc(p) ≡ disc(p mod ℓ) mod ℓ.  It is read as rad(gcd(p̄, p̄')),
+p̄ = p mod ℓ (``polyring._gf_repeated_part``): a factor of p̄ of
+multiplicity m divides p̄' exactly m - 1 times when ℓ ∤ m and at least
+m times when ℓ | m, so it divides the gcd exactly when m ≥ 2.  That is
+one gcd and the radical of a small one, where t, h and gcd(t, h) would
+take a squarefree decomposition of p̄, a division and a second gcd.
+Where the repeated part has degree 2 or more (deg p ≥ 4), Round 2 runs
 from Z[b].
 
 *Ore's basis.*  When gcd(t, h) = x - a, x - a is the one repeated
@@ -88,7 +89,7 @@ is 0 exactly when v_ℓ(t_0) = 1: then N is the one side from (0, 1) to
 (e, 0), whose residual polynomial is linear, while v_ℓ(t_0) ≥ 2 gives
 N(1) ≥ 1, as every point with 0 < k < e lies at height 1 or more and
 the chord from (0, 2) to (e, 0) passes height 2 - 2/e ≥ 1 at 1.  a is
-read off gcd(t, h), not searched for mod ℓ.
+read off the repeated part, not searched for mod ℓ.
 
 *Minimal over-orders.*  The local orders at ℓ are the orders between
 Z[b] and O_ℓ, and the walk reaches each of them from Z[b] through
@@ -135,7 +136,7 @@ from .ideals import (
 )
 from .kernels import solve_upper_cols
 from .numberfield import NumberField, _mult_columns
-from .polyring import _gf_divmod, _gf_gcd, _gf_normalize, _gf_radical, factorint, square_part
+from .polyring import _gf_derivative, _gf_gcd, _gf_normalize, _gf_repeated_part, factorint
 
 
 LOCAL_ORDERS_BUDGET = 2**14  # lines one local walk examines at most
@@ -179,8 +180,7 @@ def _ore_order(field, ell, a, v):
         dx, dy = x2 - x1, y1 - y2
         d = math.gcd(dx, dy)
         residual = [t[x1 + j * dx // d] // ell ** (y1 - j * dy // d) % ell for j in range(d + 1)]
-        derivative = _gf_normalize([j * c for j, c in enumerate(residual)][1:], ell)
-        regular = regular and _gf_gcd(residual, derivative, ell) == [1]
+        regular = regular and _gf_gcd(residual, _gf_derivative(residual, ell), ell) == [1]
         floors += [(y1 * dx - (x - x1) * dy) // dx for x in range(x1 + 1, x2 + 1)]
     e, top = len(t) - 1, floors[1]  # N falls, so ⌊N(1)⌋ is the largest
     if not regular and sum(floors[1:e]) < v:
@@ -196,14 +196,17 @@ def _index_primes(field):
     the module doc): Ore's basis, or Round 2 from its seed O₁, where x - a
     is the one repeated factor of p mod ℓ, and Round 2 from Z[b] where the
     repeated part has degree 2 or more, up to the index bound ℓ^v_ℓ(F).
+    The primes and v_ℓ(F) = ⌊v_ℓ(disc p)/2⌋ come from one factorization
+    of disc(p), as ``polyring.square_part`` would form F from it;
     FactorizationIncomplete when disc(p) cannot be fully factored.
     There are none in degree 1, where Z[b] = Z_K."""
     zb = zbeta(field)
     found = []
-    for ell, v in sorted(factorint(square_part(field.disc)[0]).items()):
-        pbar = _gf_normalize(field.p.coeffs, ell)
-        t = _gf_radical(pbar, ell)
-        repeated = _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)  # the repeated factors
+    for ell, e in sorted(factorint(field.disc).items()):
+        v = e // 2  # v_ℓ(F)
+        if not v:
+            continue
+        repeated = _gf_repeated_part(_gf_normalize(field.p.coeffs, ell), ell)
         top, done = (_ore_order(field, ell, -repeated[0] % ell, v) if len(repeated) == 2
                      else (zb, False))
         if not done:

@@ -480,6 +480,10 @@ def _gf_divmod(a, b, q):
     return _gf_normalize(quo, q), _gf_normalize(a, q)
 
 
+def _gf_derivative(f, q):
+    return _gf_normalize([i * c for i, c in enumerate(f)][1:], q)
+
+
 def _gf_gcd(a, b, q):
     while b:
         a, b = b, _gf_divmod(a, b, q)[1]
@@ -509,10 +513,11 @@ def _gf_radical(f, q):
     q | m_i, so r = f/gcd(f, f') is the product of the P_i with q ∤ m_i,
     which is all of them when deg f < q, as then every m_i < q; otherwise
     dividing those out of the gcd leaves the q-th power Π P_i^m_i over
-    q | m_i, whose radical is taken by recursion."""
-    if len(f) <= 1:
-        return [1]
-    df = _gf_normalize([i * c for i, c in enumerate(f)][1:], q)
+    q | m_i, whose radical is taken by recursion.  1 and a linear f are
+    their own radicals."""
+    if len(f) <= 2:
+        return f or [1]
+    df = _gf_derivative(f, q)
     if not df:
         return _gf_radical(f[::q], q)
     rest = _gf_gcd(f, df, q)
@@ -525,6 +530,21 @@ def _gf_radical(f, q):
             break
         rest = _gf_divmod(rest, common, q)[0]
     return _gf_mul(r, _gf_radical(rest, q), q)
+
+
+def _gf_repeated_part(f, q):
+    """The product of the distinct monic irreducible factors of the
+    monic f mod the prime q whose multiplicity is 2 or more:
+    rad(gcd(f, f')), the gcd being f when f' = 0.  Write f = Π P_i^m_i.
+    Each P_i is separable (F_q is perfect), so P_i ∤ P_i', and in
+    f' = Σ_i m_i·P_i'·P_i^(m_i - 1)·Π_(j≠i) P_j^m_j every term but the
+    i-th has P_i^m_i.  When q ∤ m_i, P_i divides f' exactly m_i - 1 times;
+    when q | m_i, the i-th term vanishes and P_i divides f' at least m_i
+    times.  So P_i divides gcd(f, f') exactly when m_i ≥ 2 (q | m_i gives
+    m_i ≥ q ≥ 2), and the radical of the gcd is the repeated part; f' = 0
+    makes every m_i a multiple of q, and the radical of f is that part.
+    The gcd is monic, and ``_gf_radical`` of it is the monic product."""
+    return _gf_radical(_gf_gcd(f, _gf_derivative(f, q), q), q)
 
 
 def _factor_degrees_mod(p, q):
@@ -836,7 +856,10 @@ def parse_poly(text, var="x"):
         if coef is None:
             c = Fraction(1)
         else:
-            c = Fraction(coef.strip("()"))
+            try:
+                c = Fraction(coef.strip("()"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in polynomial term {raw!r}") from None
         if m.group("sign") == "-":
             c = -c
         if m.group("var") is None:

@@ -388,6 +388,23 @@ class TestEquiv:
         assert code == 2
         assert "BudgetExceeded" in out
 
+    @pytest.mark.parametrize("rows, flags", [
+        ([[1, 0], [0, 1]], ()),
+        ([[0, 1], [1, 0]], ()),
+        ([[0, 1], [1, 0]], ("--strong",)),
+        ([[3]], ()),
+    ], ids=["identity", "permutation", "permutation-strong", "1x1"])
+    def test_reducible_pair_keeps_the_search_verdict(self, tmp_path, rows, flags):
+        # the search takes any pair; a certificate needs an irreducible
+        # char poly of degree >= 2, so the search's verdict stands
+        a = write_matrix(tmp_path, "a.txt", rows)
+        code, out, err = run_cli("equiv", *flags, "--matrix", a, a)
+        assert (code, err) == (0, "")
+        assert out == "verdict: inconclusive\nno witness found up to bound 4\n"
+        code, out, _ = run_cli("equiv", *flags, "--matrix", a, a, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"verdict": "inconclusive", "bound": 4}
+
     def test_quartic_pair(self, mats):
         code, out, _ = run_cli(
             "equiv", "--matrix", mats["M"], mats["Mp"], "--format", "json"
@@ -442,6 +459,17 @@ class TestErrors:
         code, _, err = run_cli("bf", "--matrix", mats["A"], "--poly", "x**2")
         assert code == 1
         assert "bad polynomial" in err
+
+    def test_zero_denominator_is_exit_1(self, mats, tmp_path):
+        ideal = tmp_path / "I.json"
+        ideal.write_text(json.dumps(_ideal(field="1/0x^2+1")))
+        for argv in (("bf", "--matrix", mats["A"], "--poly", "1/0x"),
+                     ("lattice", "--poly", "1/0x^2+1"),
+                     ("coeffring", "--ideal", str(ideal))):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("bftorus: error: ") and err.count("\n") == 1
+            assert "zero denominator in polynomial term" in err
 
     def test_malformed_matrix(self, tmp_path):
         bad = tmp_path / "bad.txt"

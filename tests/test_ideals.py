@@ -7,11 +7,13 @@ is not, and the two colon inverses land on lattices that can be written
 down exactly.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 import bftorus.config as config
+import bftorus.exactmat as exactmat
 import bftorus.ideals as ideals
 from bftorus.errors import NotASublattice, NotFullRank
 from bftorus.ideals import (
@@ -302,14 +304,34 @@ class TestInvertibility:
                 assert is_invertible(s, r) == (s == r)
 
     def test_zbeta_ring_needs_no_power_evaluation(self, K, zb, monkeypatch):
-        # Z[b] ⊆ C(I) for every b-stable I, so R ⊆ C(I) is not evaluated
+        # Z[b] ⊆ C(I) for every b-stable I, so R ⊆ C(I) forms no C(I)
         monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
-        counter = CallCounter(ideals.eval_at_power_table)
-        monkeypatch.setattr(ideals, "eval_at_power_table", counter)
+        counter = CallCounter(ideals._power_ring)
+        monkeypatch.setattr(ideals, "_power_ring", counter)
         principal = ideal_of(zb.scaled(K.element([2, 1, 0])))
-        assert principal != zb and coefficient_ring(principal) == zb
-        assert is_invertible(principal, zb)
+        assert principal != zb and is_invertible(principal, zb)
         assert counter.calls == 0
+        assert coefficient_ring(principal) == zb
+
+    @pytest.mark.parametrize("poly", ("x^2-12",) + NON_GORENSTEIN_FIELDS)
+    def test_containment_reads_the_kept_coefficient_ring(self, poly, monkeypatch):
+        # coefficient_ring(I) then is_invertible(I, C(I)): C(I) is formed
+        # once, kept by I's b-action, and no g(X) is evaluated
+        monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
+        counters = {"_power_ring": CallCounter(ideals._power_ring),
+                    "eval_at_power_table": CallCounter(exactmat.eval_at_power_table)}
+        for module in [m for name, m in sys.modules.items() if name.startswith("bftorus")]:
+            for name, counter in counters.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counter)
+        for node in enumerate_order_lattice(NumberField(poly)).nodes:
+            ideal = FractionalIdeal(node.field, node.denom, node.cols)  # a fresh slot
+            for counter in counters.values():
+                counter.calls = 0
+            ring = coefficient_ring(ideal)
+            assert ring == node and is_invertible(ideal, ring)
+            assert {name: c.calls for name, c in counters.items()} == {
+                "_power_ring": 1, "eval_at_power_table": 0}
 
     def test_lattice_that_is_not_b_stable_raises(self):
         # span{1, 2b} in Q(b), b² = 12, over Z[b] and over Z[√3] = Z[b/2]

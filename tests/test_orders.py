@@ -47,6 +47,7 @@ import bftorus.orders as orders
 import bftorus.polyring as polyring
 from bftorus.errors import BudgetExceeded
 from bftorus.ideals import (
+    FractionalIdeal,
     Order,
     ZLattice,
     coefficient_ring,
@@ -69,7 +70,7 @@ from bftorus.orders import (
     order_discriminant,
 )
 from bftorus.polyring import (
-    IntPoly, _gf_divmod, _gf_gcd, _gf_normalize, discriminant, factorint, is_irreducible, square_part,
+    IntPoly, discriminant, factorint, is_irreducible, square_part,
 )
 
 from util import (
@@ -83,12 +84,12 @@ from util import (
     _poly_mul,
     kernel_mod_m,
     oracle_dedekind,
-    oracle_gf_radical,
     oracle_hasse_edges,
     oracle_local_maximal,
     oracle_local_orders,
     oracle_order_lattice,
     oracle_ore_quotients,
+    oracle_repeated_part,
 )
 
 # b = 2^12·sqrt(3): O_2/Z[b] is cyclic of order 2^12, so the orders form
@@ -337,17 +338,9 @@ def _valuations(field):
     return factorint(square_part(field.disc)[0])
 
 
-def _repeated_part(p, ell):
-    """gcd(t, h) mod ℓ, the product of the repeated factors of p mod ℓ:
-    t the radical of p mod ℓ by distinct degrees, h = (p mod ℓ)/t."""
-    pbar = _gf_normalize(p.coeffs, ell)
-    t = oracle_gf_radical(pbar, ell)
-    return _gf_gcd(t, _gf_divmod(pbar, t, ell)[0], ell)
-
-
 def _repeated_root(p, ell):
     """a when gcd(t, h) = x - a mod ℓ, the one repeated factor, else None."""
-    repeated = _repeated_part(p, ell)
+    repeated = oracle_repeated_part(p.coeffs, ell)
     return -repeated[0] % ell if len(repeated) == 2 else None
 
 
@@ -583,9 +576,9 @@ def test_square_repeated_factors_reach_the_fixed_point(field):
     for ell in _valuations(field):
         assert tops.get(ell, zbeta(field)) == oracle_local_maximal(field, ell)
     if str(field.p) == "x^4+2x^3+3x^2+2x+9":
-        assert len(_repeated_part(field.p, 2)) == 3 and 2 in tops
+        assert len(oracle_repeated_part(field.p.coeffs, 2)) == 3 and 2 in tops
     if str(field.p) == "x^4-2x^2-32":
-        assert [len(_repeated_part(field.p, ell)) for ell in (3, 11)] == [3, 3]
+        assert [len(oracle_repeated_part(field.p.coeffs, ell)) for ell in (3, 11)] == [3, 3]
         assert not {3, 11} & set(tops)
 
 
@@ -597,7 +590,7 @@ def test_square_repeated_factor_at_a_large_prime_within_half_a_second():
     field = NumberField(f"x^4+2x^2+{ell**2}x+1")
     top = maximal_order(field)
     elapsed = time.perf_counter() - start
-    assert len(_repeated_part(field.p, ell)) == 3
+    assert len(oracle_repeated_part(field.p.coeffs, ell)) == 3
     assert zbeta(field).index_in(top) == ell**2  # F = ℓ^2
     assert elapsed < 0.5
 
@@ -831,12 +824,16 @@ def test_lattice_and_maximal_order_skip_revalidation(monkeypatch, poly):
 def test_lattice_forms_no_smith_form_and_one_discriminant(monkeypatch, poly):
     # Every kernel mod ℓ is an elimination over F_ℓ, and disc(p) = det G
     # is computed once per field from its one trace Gram matrix G: when a
-    # quartic is built, when a cubic first reads it.
+    # quartic is built, when a cubic first reads it.  The lattice factors
+    # disc(p) once, with no square_part, and every Z[b] it holds is the
+    # field's one zbeta.
     monkeypatch.setattr(config, "_DEBUG_ASSERTS", False)
     expected = discriminant(polyring.parse_int_poly(poly))
     counters = {"snf_rows": CallCounter(kernels.snf_rows),
-                "_trace_gram": CallCounter(polyring._trace_gram)}
-    # every binding of the two names in the package, as the imports copy them
+                "_trace_gram": CallCounter(polyring._trace_gram),
+                "factorint": CallCounter(polyring.factorint),
+                "square_part": CallCounter(polyring.square_part)}
+    # every binding of these names in the package, as the imports copy them
     for module in [m for name, m in sys.modules.items() if name.startswith("bftorus")]:
         for name, counter in counters.items():
             if hasattr(module, name):
@@ -845,10 +842,14 @@ def test_lattice_forms_no_smith_form_and_one_discriminant(monkeypatch, poly):
     assert counters["_trace_gram"].calls == (field.n >= 4)
     assert field.disc == expected
     assert counters["_trace_gram"].calls == 1
-    counters["_trace_gram"].calls = 0
+    for counter in counters.values():
+        counter.calls = 0
     lat = enumerate_order_lattice(field)
-    assert len(lat.nodes) > 1
+    assert len(lat.nodes) > 1 and lat.nodes[0] is zbeta(field)
     for node in lat.nodes:
         conductor(node)
         order_discriminant(node)
-    assert {name: c.calls for name, c in counters.items()} == dict.fromkeys(counters, 0)
+    assert {name: c.calls for name, c in counters.items()} == {
+        "snf_rows": 0, "_trace_gram": 0, "factorint": 1, "square_part": 0}
+    zb_conductor = conductor(zbeta(field))
+    assert type(zb_conductor) is FractionalIdeal and zb_conductor == zbeta(field)

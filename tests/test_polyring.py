@@ -5,12 +5,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bftorus.config
 import bftorus.polyring
 from bftorus.errors import BudgetExceeded, NotMonic
+from bftorus.numberfield import NumberField
 from bftorus.polyring import (
     IntPoly,
     RatPoly,
@@ -18,6 +19,7 @@ from bftorus.polyring import (
     _factor_pattern_mod,
     _gf_mul,
     _gf_radical,
+    _gf_repeated_part,
     _is_prime,
     discriminant,
     factorint,
@@ -35,6 +37,7 @@ from util import (
     oracle_box_irreducible,
     oracle_gf_radical,
     oracle_irreducible,
+    oracle_repeated_part,
     oracle_resultant,
     poly_gcd,
     poly_xgcd,
@@ -410,6 +413,40 @@ def test_gf_radical_against_distinct_degrees(case):
     assert _gf_radical(f, ell) == oracle_gf_radical(f, ell)
 
 
+def _gf_power(f, e, q):
+    out = [1]
+    for _ in range(e):
+        out = _gf_mul(out, f, q)
+    return out
+
+
+@st.composite
+def monic_mod_small_primes(draw):
+    """(f, q): a monic f of degree 1-8 with coefficients in [0, q)."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 8))
+    return draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)) + [1], q
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_mod_small_primes())
+@example(([1, 0, 1, 0, 1], 2))  # g(x^2) for g = x^2+x+1: f' = 0
+@example(([2, 0, 0, 1, 0, 0, 1], 3))  # g(x^3) for g = x^2+x+2: f' = 0
+@example((_gf_mul(_gf_power([1, 1], 3, 3), _gf_power([2, 1], 4, 3), 3), 3))  # (x+1)^3·(x+2)^4
+@example((_gf_mul(_gf_power([1, 1], 2, 2), _gf_power([0, 1], 3, 2), 2), 2))  # (x+1)^2·x^3
+@example(([1, 0, 2, 0, 1], 3))  # (x^2+1)^2 mod 3
+@example((_gf_power([5, 1], 7, 7), 7))  # (x-2)^7 mod 7
+@example((_gf_power([3, 1], 5, 5), 5))  # (x-2)^5 mod 5
+@example(([0, 4, 0, 1], 5))  # x(x-1)(x+1): squarefree
+def test_gf_repeated_part_against_distinct_degrees(case):
+    # rad(gcd(f, f')) is gcd(t, h) for t the radical of f and h = f/t
+    f, q = case
+    got = _gf_repeated_part(f, q)
+    assert got == oracle_repeated_part(f, q)
+    if f == [0, 4, 0, 1]:
+        assert got == [1]
+
+
 class TestParsing:
     def test_int_poly(self):
         assert parse_int_poly("x^3 - 23*x^2 + 7*x - 1") == P
@@ -424,6 +461,16 @@ class TestParsing:
         assert g == RatPoly(
             [Fraction(5, 8), Fraction(1, 2), Fraction(1, 2), Fraction(1, 8)]
         )
+
+    @pytest.mark.parametrize("parse", [parse_int_poly, parse_rat_poly])
+    @pytest.mark.parametrize("text", ["1/0x", "1/0x^2+1", "x^2+(3/0)"])
+    def test_zero_denominator_is_a_value_error(self, parse, text):
+        with pytest.raises(ValueError, match="zero denominator in polynomial term"):
+            parse(text)
+
+    def test_zero_denominator_in_a_field_element(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            NumberField(P).parse("1/0b+1")
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -974,6 +974,16 @@ def oracle_gf_radical(f, q):
     return t
 
 
+def oracle_repeated_part(f, q):
+    """gcd(t, h) mod q, the product of the distinct monic irreducible
+    factors of multiplicity 2 or more of the monic f (constant first,
+    reduced mod q here): t the radical of f by distinct degrees
+    (``oracle_gf_radical``), h = f/t."""
+    f = _gf_normalize(f, q)
+    t = oracle_gf_radical(f, q)
+    return _gf_gcd(t, _gf_divmod(f, t, q)[0], q)
+
+
 def oracle_dedekind(p, ell):
     """U = (p mod ℓ)/gcd(f, t, h) of Dedekind's criterion with every
     polynomial formed: t the radical of p mod ℓ by distinct degrees
